@@ -31,7 +31,6 @@ from .decoder import (
     filter_tokenizable,
 )
 from .pipeline import (
-    DataPointRecord,
     load_graph,
     read_datapoints,
     read_jsonl,
@@ -238,20 +237,22 @@ def cmd_generate(args) -> int:
     counts = client.generate(prompts, records_path)
 
     datapoints_path = out / "datapoints.jsonl"
-    rows = []
-    for raw in read_jsonl(records_path):
-        record = textgen.GenerationRecord.from_json(json.dumps(raw))
-        if record.status != "ok" or record.set_id not in sets_by_id:
-            continue
-        src = sets_by_id[record.set_id]
-        point = DataPointRecord(
-            id=record.set_id,
-            text=record.completion.strip(),
-            triplets=triplets_from_row(src),
-            provenance="generated",
-            flags={"partial": bool(src.get("partial", False))},
-        )
-        rows.append(json.loads(point.to_json()))
+    completions = {}
+    for record in read_jsonl(records_path):
+        if record["status"] == "ok":
+            completions.setdefault(record["set_id"], record["completion"])
+    # one row per set with an ok record, in the order of the sets file
+    rows = [
+        {
+            "id": set_id,
+            "text": completions[set_id].strip(),
+            "triplets": [{"s": s, "r": r, "o": o} for s, r, o in triplets_from_row(src)],
+            "provenance": "generated",
+            "flags": {"partial": bool(src.get("partial", False))},
+        }
+        for set_id, src in sets_by_id.items()
+        if set_id in completions
+    ]
     write_jsonl(datapoints_path, rows)
     write_manifest(
         out / "generate.manifest.json",

@@ -21,7 +21,7 @@ DEFAULT_NUM_BEAMS = 10
 class DecodeParams:
     num_beams: int = DEFAULT_NUM_BEAMS
     length_penalty: float | None = None  # None: 0.8 for FE, 0.6 for SC
-    max_length: int = 256
+    max_length: int = 256  # emitted tokens, end-of-sequence not counted
     top_k_returned: int = 1
 
     def __post_init__(self):
@@ -44,7 +44,7 @@ class DecodedSequence:
     text: str
     score: float  # raw log-prob sum, end-of-sequence included when finished
     normalized_score: float
-    finished: bool  # False: truncated at max_length before reaching a terminal
+    finished: bool  # False: truncated at max_length tokens before reaching a terminal
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,10 @@ def constrained_beam_search(
     automaton-accepted hypothesis beats an equal-scored continuation), then by
     token id ascending, then beam index, making the search fully deterministic
     for a deterministic scorer. The search runs until the beams are exhausted
-    or max_length is reached; finished hypotheses are pooled and pruned by
-    normalized score. If max_length is reached with no finished beam, the
-    best partial hypotheses are returned with ``finished=False``.
+    or hold max_length tokens (end-of-sequence not counted); finished
+    hypotheses are pooled and pruned by normalized score. If no beam finishes
+    within max_length tokens, the best partial hypotheses are returned with
+    ``finished=False``.
     """
     length_penalty = params.resolve_length_penalty(engine.schema.variant)
     eos_id = engine.eos_id
@@ -79,9 +80,12 @@ def constrained_beam_search(
         length = len(tokens) + (1 if with_eos else 0)
         return score / (length**length_penalty) if length else score
 
-    for _ in range(params.max_length):
+    # max_length bounds the emitted tokens; the step that may add the
+    # end-of-sequence token after the last of them is one more
+    for step in range(params.max_length + 1):
         if not beams:
             break
+        at_limit = step == params.max_length
         rows = scorer.score_many(input_context, [b.tokens for b in beams])
         candidates: list[tuple[float, int, int, int]] = []  # (score, 0 for eos, token, beam)
         for bi, beam in enumerate(beams):
@@ -89,8 +93,9 @@ def constrained_beam_search(
             row = rows[bi]
             if eos_ok:
                 candidates.append((beam.score + float(row[eos_id]), 0, eos_id, bi))
-            for token in allowed:
-                candidates.append((beam.score + float(row[token]), 1, token, bi))
+            if not at_limit:
+                for token in allowed:
+                    candidates.append((beam.score + float(row[token]), 1, token, bi))
         candidates.sort(key=lambda c: (-c[0], c[1], c[2], c[3]))
         next_beams: list[_Beam] = []
         for score, eos_rank, token, bi in candidates[: params.num_beams]:
@@ -99,7 +104,8 @@ def constrained_beam_search(
                 finished.append((parent.tokens, score))
             else:
                 next_beams.append(_Beam(parent.tokens + (token,), score, engine.advance(parent.state, token)))
-        beams = next_beams
+        if not at_limit:
+            beams = next_beams  # at the limit, unfinished beams stay as the truncated fallback
         if len(finished) > params.num_beams:
             finished.sort(key=lambda f: (-normalized(f[0], f[1], True), f[0]))
             finished = finished[: params.num_beams]

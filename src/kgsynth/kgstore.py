@@ -6,27 +6,19 @@ appear at the I/O boundary; everything downstream works on dense indices.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 log = logging.getLogger(__name__)
 
 
 class KgError(ValueError):
     """Raised on malformed or inconsistent graph input."""
-
-
-class EntityRef(NamedTuple):
-    index: int
-    external_id: str
-    label: str
-
-
-class RelationRef(NamedTuple):
-    index: int
-    external_id: str
-    label: str
 
 
 class Triplet(NamedTuple):
@@ -75,9 +67,26 @@ class IngestStats:
     literal_edges_dropped: int = 0
 
 
+class _Index(NamedTuple):
+    """CSR rows over edge ids: ``*_offsets[i]:*_offsets[i + 1]`` slices row i."""
+
+    incident_offsets: np.ndarray  # per entity
+    incident_edges: np.ndarray
+    incident_others: np.ndarray  # opposite endpoint of each incident edge
+    relation_offsets: np.ndarray  # per relation
+    relation_edges: np.ndarray
+
+
+def _offsets(row_of: np.ndarray, n_rows: int) -> np.ndarray:
+    offsets = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row_of, minlength=n_rows), out=offsets[1:])
+    return offsets
+
+
 @dataclass
 class KnowledgeGraph:
-    """Entity/relation catalogs plus a deduplicated edge set with adjacency indices.
+    """Entity/relation catalogs plus a deduplicated edge set with one
+    integer incidence index.
 
     Immutable after construction; safe to share read-only across workers.
     """
@@ -89,26 +98,39 @@ class KnowledgeGraph:
 
     def __post_init__(self):
         n_ent, n_rel = len(self.entities), len(self.relations)
-        out_adj: list[list[tuple[int, int]]] = [[] for _ in range(n_ent)]
-        in_adj: list[list[tuple[int, int]]] = [[] for _ in range(n_ent)]
-        rel_edges: list[list[Triplet]] = [[] for _ in range(n_rel)]
-        for t in self.edges:
-            if not (0 <= t.subject < n_ent and 0 <= t.object < n_ent and 0 <= t.relation < n_rel):
-                raise KgError(f"edge {t} references an index outside the catalogs")
-            out_adj[t.subject].append((t.relation, t.object))
-            in_adj[t.object].append((t.relation, t.subject))
-            rel_edges[t.relation].append(t)
-        for adj in (out_adj, in_adj):
-            for lst in adj:
-                lst.sort()
-        for lst in rel_edges:
-            lst.sort()
-        self._out_adj = [tuple(a) for a in out_adj]
-        self._in_adj = [tuple(a) for a in in_adj]
-        self._rel_edges = [tuple(e) for e in rel_edges]
+        flat = itertools.chain.from_iterable(self.edges)
+        spo = np.fromiter(flat, dtype=np.int64, count=3 * len(self.edges)).reshape(-1, 3)
+        bad = (spo < 0).any(axis=1) | (spo[:, 0] >= n_ent) | (spo[:, 1] >= n_rel) | (spo[:, 2] >= n_ent)
+        if bad.any():
+            raise KgError(f"edge {self.edges[int(bad.argmax())]} references an index outside the catalogs")
+        self._spo = spo
         self.stats.n_entities = n_ent
         self.stats.n_relations = n_rel
         self.stats.n_edges = len(self.edges)
+
+    @cached_property
+    def _index(self) -> _Index:
+        """Built on first use: incidence rows hold outgoing edges sorted by
+        (relation, object), then incoming ones sorted by (relation, subject);
+        relation rows hold edges sorted by (subject, object)."""
+        s, r, o = self._spo.T
+        ids = np.arange(len(s))
+        # each edge twice: once in its subject's row, once in its object's
+        entity = np.concatenate([s, o])
+        incoming = np.repeat([0, 1], len(s))
+        other = np.concatenate([o, s])
+        order = np.lexsort((other, np.concatenate([r, r]), incoming, entity))
+        by_relation = np.lexsort((o, s, r))
+        index = _Index(
+            _offsets(entity, len(self.entities)),
+            np.concatenate([ids, ids])[order],
+            other[order],
+            _offsets(r, len(self.relations)),
+            ids[by_relation],
+        )
+        for array in index:
+            array.flags.writeable = False  # accessors hand out views
+        return index
 
     @classmethod
     def from_triples(
@@ -137,35 +159,36 @@ class KnowledgeGraph:
                 edges.append(t)
         return cls(ents, rels, tuple(edges))
 
-    def entity_ref(self, index: int) -> EntityRef:
-        self._check_entity(index)
-        return EntityRef(index, self.entities.external_ids[index], self.entities.labels[index])
-
-    def relation_ref(self, index: int) -> RelationRef:
-        self._check_relation(index)
-        return RelationRef(index, self.relations.external_ids[index], self.relations.labels[index])
-
     def degree(self, entity: int) -> int:
-        """Total degree, incoming plus outgoing."""
-        return len(self._out_adj[entity]) + len(self._in_adj[entity])
-
-    def incident(self, entity: int) -> list[tuple[Triplet, int]]:
-        """All edges touching ``entity`` in either direction, paired with the
-        opposite endpoint. Emitted triplets keep the stored (s, r, o) orientation."""
+        """Total degree, incoming plus outgoing (a self-loop counts twice)."""
         self._check_entity(entity)
-        out = [(Triplet(entity, r, o), o) for r, o in self._out_adj[entity]]
-        inc = [(Triplet(s, r, entity), s) for r, s in self._in_adj[entity]]
-        return out + inc
+        offsets = self._index.incident_offsets
+        return int(offsets[entity + 1] - offsets[entity])
+
+    def incident(self, entity: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ids into ``edges`` of all edges touching ``entity`` in either
+        direction, and the opposite endpoint of each: outgoing edges by
+        (relation, object), then incoming ones by (relation, subject)."""
+        self._check_entity(entity)
+        index = self._index
+        lo, hi = index.incident_offsets[entity], index.incident_offsets[entity + 1]
+        return index.incident_edges[lo:hi], index.incident_others[lo:hi]
+
+    def relation_edges(self, relation: int) -> np.ndarray:
+        """Ids into ``edges`` of all edges carrying ``relation``, by (subject, object)."""
+        self._check_relation(relation)
+        index = self._index
+        return index.relation_edges[index.relation_offsets[relation] : index.relation_offsets[relation + 1]]
 
     def triplet_labels(self, t: Triplet) -> tuple[str, str, str]:
         return (self.entities.label(t.subject), self.relations.label(t.relation), self.entities.label(t.object))
 
     def _check_entity(self, entity: int) -> None:
-        if not (isinstance(entity, (int,)) and 0 <= entity < len(self.entities)):
+        if not (isinstance(entity, (int, np.integer)) and 0 <= entity < len(self.entities)):
             raise KgError(f"entity index {entity!r} out of range")
 
     def _check_relation(self, relation: int) -> None:
-        if not (isinstance(relation, (int,)) and 0 <= relation < len(self.relations)):
+        if not (isinstance(relation, (int, np.integer)) and 0 <= relation < len(self.relations)):
             raise KgError(f"relation index {relation!r} out of range")
 
 
@@ -244,25 +267,18 @@ def ingest(edges_file, entity_labels_file, relation_labels_file) -> KnowledgeGra
 def filter_zero_degree(graph: KnowledgeGraph) -> KnowledgeGraph:
     """Remove entities with degree 0 (in + out). Edges are unchanged; surviving
     entities are re-indexed densely, preserving catalog order."""
-    keep = [i for i in range(len(graph.entities)) if graph.degree(i) > 0]
+    # the row lengths of the incidence index, without sorting an index of a
+    # graph about to be replaced
+    degrees = np.bincount(graph._spo[:, [0, 2]].ravel(), minlength=len(graph.entities))
+    keep = np.flatnonzero(degrees)
     if len(keep) == len(graph.entities):
         return graph
-    remap = {old: new for new, old in enumerate(keep)}
     entities = Catalog(
         tuple(graph.entities.labels[i] for i in keep),
         tuple(graph.entities.external_ids[i] for i in keep),
     )
-    edges = tuple(Triplet(remap[t.subject], t.relation, remap[t.object]) for t in graph.edges)
+    new_index = np.cumsum(degrees > 0) - 1
+    spo = graph._spo.copy()
+    spo[:, [0, 2]] = new_index[spo[:, [0, 2]]]
+    edges = tuple(map(Triplet._make, spo.tolist()))
     return KnowledgeGraph(entities, graph.relations, edges, graph.stats)
-
-
-def neighbors(graph: KnowledgeGraph, entity: int) -> list[tuple[int, int]]:
-    """Outgoing (relation, object) pairs of ``entity``, sorted by relation then object."""
-    graph._check_entity(entity)
-    return list(graph._out_adj[entity])
-
-
-def triples_of_relation(graph: KnowledgeGraph, relation: int) -> list[Triplet]:
-    """All edges carrying ``relation``, in deterministic sorted order."""
-    graph._check_relation(relation)
-    return list(graph._rel_edges[relation])

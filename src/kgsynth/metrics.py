@@ -67,7 +67,8 @@ def _relation_of(fact) -> Hashable:
 def per_relation_scores(pairs: Sequence[EvalPair]) -> dict[Hashable, tuple[float, float, float]]:
     """P/R/F1 per relation over the restricted per-relation fact sets.
 
-    Relations with zero gold and zero predicted occurrences never appear.
+    Relations with zero gold and zero predicted occurrences never appear;
+    the others are keyed in sorted order.
     """
     correct: Counter = Counter()
     n_pred: Counter = Counter()
@@ -80,7 +81,8 @@ def per_relation_scores(pairs: Sequence[EvalPair]) -> dict[Hashable, tuple[float
         for t in p.predicted & p.gold:
             correct[_relation_of(t)] += 1
     out = {}
-    for r in set(n_pred) | set(n_gold):
+    # sorted, so that the macro sums do not follow the string hash seed
+    for r in sorted(n_pred.keys() | n_gold.keys()):
         prec = _ratio(correct[r], n_pred[r], n_gold[r])
         rec = _ratio(correct[r], n_gold[r], n_pred[r])
         out[r] = (prec, rec, f1(prec, rec))

@@ -70,19 +70,6 @@ class DataPointRecord:
     provenance: str = "ingested"  # sampled | generated | ingested
     flags: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "id": self.id,
-                "text": self.text,
-                "triplets": [{"s": s, "r": r, "o": o} for s, r, o in self.triplets],
-                "provenance": self.provenance,
-                "flags": self.flags,
-            },
-            ensure_ascii=False,
-            sort_keys=True,
-        )
-
     @classmethod
     def from_dict(cls, raw: dict) -> "DataPointRecord":
         return cls(

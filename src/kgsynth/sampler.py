@@ -65,14 +65,11 @@ class TripletSet:
     distinct_entities: list[int]
     partial: bool = False
 
-    def to_labels(self, graph: KnowledgeGraph) -> list[tuple[str, str, str]]:
-        return [graph.triplet_labels(t) for t in self.triplets]
-
     def to_record(self, graph: KnowledgeGraph, set_id) -> dict:
         return {
             "id": set_id,
             "triplets": [
-                {"s": s, "r": r, "o": o} for s, r, o in self.to_labels(graph)
+                {"s": s, "r": r, "o": o} for s, r, o in map(graph.triplet_labels, self.triplets)
             ],
             "partial": self.partial,
         }
@@ -93,15 +90,6 @@ class SamplerState:
         self.relation_dist = np.full(len(graph.relations), 1.0 / len(graph.relations))
         self._entity_cum = np.cumsum(self.entity_dist)
         self._relation_cum = np.cumsum(self.relation_dist)
-        # per-entity incident-edge index (both directions, stored orientation)
-        edge_index = {t: i for i, t in enumerate(graph.edges)}
-        self._edge_index = edge_index
-        self._inc_edges: list[np.ndarray] = []
-        self._inc_others: list[np.ndarray] = []
-        for e in range(len(graph.entities)):
-            pairs = graph.incident(e)
-            self._inc_edges.append(np.fromiter((edge_index[t] for t, _ in pairs), dtype=np.int64, count=len(pairs)))
-            self._inc_others.append(np.fromiter((other for _, other in pairs), dtype=np.int64, count=len(pairs)))
 
     @property
     def active_start_strategy(self) -> str:
@@ -170,21 +158,20 @@ def sample_start(state: SamplerState, graph: KnowledgeGraph, config: SamplerConf
     """
     if state.active_start_strategy == ENTITY_CENTRIC:
         return state.draw_entity()
-    if not any(graph._rel_edges):
+    if not graph.edges:
         raise SamplingError("graph has no edges to start from")
     while True:
-        rel = state.draw_relation()
-        edges = graph._rel_edges[rel]
-        if edges:
+        edges = graph.relation_edges(state.draw_relation())
+        if len(edges):
             break
-    weights = np.array([state.entity_dist[t.subject] for t in edges])
+    weights = state.entity_dist[[graph.edges[i].subject for i in edges]]
     total = weights.sum()
     if total <= 0:
         idx = int(state.rng.integers(len(edges)))
     else:
         idx = int(np.searchsorted(np.cumsum(weights / total), state.rng.random(), side="right"))
         idx = min(idx, len(edges) - 1)
-    return edges[idx]
+    return graph.edges[edges[idx]]
 
 
 def _draw_biased_subject(
@@ -244,13 +231,16 @@ def sample_triplet_set(
     forced_subject: int | None = None
 
     if isinstance(start, Triplet):
+        edge_ids, others = graph.incident(start.subject)
+        edge_id = next((int(i) for i in edge_ids[others == start.object] if graph.edges[i] == start), None)
+        if edge_id is None:
+            raise SamplingError(f"start {start!r} is not an edge of the graph")
         triplets.append(start)
-        chosen_edges.add(state._edge_index[start])
+        chosen_edges.add(edge_id)
         _add_entity(distinct, seen, start.subject)
         _add_entity(distinct, seen, start.object)
     else:
-        graph._check_entity(start)
-        forced_subject = start
+        forced_subject = start  # graph.incident checks it on the first step
 
     max_attempts = config.max_attempts_factor * target_size
     failures = 0
@@ -265,8 +255,7 @@ def sample_triplet_set(
                 failures += 1
                 continue
             subject = drawn
-        edge_ids = state._inc_edges[subject]
-        others = state._inc_others[subject]
+        edge_ids, others = graph.incident(subject)
         if chosen_edges:
             mask = ~np.isin(edge_ids, list(chosen_edges))
             edge_ids = edge_ids[mask]

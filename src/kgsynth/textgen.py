@@ -233,10 +233,6 @@ class GenerationRecord:
     def to_json(self) -> str:
         return json.dumps(asdict(self), ensure_ascii=False, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, line: str) -> "GenerationRecord":
-        return cls(**json.loads(line))
-
 
 def _default_transport(url: str, body: dict, headers: dict, timeout: float) -> tuple[int, dict]:
     response = requests.post(url, json=body, headers=headers, timeout=timeout)

@@ -1,4 +1,7 @@
 import json
+import os
+import random
+import subprocess
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -6,6 +9,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 import yaml
 
+import kgsynth
+from kgsynth import textgen
 from kgsynth.cli import main
 
 ENTITIES = [("Q1", "Alpha"), ("Q2", "Beta"), ("Q3", "Gamma"), ("Q4", "Delta"), ("Q5", "Orphan")]
@@ -170,6 +175,33 @@ def test_stats_and_eval(workspace, tmp_path):
     assert (workspace["out"] / "eval_report.json").read_bytes() == first
 
 
+def test_eval_report_is_byte_identical_across_hash_seeds(workspace, tmp_path):
+    # many relations with uneven scores, so the macro sums depend on their order
+    rng = random.Random(4)
+    gold_rows, pred_rows = [], []
+    for d in range(60):
+        gold_t = {(f"e{rng.randrange(9)}", f"relation {rng.randrange(25)}", f"e{rng.randrange(9)}") for _ in range(4)}
+        pred_t = {t for t in gold_t if rng.random() < 0.7}
+        pred_t |= {(f"e{rng.randrange(9)}", f"relation {rng.randrange(25)}", f"e{rng.randrange(9)}") for _ in range(2)}
+        gold_rows.append({"id": str(d), "text": "", "triplets": sorted(gold_t)})
+        pred_rows.append({"id": str(d), "text": "", "triplets": sorted(pred_t)})
+    gold, preds = tmp_path / "gold.jsonl", tmp_path / "preds.jsonl"
+    write_datapoints(gold, gold_rows)
+    write_datapoints(preds, pred_rows)
+    src = os.path.dirname(os.path.dirname(kgsynth.__file__))
+    reports = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"hash{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run(
+            [sys.executable, "-m", "kgsynth.cli", "eval", "--config", str(workspace["config"]),
+             "--predictions", str(preds), "--gold", str(gold), "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        reports.append((out / "eval_report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_decode_with_builtin_and_subprocess_scorers(workspace, tmp_path):
     run_cli("ingest", "--config", workspace["config"])
     inputs = tmp_path / "inputs.jsonl"
@@ -292,3 +324,49 @@ def test_unknown_tokenizer_is_validation_error(workspace, tmp_path):
     dp = tmp_path / "dp.jsonl"
     write_datapoints(dp, [{"id": "a", "text": "t", "triplets": [("Alpha", "linked to", "Beta")]}])
     assert run_cli("prepare", "--config", path, "--datapoints", dp) == 1
+
+
+class ReverseOrderPost:
+    """``requests.post`` stand-in that holds every request until all are in
+    flight, then answers them in reverse order of arrival."""
+
+    def __init__(self, n_requests):
+        self.n_requests = n_requests
+        self.arrived = 0
+        self.answered = 0
+        self.cond = threading.Condition()
+
+    def __call__(self, url, json, headers, timeout):
+        with self.cond:
+            me = self.arrived
+            self.arrived += 1
+            self.cond.notify_all()
+            if not self.cond.wait_for(
+                lambda: self.arrived == self.n_requests and self.answered == self.n_requests - 1 - me, timeout=10
+            ):
+                raise TimeoutError("requests did not all arrive")
+            self.answered += 1
+            self.cond.notify_all()
+        return self
+
+    # the response side
+    status_code = 200
+
+    def json(self):
+        return {"choices": [{"text": "A sentence.", "finish_reason": "stop"}], "usage": {"total_tokens": 5}}
+
+
+def test_generate_rows_follow_sets_file_order(workspace, tmp_path, monkeypatch):
+    n = 6
+    run_cli("ingest", "--config", workspace["config"])
+    run_cli("sample", "--config", workspace["config"], "--n", n)
+    monkeypatch.setattr(textgen.requests, "post", ReverseOrderPost(n))
+    config = generation_config(workspace, tmp_path, "http://127.0.0.1:9/v1/completions", concurrency=n)
+    sets_file = workspace["out"] / "triplet_sets.jsonl"
+    assert run_cli("generate", "--config", config, "--sets", sets_file) == 0
+    records = [json.loads(l) for l in (workspace["out"] / "generation_records.jsonl").read_text().splitlines()]
+    assert [r["set_id"] for r in records] != [str(i) for i in range(n)]  # completion order differs
+    sets = [json.loads(l) for l in sets_file.read_text().splitlines()]
+    datapoints = [json.loads(l) for l in (workspace["out"] / "datapoints.jsonl").read_text().splitlines()]
+    assert [dp["id"] for dp in datapoints] == [str(row["id"]) for row in sets]
+    assert [dp["triplets"] for dp in datapoints] == [row["triplets"] for row in sets]

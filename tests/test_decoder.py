@@ -351,6 +351,19 @@ def test_zero_length_penalty_is_raw_sum_ranking(fe_engine):
     assert scores == sorted(scores, reverse=True)
 
 
+def test_target_of_exactly_max_length_tokens_finishes():
+    # max_length bounds the emitted tokens; the end-of-sequence step is extra
+    tokenizer, et, rt = toy_world(ENTITIES, RELATIONS)
+    engine = ConstraintEngine(FE, tokenizer, et, rt)
+    target = tuple(tokenizer.encode(codec.linearize([("Zuse", "built", "Computer")], FE).text))
+    scorer = OracleScorer(tokenizer.vocab_size, target, tokenizer.eos_id)
+    best = constrained_beam_search(scorer, "", engine, DecodeParams(num_beams=2, max_length=len(target)))[0]
+    assert best.tokens == target
+    assert best.finished
+    shorter = constrained_beam_search(scorer, "", engine, DecodeParams(num_beams=2, max_length=len(target) - 1))[0]
+    assert len(shorter.tokens) == len(target) - 1 and not shorter.finished
+
+
 def test_truncation_flag_when_max_length_too_small(fe_engine):
     scorer = UniformScorer(fe_engine.tokenizer.vocab_size)
     results = constrained_beam_search(scorer, "", fe_engine, DecodeParams(num_beams=2, max_length=3))

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgsynth import kgstore
 from kgsynth.kgstore import KgError, Triplet
@@ -110,10 +112,21 @@ def test_filter_zero_degree_counts():
     assert all(filtered.degree(e) >= 1 for e in range(len(filtered.entities)))
 
 
+def edges_of(graph, edge_ids):
+    return [graph.edges[i] for i in edge_ids]
+
+
+def outgoing(graph, entity):
+    """(relation, object) of the incident edges ``entity`` is the subject of
+    (no self-loops in the graphs this is used on)."""
+    edge_ids, _ = graph.incident(entity)
+    return [(t.relation, t.object) for t in edges_of(graph, edge_ids) if t.subject == entity]
+
+
 def test_neighbors_outgoing_only(tiny_graph):
     # Gamma has two incoming edges, no outgoing
     gamma = tiny_graph.entities.index_of_label("Gamma")
-    assert kgstore.neighbors(tiny_graph, gamma) == []
+    assert outgoing(tiny_graph, gamma) == []
     assert tiny_graph.degree(gamma) == 2
 
 
@@ -124,22 +137,30 @@ def test_neighbors_star_center():
         ["spoke"],
         [(0, 0, i + 1) for i in range(k)],
     )
-    assert len(kgstore.neighbors(graph, 0)) == k
+    assert len(outgoing(graph, 0)) == k
+    assert graph.degree(0) == k
 
 
 def test_neighbors_sorted_and_exact(tiny_graph):
     alpha = tiny_graph.entities.index_of_label("Alpha")
-    assert kgstore.neighbors(tiny_graph, alpha) == [(0, 1), (1, 2)]
+    assert outgoing(tiny_graph, alpha) == [(0, 1), (1, 2)]
+    edge_ids, others = tiny_graph.incident(alpha)
+    # outgoing by (relation, object), then incoming by (relation, subject)
+    assert edges_of(tiny_graph, edge_ids) == [Triplet(0, 0, 1), Triplet(0, 1, 2), Triplet(3, 1, 0)]
+    assert others.tolist() == [1, 2, 3]
 
 
 def test_neighbors_invalid_index(tiny_graph):
-    with pytest.raises(KgError):
-        kgstore.neighbors(tiny_graph, 99)
+    for bad in (99, -1, 4, "0"):
+        with pytest.raises(KgError):
+            tiny_graph.incident(bad)
+        with pytest.raises(KgError):
+            tiny_graph.degree(bad)
 
 
 def test_triples_of_relation(tiny_graph):
     linked = tiny_graph.relations.index_of_label("linked to")
-    got = kgstore.triples_of_relation(tiny_graph, linked)
+    got = edges_of(tiny_graph, tiny_graph.relation_edges(linked))
     assert got == [Triplet(0, 0, 1), Triplet(1, 0, 2)]
 
 
@@ -147,48 +168,91 @@ def test_triples_of_relation_absent_and_singleton():
     graph = kgstore.KnowledgeGraph.from_triples(
         ["A", "B"], ["used", "unused"], [(0, 0, 1)]
     )
-    assert kgstore.triples_of_relation(graph, 1) == []
-    assert kgstore.triples_of_relation(graph, 0) == [Triplet(0, 0, 1)]
-    with pytest.raises(KgError):
-        kgstore.triples_of_relation(graph, 5)
+    assert edges_of(graph, graph.relation_edges(1)) == []
+    assert edges_of(graph, graph.relation_edges(0)) == [Triplet(0, 0, 1)]
+    for bad in (5, -1):
+        with pytest.raises(KgError):
+            graph.relation_edges(bad)
 
 
 def test_triples_of_relation_selects_all_and_only():
     edges = [(0, 0, 1), (1, 0, 2), (2, 0, 3), (0, 1, 2), (1, 1, 3), (2, 1, 0), (3, 1, 1)]
     graph = kgstore.KnowledgeGraph.from_triples(["A", "B", "C", "D"], ["r", "q"], edges)
-    got = kgstore.triples_of_relation(graph, 0)
+    got = edges_of(graph, graph.relation_edges(0))
     assert got == sorted(Triplet(*e) for e in edges if e[1] == 0)
     assert len(got) == 3
 
 
 def test_adjacency_sums_to_edge_count(tiny_graph):
-    total = sum(len(kgstore.neighbors(tiny_graph, e)) for e in range(len(tiny_graph.entities)))
-    assert total == len(tiny_graph.edges)
+    entities = range(len(tiny_graph.entities))
+    assert sum(len(outgoing(tiny_graph, e)) for e in entities) == len(tiny_graph.edges)
+    assert sum(tiny_graph.degree(e) for e in entities) == 2 * len(tiny_graph.edges)
 
 
 def test_incident_preserves_stored_orientation(tiny_graph):
     alpha = tiny_graph.entities.index_of_label("Alpha")
-    incident = tiny_graph.incident(alpha)
+    edge_ids, others = tiny_graph.incident(alpha)
+    incident = list(zip(edges_of(tiny_graph, edge_ids), others.tolist()))
     # outgoing: (Alpha,linked,Beta), (Alpha,part of,Gamma); incoming: (Delta,part of,Alpha)
     assert (Triplet(3, 1, 0), 3) in incident
     assert all(t.subject == alpha or t.object == alpha for t, _ in incident)
-    others = [other for _, other in incident]
-    assert sorted(others) == [1, 2, 3]
+    assert sorted(others.tolist()) == [1, 2, 3]
 
 
 def test_self_loops_permitted():
     graph = kgstore.KnowledgeGraph.from_triples(["A"], ["r"], [(0, 0, 0)])
     assert graph.degree(0) == 2
     assert len(graph.edges) == 1
+    edge_ids, others = graph.incident(0)
+    assert edge_ids.tolist() == [0, 0] and others.tolist() == [0, 0]
 
 
 def test_refs_expose_index_external_id_label(tiny_graph):
-    ref = tiny_graph.entity_ref(1)
-    assert (ref.index, ref.external_id, ref.label) == (1, "E1", "Beta")
-    rel = tiny_graph.relation_ref(0)
-    assert (rel.index, rel.external_id, rel.label) == (0, "R0", "linked to")
+    assert (tiny_graph.entities.external_ids[1], tiny_graph.entities.label(1)) == ("E1", "Beta")
+    assert (tiny_graph.relations.external_ids[0], tiny_graph.relations.label(0)) == ("R0", "linked to")
     with pytest.raises(KgError):
-        tiny_graph.entity_ref(40)
+        tiny_graph.incident(40)
+    with pytest.raises(KgError):
+        tiny_graph.relation_edges(40)
+
+
+def test_edge_outside_catalogs_rejected():
+    with pytest.raises(KgError, match="outside the catalogs"):
+        kgstore.KnowledgeGraph.from_triples(["A", "B"], ["r"], [(0, 0, 1), (0, 1, 1)])
+    with pytest.raises(KgError, match="outside the catalogs"):
+        kgstore.KnowledgeGraph.from_triples(["A", "B"], ["r"], [(0, 0, -1)])
+
+
+@st.composite
+def small_graphs(draw):
+    n_entities = draw(st.integers(1, 6))
+    n_relations = draw(st.integers(1, 4))
+    # the last relation never gets an edge; repeated triples are deduplicated
+    triple = st.tuples(
+        st.integers(0, n_entities - 1), st.integers(0, n_relations - 1), st.integers(0, n_entities - 1)
+    )
+    triples = draw(st.lists(triple, max_size=40))
+    return kgstore.KnowledgeGraph.from_triples(
+        [f"Entity {i}" for i in range(n_entities)], [f"relation {j}" for j in range(n_relations + 1)], triples
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_index_matches_brute_force_enumeration(graph):
+    edges = graph.edges
+    ids = range(len(edges))
+    for e in range(len(graph.entities)):
+        out = sorted((i for i in ids if edges[i].subject == e), key=lambda i: (edges[i].relation, edges[i].object))
+        inc = sorted((i for i in ids if edges[i].object == e), key=lambda i: (edges[i].relation, edges[i].subject))
+        edge_ids, others = graph.incident(e)
+        assert edge_ids.tolist() == out + inc
+        assert others.tolist() == [edges[i].object for i in out] + [edges[i].subject for i in inc]
+        assert graph.degree(e) == len(out) + len(inc)
+    for r in range(len(graph.relations)):
+        expected = sorted((i for i in ids if edges[i].relation == r), key=lambda i: (edges[i].subject, edges[i].object))
+        assert graph.relation_edges(r).tolist() == expected
+    assert graph.relation_edges(len(graph.relations) - 1).tolist() == []
 
 
 def test_empty_label_rejected():

@@ -50,7 +50,7 @@ def brute_force_macro(pairs):
     if not relations:
         return 1.0, 1.0, 1.0
     precisions, recalls, f1s = [], [], []
-    for r in relations:
+    for r in sorted(relations):  # the summation order of metrics.per_relation_scores
         restricted = [
             EvalPair.make(
                 p.doc_id,

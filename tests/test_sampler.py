@@ -185,6 +185,14 @@ def test_edge_start_target_one(tiny_graph):
     assert not ts.partial
 
 
+def test_start_outside_graph_rejected(tiny_graph):
+    state, cfg = make_state(tiny_graph)
+    with pytest.raises(sampler.SamplingError):
+        sampler.sample_triplet_set(state, tiny_graph, cfg, Triplet(1, 1, 0), target_size=1)
+    with pytest.raises(kgstore.KgError):
+        sampler.sample_triplet_set(state, tiny_graph, cfg, 4, target_size=1)
+
+
 def test_walk_emits_only_graph_edges_without_duplicates(zipf_kg):
     state, cfg = make_state(zipf_kg, seed=42)
     edges = set(zipf_kg.edges)
