@@ -30,11 +30,10 @@ from .decoder import (
     constrained_beam_search,
     filter_tokenizable,
 )
+from .kgstore import load_graph, save_graph
 from .pipeline import (
-    load_graph,
     read_datapoints,
     read_jsonl,
-    save_graph,
     triplets_from_row,
     write_jsonl,
     write_manifest,

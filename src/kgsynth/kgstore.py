@@ -1,12 +1,15 @@
 """Load, filter, and index the knowledge graph consumed by sampling and decoding.
 
 The graph is built from three TSV files (edges + entity/relation label files),
-deduplicated, and indexed with dense integer ids. Labels and external ids only
-appear at the I/O boundary; everything downstream works on dense indices.
+deduplicated, and indexed with dense integer ids; its edges are one int32
+(subject, relation, object) array. Labels and external ids only appear at the
+I/O boundary; everything downstream works on dense indices. ``save_graph`` and
+``load_graph`` own the graph file the pipeline stages pass along.
 """
 from __future__ import annotations
 
-import itertools
+import base64
+import json
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -83,27 +86,47 @@ def _offsets(row_of: np.ndarray, n_rows: int) -> np.ndarray:
     return offsets
 
 
-@dataclass
+def _checked_edges(edges, n_entities: int, n_relations: int) -> np.ndarray:
+    """A read-only int32 copy of an ``(E, 3)`` integer array whose rows all
+    lie inside the catalogs."""
+    edges = np.asarray(edges)
+    if edges.ndim != 2 or edges.shape[1] != 3 or edges.dtype.kind not in "iu":
+        raise KgError(f"edges must be an (E, 3) integer array, got {edges.dtype} of shape {edges.shape}")
+    bad = (edges < 0).any(axis=1) | (edges[:, [0, 2]] >= n_entities).any(axis=1) | (edges[:, 1] >= n_relations)
+    if bad.any():
+        raise KgError(f"edge {tuple(edges[bad.argmax()].tolist())} references an index outside the catalogs")
+    edges = edges.astype(np.int32)
+    edges.flags.writeable = False
+    return edges
+
+
+def _first_occurrences(edges: np.ndarray, n_entities: int, n_relations: int) -> np.ndarray:
+    """The rows of an in-range edge array with repeats dropped, in order of
+    first appearance."""
+    if n_entities * n_entities * n_relations >= 2**63:
+        raise KgError(f"{n_entities} entities x {n_relations} relations overflow the int64 edge key")
+    key = (edges[:, 0].astype(np.int64) * n_relations + edges[:, 1]) * n_entities + edges[:, 2]
+    _, first = np.unique(key, return_index=True)
+    return edges[np.sort(first)]
+
+
+@dataclass(eq=False)
 class KnowledgeGraph:
-    """Entity/relation catalogs plus a deduplicated edge set with one
-    integer incidence index.
+    """Entity/relation catalogs plus a deduplicated edge set, stored as one
+    read-only ``(E, 3)`` int32 array of (subject, relation, object) rows, with
+    one integer incidence index.
 
     Immutable after construction; safe to share read-only across workers.
     """
 
     entities: Catalog
     relations: Catalog
-    edges: tuple[Triplet, ...]
+    edges: np.ndarray
     stats: IngestStats = field(default_factory=IngestStats)
 
     def __post_init__(self):
         n_ent, n_rel = len(self.entities), len(self.relations)
-        flat = itertools.chain.from_iterable(self.edges)
-        spo = np.fromiter(flat, dtype=np.int64, count=3 * len(self.edges)).reshape(-1, 3)
-        bad = (spo < 0).any(axis=1) | (spo[:, 0] >= n_ent) | (spo[:, 1] >= n_rel) | (spo[:, 2] >= n_ent)
-        if bad.any():
-            raise KgError(f"edge {self.edges[int(bad.argmax())]} references an index outside the catalogs")
-        self._spo = spo
+        self.edges = _checked_edges(self.edges, n_ent, n_rel)
         self.stats.n_entities = n_ent
         self.stats.n_relations = n_rel
         self.stats.n_edges = len(self.edges)
@@ -113,19 +136,21 @@ class KnowledgeGraph:
         """Built on first use: incidence rows hold outgoing edges sorted by
         (relation, object), then incoming ones sorted by (relation, subject);
         relation rows hold edges sorted by (subject, object)."""
-        s, r, o = self._spo.T
+        n_ent, n_rel = len(self.entities), len(self.relations)
+        s, r, o = self.edges.astype(np.int64).T
         ids = np.arange(len(s))
         # each edge twice: once in its subject's row, once in its object's
         entity = np.concatenate([s, o])
-        incoming = np.repeat([0, 1], len(s))
         other = np.concatenate([o, s])
-        order = np.lexsort((other, np.concatenate([r, r]), incoming, entity))
-        by_relation = np.lexsort((o, s, r))
+        # (incoming, relation, other) packed into one key; < 2 * n_rel * n_ent
+        within = (np.repeat([0, n_rel], len(s)) + np.concatenate([r, r])) * n_ent + other
+        order = np.lexsort((within, entity))
+        by_relation = np.lexsort((s * n_ent + o, r))
         index = _Index(
-            _offsets(entity, len(self.entities)),
+            _offsets(entity, n_ent),
             np.concatenate([ids, ids])[order],
             other[order],
-            _offsets(r, len(self.relations)),
+            _offsets(r, n_rel),
             ids[by_relation],
         )
         for array in index:
@@ -141,7 +166,8 @@ class KnowledgeGraph:
         entity_external_ids: Sequence[str] | None = None,
         relation_external_ids: Sequence[str] | None = None,
     ) -> "KnowledgeGraph":
-        """Build a graph directly from dense-index triples (fixtures, tests)."""
+        """Build a graph directly from dense-index triples (fixtures, tests);
+        repeated triples keep their first appearance."""
         ents = Catalog(
             tuple(entity_labels),
             tuple(entity_external_ids) if entity_external_ids else tuple(f"E{i}" for i in range(len(entity_labels))),
@@ -150,14 +176,14 @@ class KnowledgeGraph:
             tuple(relation_labels),
             tuple(relation_external_ids) if relation_external_ids else tuple(f"R{i}" for i in range(len(relation_labels))),
         )
-        seen: set[Triplet] = set()
-        edges = []
-        for s, r, o in triples:
-            t = Triplet(s, r, o)
-            if t not in seen:
-                seen.add(t)
-                edges.append(t)
-        return cls(ents, rels, tuple(edges))
+        edges = _checked_edges(np.array(list(triples), dtype=np.int64).reshape(-1, 3), len(ents), len(rels))
+        return cls(ents, rels, _first_occurrences(edges, len(ents), len(rels)))
+
+    def triplet(self, edge_id: int) -> Triplet:
+        """The (subject, relation, object) of edge ``edge_id``."""
+        if not (isinstance(edge_id, (int, np.integer)) and 0 <= edge_id < len(self.edges)):
+            raise KgError(f"edge id {edge_id!r} out of range")
+        return Triplet._make(self.edges[edge_id].tolist())
 
     def degree(self, entity: int) -> int:
         """Total degree, incoming plus outgoing (a self-loop counts twice)."""
@@ -190,6 +216,49 @@ class KnowledgeGraph:
     def _check_relation(self, relation: int) -> None:
         if not (isinstance(relation, (int, np.integer)) and 0 <= relation < len(self.relations)):
             raise KgError(f"relation index {relation!r} out of range")
+
+
+def save_graph(graph: KnowledgeGraph, path) -> None:
+    """Write ``graph`` as one JSON object: each catalog as parallel
+    ``external_ids``/``labels`` lists, and the edges as base64 of the
+    little-endian int32 ``(E, 3)`` array in row-major order. The bytes depend
+    on the graph alone."""
+    payload = {
+        "entities": {"external_ids": list(graph.entities.external_ids), "labels": list(graph.entities.labels)},
+        "relations": {"external_ids": list(graph.relations.external_ids), "labels": list(graph.relations.labels)},
+        "edges": base64.b64encode(graph.edges.astype("<i4").tobytes()).decode("ascii"),
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, ensure_ascii=False)
+        fh.write("\n")
+
+
+def _catalog_from(raw) -> Catalog:
+    if not isinstance(raw, dict):
+        raise KgError("a catalog must be an object of parallel external_ids and labels lists")
+    external_ids, labels = raw["external_ids"], raw["labels"]
+    if not (isinstance(external_ids, list) and isinstance(labels, list) and len(external_ids) == len(labels)):
+        raise KgError("catalog external_ids and labels must be lists of equal length")
+    if not set(map(type, external_ids + labels)) <= {str}:
+        raise KgError("catalog external_ids and labels must be strings")
+    return Catalog(tuple(labels), tuple(external_ids))
+
+
+def load_graph(path) -> KnowledgeGraph:
+    """Read a graph written by ``save_graph``. Anything else (a truncated or
+    corrupt file, another layout, an edge outside the catalogs) raises a
+    ``KgError`` naming ``path``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        entities = _catalog_from(payload["entities"])
+        relations = _catalog_from(payload["relations"])
+        blob = base64.b64decode(payload["edges"], validate=True)
+        if len(blob) % 12:
+            raise KgError(f"edge data of {len(blob)} bytes is not a whole number of 12-byte rows")
+        return KnowledgeGraph(entities, relations, np.frombuffer(blob, dtype="<i4").reshape(-1, 3))
+    except (ValueError, KeyError, TypeError) as exc:  # KgError, JSON, UTF-8 and base64 errors are ValueErrors
+        raise KgError(f"{path}: not a readable graph file ({exc}); re-run ingest to rewrite it") from exc
 
 
 def _read_label_file(path, *, allow_flags: bool) -> list[tuple[str, str, set[str]]]:
@@ -229,8 +298,9 @@ def ingest(edges_file, entity_labels_file, relation_labels_file) -> KnowledgeGra
         log.warning("dropped %d literal-valued relation(s) at ingest", stats.literal_relations_dropped)
     relations = Catalog(tuple(label for _, label in kept), tuple(ext for ext, _ in kept))
 
-    seen: set[Triplet] = set()
-    edges: list[Triplet] = []
+    subjects: list[int] = []
+    relation_ids: list[int] = []
+    objects: list[int] = []
     with open(edges_file, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -252,16 +322,16 @@ def ingest(edges_file, entity_labels_file, relation_labels_file) -> KnowledgeGra
             r = relations.index_of_external(r_ext)
             if r is None:
                 raise KgError(f"{edges_file}:{lineno}: unknown relation id {r_ext!r}")
-            t = Triplet(s, r, o)
-            if t in seen:
-                stats.duplicate_edges_dropped += 1
-                continue
-            seen.add(t)
-            edges.append(t)
+            subjects.append(s)
+            relation_ids.append(r)
+            objects.append(o)
     if stats.literal_edges_dropped:
         log.warning("dropped %d edge(s) using literal-valued relations", stats.literal_edges_dropped)
 
-    return KnowledgeGraph(entities, relations, tuple(edges), stats)
+    columns = np.array([subjects, relation_ids, objects], dtype=np.int32)
+    edges = _first_occurrences(columns.T, len(entities), len(relations))
+    stats.duplicate_edges_dropped = len(subjects) - len(edges)
+    return KnowledgeGraph(entities, relations, edges, stats)
 
 
 def filter_zero_degree(graph: KnowledgeGraph) -> KnowledgeGraph:
@@ -269,7 +339,8 @@ def filter_zero_degree(graph: KnowledgeGraph) -> KnowledgeGraph:
     entities are re-indexed densely, preserving catalog order."""
     # the row lengths of the incidence index, without sorting an index of a
     # graph about to be replaced
-    degrees = np.bincount(graph._spo[:, [0, 2]].ravel(), minlength=len(graph.entities))
+    endpoints = graph.edges[:, [0, 2]]
+    degrees = np.bincount(endpoints.ravel(), minlength=len(graph.entities))
     keep = np.flatnonzero(degrees)
     if len(keep) == len(graph.entities):
         return graph
@@ -278,7 +349,6 @@ def filter_zero_degree(graph: KnowledgeGraph) -> KnowledgeGraph:
         tuple(graph.entities.external_ids[i] for i in keep),
     )
     new_index = np.cumsum(degrees > 0) - 1
-    spo = graph._spo.copy()
-    spo[:, [0, 2]] = new_index[spo[:, [0, 2]]]
-    edges = tuple(map(Triplet._make, spo.tolist()))
+    edges = graph.edges.copy()
+    edges[:, [0, 2]] = new_index[endpoints]
     return KnowledgeGraph(entities, graph.relations, edges, graph.stats)

@@ -11,11 +11,9 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import __version__
-from .kgstore import Catalog, KnowledgeGraph, Triplet
 
 
 def sha256_file(path) -> str:
@@ -38,26 +36,6 @@ def write_manifest(path, command: str, config_snapshot: dict, inputs: dict, outp
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def save_graph(graph: KnowledgeGraph, path) -> None:
-    payload = {
-        "entities": [[ext, label] for ext, label in zip(graph.entities.external_ids, graph.entities.labels)],
-        "relations": [[ext, label] for ext, label in zip(graph.relations.external_ids, graph.relations.labels)],
-        "edges": [[t.subject, t.relation, t.object] for t in graph.edges],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, ensure_ascii=False)
-        fh.write("\n")
-
-
-def load_graph(path) -> KnowledgeGraph:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    entities = Catalog(tuple(l for _, l in payload["entities"]), tuple(e for e, _ in payload["entities"]))
-    relations = Catalog(tuple(l for _, l in payload["relations"]), tuple(e for e, _ in payload["relations"]))
-    edges = tuple(Triplet(*edge) for edge in payload["edges"])
-    return KnowledgeGraph(entities, relations, edges)
 
 
 @dataclass

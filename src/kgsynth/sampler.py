@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Union
 
 import numpy as np
@@ -158,20 +158,20 @@ def sample_start(state: SamplerState, graph: KnowledgeGraph, config: SamplerConf
     """
     if state.active_start_strategy == ENTITY_CENTRIC:
         return state.draw_entity()
-    if not graph.edges:
+    if not len(graph.edges):
         raise SamplingError("graph has no edges to start from")
     while True:
         edges = graph.relation_edges(state.draw_relation())
         if len(edges):
             break
-    weights = state.entity_dist[[graph.edges[i].subject for i in edges]]
+    weights = state.entity_dist[graph.edges[edges, 0]]
     total = weights.sum()
     if total <= 0:
         idx = int(state.rng.integers(len(edges)))
     else:
         idx = int(np.searchsorted(np.cumsum(weights / total), state.rng.random(), side="right"))
         idx = min(idx, len(edges) - 1)
-    return graph.edges[edges[idx]]
+    return graph.triplet(edges[idx])
 
 
 def _draw_biased_subject(
@@ -225,18 +225,18 @@ def sample_triplet_set(
     if target_size is None:
         target_size = sample_set_size(state, config)
     triplets: list[Triplet] = []
-    chosen_edges: set[int] = set()
+    chosen_edges: list[int] = []
     distinct: list[int] = []
     seen: set[int] = set()
     forced_subject: int | None = None
 
     if isinstance(start, Triplet):
         edge_ids, others = graph.incident(start.subject)
-        edge_id = next((int(i) for i in edge_ids[others == start.object] if graph.edges[i] == start), None)
+        edge_id = next((int(i) for i in edge_ids[others == start.object] if graph.triplet(i) == start), None)
         if edge_id is None:
             raise SamplingError(f"start {start!r} is not an edge of the graph")
         triplets.append(start)
-        chosen_edges.add(edge_id)
+        chosen_edges.append(edge_id)
         _add_entity(distinct, seen, start.subject)
         _add_entity(distinct, seen, start.object)
     else:
@@ -257,9 +257,11 @@ def sample_triplet_set(
             subject = drawn
         edge_ids, others = graph.incident(subject)
         if chosen_edges:
-            mask = ~np.isin(edge_ids, list(chosen_edges))
-            edge_ids = edge_ids[mask]
-            others = others[mask]
+            keep = edge_ids != chosen_edges[0]
+            for used in chosen_edges[1:]:
+                keep &= edge_ids != used
+            edge_ids = edge_ids[keep]
+            others = others[keep]
         if len(edge_ids) == 0:
             dead.add(subject)
             failures += 1
@@ -270,16 +272,16 @@ def sample_triplet_set(
             for rank, e in enumerate(distinct, start=1):
                 cw = float((n + 1 - rank) ** config.bias_factor)
                 if cw != 1.0:
-                    weights = np.where(others == e, weights * cw, weights)
+                    weights[others == e] *= cw
         total = float(weights.sum())
         if total <= 0:
             failures += 1
             continue
         pick = int(np.searchsorted(np.cumsum(weights), state.rng.random() * total, side="right"))
         pick = min(pick, len(edge_ids) - 1)
-        t = graph.edges[edge_ids[pick]]
+        t = graph.triplet(edge_ids[pick])
         triplets.append(t)
-        chosen_edges.add(int(edge_ids[pick]))
+        chosen_edges.append(int(edge_ids[pick]))
         _add_entity(distinct, seen, t.subject)
         _add_entity(distinct, seen, t.object)
 

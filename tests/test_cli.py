@@ -95,6 +95,22 @@ def test_sample_is_deterministic(workspace, tmp_path):
         assert row["triplets"]
 
 
+def test_unreadable_graph_file_is_validation_error(workspace, tmp_path, capsys):
+    assert run_cli("ingest", "--config", workspace["config"]) == 0
+    graph_path = workspace["out"] / "graph.json"
+    good = graph_path.read_bytes()
+    inputs = tmp_path / "inputs.jsonl"
+    inputs.write_text(json.dumps({"id": "q1", "text": "some context"}) + "\n", encoding="utf-8")
+    nested = json.dumps({"entities": [["Q1", "Alpha"]], "relations": [["P1", "linked to"]], "edges": [[0, 0, 0]]})
+    for data in (good[: len(good) // 2], nested.encode()):  # a torn write, the nested-list layout
+        graph_path.write_bytes(data)
+        capsys.readouterr()
+        assert run_cli("sample", "--config", workspace["config"], "--n", 5, "--out", tmp_path / "s") == 1
+        assert str(graph_path) in capsys.readouterr().err
+        assert run_cli("decode", "--config", workspace["config"], "--inputs", inputs, "--out", tmp_path / "d") == 1
+        assert str(graph_path) in capsys.readouterr().err
+
+
 def write_datapoints(path, rows):
     path.write_text(
         "".join(

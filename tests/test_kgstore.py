@@ -1,5 +1,12 @@
+import base64
+import json
+import re
+import tempfile
+from pathlib import Path
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgsynth import kgstore
@@ -33,6 +40,27 @@ def test_ingest_deduplicates_edges(kg_files):
     graph = kgstore.ingest(*kg_files)
     assert len(graph.edges) == 2
     assert graph.stats.duplicate_edges_dropped == 1
+
+
+def test_ingest_keeps_first_appearance_of_duplicates(tmp_path):
+    files = write_kg_files(
+        tmp_path,
+        entities=[("Q1", "Alpha"), ("Q2", "Beta"), ("Q3", "Gamma")],
+        relations=[("P1", "linked to"), ("P2", "part of")],
+        edges=[
+            ("Q2", "P2", "Q3"),
+            ("Q1", "P1", "Q2"),
+            ("Q2", "P2", "Q3"),
+            ("Q3", "P1", "Q1"),
+            ("Q1", "P1", "Q2"),
+            ("Q2", "P2", "Q3"),
+            ("Q3", "P1", "Q3"),
+        ],
+    )
+    graph = kgstore.ingest(*files)
+    assert graph.edges.tolist() == [[1, 1, 2], [0, 0, 1], [2, 0, 0], [2, 0, 2]]
+    assert graph.stats.duplicate_edges_dropped == 3
+    assert graph.stats.n_edges == 4
 
 
 def test_ingest_assigns_dense_indices_in_file_order(kg_files):
@@ -85,7 +113,7 @@ def test_ingest_idempotent(kg_files):
     g2 = kgstore.ingest(*kg_files)
     assert g1.entities == g2.entities
     assert g1.relations == g2.relations
-    assert g1.edges == g2.edges
+    assert np.array_equal(g1.edges, g2.edges)
 
 
 def test_filter_zero_degree_removes_isolated_entity():
@@ -94,7 +122,7 @@ def test_filter_zero_degree_removes_isolated_entity():
     )
     filtered = kgstore.filter_zero_degree(graph)
     assert filtered.entities.labels == ("A", "B")
-    assert [filtered.triplet_labels(t) for t in filtered.edges] == [("A", "r", "B")]
+    assert [filtered.triplet_labels(filtered.triplet(i)) for i in range(len(filtered.edges))] == [("A", "r", "B")]
 
 
 def test_filter_zero_degree_is_identity_without_isolated(tiny_graph):
@@ -112,8 +140,27 @@ def test_filter_zero_degree_counts():
     assert all(filtered.degree(e) >= 1 for e in range(len(filtered.entities)))
 
 
+def test_edges_are_a_read_only_int32_array(tiny_graph):
+    assert tiny_graph.edges.dtype == np.int32 and tiny_graph.edges.shape == (4, 3)
+    assert not tiny_graph.edges.flags.writeable
+    assert tiny_graph.edges.tolist() == [[0, 0, 1], [0, 1, 2], [1, 0, 2], [3, 1, 0]]
+    empty = kgstore.KnowledgeGraph.from_triples(["A"], ["r"], [])
+    assert empty.edges.shape == (0, 3)
+    with pytest.raises(KgError, match="integer array"):
+        kgstore.KnowledgeGraph(tiny_graph.entities, tiny_graph.relations, np.zeros((2, 2), dtype=np.int32))
+
+
+def test_triplet_reads_one_edge(tiny_graph):
+    t = tiny_graph.triplet(3)
+    assert isinstance(t, Triplet) and t == Triplet(3, 1, 0)
+    assert tiny_graph.triplet(np.int64(1)) == Triplet(0, 1, 2)
+    for bad in (4, -1, "0"):
+        with pytest.raises(KgError):
+            tiny_graph.triplet(bad)
+
+
 def edges_of(graph, edge_ids):
-    return [graph.edges[i] for i in edge_ids]
+    return [graph.triplet(i) for i in edge_ids]
 
 
 def outgoing(graph, entity):
@@ -223,6 +270,14 @@ def test_edge_outside_catalogs_rejected():
         kgstore.KnowledgeGraph.from_triples(["A", "B"], ["r"], [(0, 0, -1)])
 
 
+def test_edge_key_overflow_is_refused():
+    # (subject * n_relations + relation) * n_entities + object must fit an int64
+    edges = np.zeros((1, 3), dtype=np.int32)
+    assert kgstore._first_occurrences(edges, 3_000_000, 1_000_000).tolist() == [[0, 0, 0]]
+    with pytest.raises(KgError, match="overflow"):
+        kgstore._first_occurrences(edges, 4_000_000, 1_000_000)
+
+
 @st.composite
 def small_graphs(draw):
     n_entities = draw(st.integers(1, 6))
@@ -240,7 +295,7 @@ def small_graphs(draw):
 @settings(max_examples=200, deadline=None)
 @given(small_graphs())
 def test_index_matches_brute_force_enumeration(graph):
-    edges = graph.edges
+    edges = [graph.triplet(i) for i in range(len(graph.edges))]
     ids = range(len(edges))
     for e in range(len(graph.entities)):
         out = sorted((i for i in ids if edges[i].subject == e), key=lambda i: (edges[i].relation, edges[i].object))
@@ -258,3 +313,70 @@ def test_index_matches_brute_force_enumeration(graph):
 def test_empty_label_rejected():
     with pytest.raises(KgError, match="empty label"):
         kgstore.Catalog(("ok", ""), ("A", "B"))
+
+
+labels = st.text(min_size=1, max_size=8)
+
+
+@st.composite
+def labelled_graphs(draw):
+    entity_labels = draw(st.lists(labels, min_size=1, max_size=6, unique=True))
+    relation_labels = draw(st.lists(labels, min_size=1, max_size=3, unique=True))
+    n_ent, n_rel = len(entity_labels), len(relation_labels)
+    entity_ids = draw(st.lists(labels, min_size=n_ent, max_size=n_ent, unique=True))
+    relation_ids = draw(st.lists(labels, min_size=n_rel, max_size=n_rel, unique=True))
+    triple = st.tuples(st.integers(0, n_ent - 1), st.integers(0, n_rel - 1), st.integers(0, n_ent - 1))
+    # repeated triples and self-loops are drawn often at these sizes
+    triples = draw(st.lists(triple, max_size=30))
+    return kgstore.KnowledgeGraph.from_triples(entity_labels, relation_labels, triples, entity_ids, relation_ids)
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_graphs())
+@example(kgstore.KnowledgeGraph.from_triples(["Zürich", "東京", "a\"b\\c\n"], ["près de"], [(0, 0, 1), (2, 0, 2), (0, 0, 1)]))
+@example(kgstore.KnowledgeGraph.from_triples(["Solo"], ["never used"], []))
+def test_graph_file_round_trip_is_exact_and_byte_stable(graph):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second, again = (Path(tmp) / name for name in ("first.json", "second.json", "again.json"))
+        kgstore.save_graph(graph, first)
+        kgstore.save_graph(graph, second)
+        loaded = kgstore.load_graph(first)
+        assert "_index" not in vars(loaded)  # loading leaves the incidence index unbuilt
+        kgstore.save_graph(loaded, again)
+        assert first.read_bytes() == second.read_bytes() == again.read_bytes()
+    assert loaded.entities == graph.entities
+    assert loaded.relations == graph.relations
+    assert loaded.edges.dtype == np.int32
+    assert np.array_equal(loaded.edges, graph.edges)
+
+
+def test_unreadable_graph_file_is_a_kg_error_naming_it(tiny_graph, tmp_path):
+    path = tmp_path / "graph.json"
+    kgstore.save_graph(tiny_graph, path)
+    good = path.read_bytes()
+    payload = json.loads(good)
+
+    def with_edges(raw: bytes) -> bytes:
+        return json.dumps(dict(payload, edges=base64.b64encode(raw).decode("ascii"))).encode()
+
+    nested = {
+        "entities": [list(pair) for pair in zip(tiny_graph.entities.external_ids, tiny_graph.entities.labels)],
+        "relations": [list(pair) for pair in zip(tiny_graph.relations.external_ids, tiny_graph.relations.labels)],
+        "edges": tiny_graph.edges.tolist(),
+    }
+    unreadable = {
+        "truncated": good[: len(good) // 2],
+        "not_json": b"\x00\xffgarbage",
+        "not_an_object": b"[1, 2, 3]\n",
+        "nested_list_layout": json.dumps(nested).encode(),
+        "bad_base64": json.dumps(dict(payload, edges="@@@@")).encode(),
+        "partial_row": with_edges(np.array([0, 0, 1, 7], dtype="<i4").tobytes()),
+        "id_out_of_range": with_edges(np.array([[0, 0, 1], [0, 0, 99]], dtype="<i4").tobytes()),
+        "negative_id": with_edges(np.array([[0, -1, 1]], dtype="<i4").tobytes()),
+        "catalog_lengths_differ": json.dumps(dict(payload, relations={"external_ids": ["R0"], "labels": []})).encode(),
+    }
+    for name, data in unreadable.items():
+        bad = tmp_path / f"{name}.json"
+        bad.write_bytes(data)
+        with pytest.raises(KgError, match=re.escape(str(bad))):
+            kgstore.load_graph(bad)

@@ -195,7 +195,7 @@ def test_start_outside_graph_rejected(tiny_graph):
 
 def test_walk_emits_only_graph_edges_without_duplicates(zipf_kg):
     state, cfg = make_state(zipf_kg, seed=42)
-    edges = set(zipf_kg.edges)
+    edges = {zipf_kg.triplet(i) for i in range(len(zipf_kg.edges))}
     for _ in range(1000):
         start = sampler.sample_start(state, zipf_kg, cfg)
         ts = sampler.sample_triplet_set(state, zipf_kg, cfg, start)
