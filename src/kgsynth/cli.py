@@ -11,6 +11,7 @@ The endpoint credential is only ever read from an environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -31,13 +32,7 @@ from .decoder import (
     filter_tokenizable,
 )
 from .kgstore import load_graph, save_graph
-from .pipeline import (
-    read_datapoints,
-    read_jsonl,
-    triplets_from_row,
-    write_jsonl,
-    write_manifest,
-)
+from .pipeline import InputError, read_jsonl, triplets_from_row, write_json, write_jsonl, write_manifest
 
 log = logging.getLogger("kgsynth")
 
@@ -54,14 +49,19 @@ class ConfigError(ValueError):
 def load_config(path) -> dict:
     if path is None:
         raise ConfigError("--config is required")
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
+    with open(existing(path, "--config"), encoding="utf-8") as fh:
         cfg = yaml.safe_load(fh) or {}
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config root must be a mapping")
     return cfg
+
+
+def existing(path, what: str) -> Path:
+    """``path``, which ``what`` (a flag or a config key) names, if it exists."""
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"{what}: file not found: {path}")
+    return path
 
 
 def require_path(cfg: dict, dotted: str) -> Path:
@@ -70,16 +70,7 @@ def require_path(cfg: dict, dotted: str) -> Path:
         if not isinstance(node, dict) or part not in node:
             raise ConfigError(f"config key {dotted!r} is required")
         node = node[part]
-    path = Path(node)
-    if not path.exists():
-        raise ConfigError(f"{dotted}: path does not exist: {path}")
-    return path
-
-
-def effective_seed(args, cfg: dict) -> int:
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    return int(cfg.get("seed", 0))
+    return existing(node, dotted)
 
 
 def make_schema(cfg: dict) -> codec.LinearizationSchema:
@@ -94,76 +85,95 @@ def make_tokenizer(cfg: dict):
     if spec == "byte":
         return ByteTokenizer()
     if spec.startswith("wordpiece:"):
-        vocab_path = Path(spec.split(":", 1)[1])
-        if not vocab_path.exists():
-            raise ConfigError(f"tokenizer vocabulary not found: {vocab_path}")
+        vocab_path = existing(spec.split(":", 1)[1], "tokenizer")
         pieces = [line.rstrip("\n") for line in open(vocab_path, encoding="utf-8") if line.rstrip("\n")]
         return WordPieceTokenizer(pieces)
     raise ConfigError(f"unknown tokenizer {spec!r} (use 'byte' or 'wordpiece:<vocab file>')")
 
 
-def out_dir(args, cfg: dict) -> Path:
-    out = getattr(args, "out", None) or cfg.get("paths", {}).get("workdir", "out")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+class Stage:
+    """One run of a subcommand, as its body sees it. ``main`` builds it,
+    calls the body, and then writes ``<command>.manifest.json`` from what
+    the body asked for:
+
+    - ``input(name)``: the path of an input file, named by its flag
+      (``sets``) or by its dotted config key (``paths.graph``). It must
+      exist; the manifest hashes it under the flag name or the key's last
+      part.
+    - ``output(name)``: a file in the output directory (``--out``, else
+      ``paths.workdir``), created on the first request; the manifest lists it.
+    - ``seed``: ``--seed``, else the config's; once read, the manifest
+      records it.
+    - ``snapshot``: the config snapshot the body sets for the manifest.
+    """
+
+    def __init__(self, args):
+        self.args = args
+        self.cfg = load_config(args.config)
+        self.snapshot: dict = {}
+        self.inputs: dict[str, Path] = {}
+        self.outputs: list[Path] = []
+        self.seed_read = None
+
+    def input(self, name: str) -> Path:
+        if "." in name:
+            path = require_path(self.cfg, name)
+        else:
+            path = existing(getattr(self.args, name), "--" + name.replace("_", "-"))
+        self.inputs[name.rpartition(".")[2]] = path
+        return path
+
+    @functools.cached_property
+    def out_dir(self) -> Path:
+        path = Path(self.args.out or self.cfg.get("paths", {}).get("workdir", "out"))
+        path.mkdir(parents=True, exist_ok=True)
+        return path
+
+    def output(self, name: str) -> Path:
+        path = self.out_dir / name
+        self.outputs.append(path)
+        return path
+
+    @property
+    def seed(self) -> int:
+        self.seed_read = int(self.args.seed if self.args.seed is not None else self.cfg.get("seed", 0))
+        return self.seed_read
 
 
-def cmd_ingest(args) -> int:
-    cfg = load_config(args.config)
-    edges = require_path(cfg, "paths.edges")
-    entity_labels = require_path(cfg, "paths.entity_labels")
-    relation_labels = require_path(cfg, "paths.relation_labels")
-    graph = kgstore.filter_zero_degree(kgstore.ingest(edges, entity_labels, relation_labels))
-    out = out_dir(args, cfg)
-    graph_path = out / "graph.json"
-    save_graph(graph, graph_path)
-    write_manifest(
-        out / "ingest.manifest.json",
-        "ingest",
-        {
-            "counts": {
-                "entities": len(graph.entities),
-                "relations": len(graph.relations),
-                "edges": len(graph.edges),
-                "duplicate_edges_dropped": graph.stats.duplicate_edges_dropped,
-                "literal_relations_dropped": graph.stats.literal_relations_dropped,
-                "literal_edges_dropped": graph.stats.literal_edges_dropped,
-            }
-        },
-        {"edges": edges, "entity_labels": entity_labels, "relation_labels": relation_labels},
-        [graph_path],
-    )
+def cmd_ingest(stage: Stage) -> int:
+    graph = kgstore.filter_zero_degree(kgstore.ingest(
+        stage.input("paths.edges"), stage.input("paths.entity_labels"), stage.input("paths.relation_labels")
+    ))
+    save_graph(graph, stage.output("graph.json"))
+    stage.snapshot = {
+        "counts": {
+            "entities": len(graph.entities),
+            "relations": len(graph.relations),
+            "edges": len(graph.edges),
+            "duplicate_edges_dropped": graph.stats.duplicate_edges_dropped,
+            "literal_relations_dropped": graph.stats.literal_relations_dropped,
+            "literal_edges_dropped": graph.stats.literal_edges_dropped,
+        }
+    }
     print(f"ingested {len(graph.entities)} entities, {len(graph.relations)} relations, {len(graph.edges)} edges")
     return EXIT_OK
 
 
-def cmd_sample(args) -> int:
-    cfg = load_config(args.config)
-    graph_path = require_path(cfg, "paths.graph")
-    graph = load_graph(graph_path)
-    seed = effective_seed(args, cfg)
-    scfg_raw = dict(cfg.get("sampler", {}))
+def cmd_sample(stage: Stage) -> int:
+    graph = load_graph(stage.input("paths.graph"))
+    scfg_raw = dict(stage.cfg.get("sampler", {}))
     scfg = sampler.SamplerConfig(
         poisson_mean=float(scfg_raw.get("poisson_mean", 3.0)),
         bias_factor=float(scfg_raw.get("bias_factor", 7.0)),
         dampening=float(scfg_raw.get("dampening", 0.01)),
         reweight_interval=int(scfg_raw.get("reweight_interval", 20_000)),
         strategy=str(scfg_raw.get("strategy", sampler.MIXED)),
-        seed=seed,
+        seed=stage.seed,
     )
-    out = out_dir(args, cfg)
-    sets_path = out / "triplet_sets.jsonl"
-    with open(sets_path, "w", encoding="utf-8") as fh:
-        summary = sampler.write_dataset_jsonl(graph, scfg, int(args.n), fh)
-    write_manifest(
-        out / "sample.manifest.json",
-        "sample",
-        {"sampler": scfg_raw, "n": int(args.n), "summary": summary},
-        {"graph": graph_path},
-        [sets_path],
-        seed=seed,
-    )
+    n = int(stage.args.n)
+    with open(stage.output("triplet_sets.jsonl"), "w", encoding="utf-8") as fh:
+        summary = sampler.write_dataset_jsonl(graph, scfg, n, fh)
+    stage.snapshot = {"sampler": scfg_raw, "n": n, "summary": summary}
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 
@@ -179,19 +189,16 @@ def _load_demonstrations(path, count: int) -> list:
     return demos
 
 
-def cmd_generate(args) -> int:
-    cfg = load_config(args.config)
-    gen_cfg = dict(cfg.get("generation", {}))
-    sets_path = Path(args.sets)
-    if not sets_path.exists():
-        raise ConfigError(f"sets file not found: {sets_path}")
+def cmd_generate(stage: Stage) -> int:
+    gen_cfg = dict(stage.cfg.get("generation", {}))
+    sets_path = stage.input("sets")
     preset = str(gen_cfg.get("preset", "code"))
     if preset not in textgen.PRESETS:
         raise ConfigError(f"unknown generation preset {preset!r}")
     params = textgen.PRESETS[preset]
     template_path = gen_cfg.get("template")
     if template_path:
-        template = textgen.PromptTemplate.from_file(template_path)
+        template = textgen.PromptTemplate.from_file(existing(template_path, "generation.template"))
     else:
         # packaged defaults: demonstrations for the code preset, zero-shot otherwise
         from importlib.resources import files
@@ -200,7 +207,7 @@ def cmd_generate(args) -> int:
         template = textgen.PromptTemplate.from_file(files("kgsynth") / "templates" / name)
     demos = []
     if template.num_demonstrations:
-        demos = _load_demonstrations(require_path(cfg, "generation.demonstrations"), template.num_demonstrations)
+        demos = _load_demonstrations(require_path(stage.cfg, "generation.demonstrations"), template.num_demonstrations)
 
     prompts = []
     sets_by_id = {}
@@ -231,11 +238,9 @@ def cmd_generate(args) -> int:
         max_attempts=int(gen_cfg.get("max_attempts", 5)),
         backoff_base=float(gen_cfg.get("backoff_base", 2.0)),
     )
-    out = out_dir(args, cfg)
-    records_path = out / "generation_records.jsonl"
+    records_path = stage.output("generation_records.jsonl")
     counts = client.generate(prompts, records_path)
 
-    datapoints_path = out / "datapoints.jsonl"
     completions = {}
     for record in read_jsonl(records_path):
         if record["status"] == "ok":
@@ -252,26 +257,23 @@ def cmd_generate(args) -> int:
         for set_id, src in sets_by_id.items()
         if set_id in completions
     ]
-    write_jsonl(datapoints_path, rows)
-    write_manifest(
-        out / "generate.manifest.json",
-        "generate",
-        {"generation": {k: v for k, v in gen_cfg.items() if k != "endpoint"}, "counts": counts,
-         "tokens_consumed": ledger.tokens_consumed, "cost": ledger.cost},
-        {"sets": sets_path},
-        [records_path, datapoints_path],
-    )
+    write_jsonl(stage.output("datapoints.jsonl"), rows)
+    stage.snapshot = {"generation": {k: v for k, v in gen_cfg.items() if k != "endpoint"}, "counts": counts,
+                      "tokens_consumed": ledger.tokens_consumed, "cost": ledger.cost}
     print(json.dumps({**counts, "cost": ledger.cost}, sort_keys=True))
     return EXIT_PARTIAL if counts["failed"] else EXIT_OK
 
 
-def cmd_prepare(args) -> int:
-    cfg = load_config(args.config)
-    datapoints_path = Path(args.datapoints)
-    if not datapoints_path.exists():
-        raise ConfigError(f"datapoints file not found: {datapoints_path}")
-    tokenizer = make_tokenizer(cfg)
-    prep_cfg = dict(cfg.get("prepare", {}))
+def _datapoints(path):
+    """(id, text, triplets) of each datapoint row."""
+    for raw in read_jsonl(path):
+        yield str(raw["id"]), str(raw.get("text", "")), triplets_from_row(raw)
+
+
+def cmd_prepare(stage: Stage) -> int:
+    datapoints_path = stage.input("datapoints")
+    tokenizer = make_tokenizer(stage.cfg)
+    prep_cfg = dict(stage.cfg.get("prepare", {}))
     max_input = int(prep_cfg.get("max_input_tokens", 256))
     max_target = int(prep_cfg.get("max_target_tokens", 256))
 
@@ -279,12 +281,12 @@ def cmd_prepare(args) -> int:
     sc_schema = codec.LinearizationSchema(variant=codec.Variant.SC)
     fe_rows, sc_rows = [], []
     drops = {"empty": 0, "input_too_long": 0, "target_too_long": 0, "unencodable": 0}
-    for point in read_datapoints(datapoints_path):
-        if not point.triplets:
+    for point_id, text, triplets in _datapoints(datapoints_path):
+        if not triplets:
             drops["empty"] += 1
             continue
-        input_ids = tokenizer.try_encode(point.text)
-        fe_target = codec.linearize(point.triplets, fe_schema, point.text).text
+        input_ids = tokenizer.try_encode(text)
+        fe_target = codec.linearize(triplets, fe_schema, text).text
         fe_ids = tokenizer.try_encode(fe_target)
         if input_ids is None or fe_ids is None:
             drops["unencodable"] += 1
@@ -297,56 +299,41 @@ def cmd_prepare(args) -> int:
         if len(fe_ids) > max_target:
             drops["target_too_long"] += 1
             continue
-        sc_target = codec.linearize(point.triplets, sc_schema, point.text).text
-        fe_rows.append({"id": point.id, "input": point.text, "target": fe_target})
-        sc_rows.append({"id": point.id, "input": point.text, "target": sc_target})
+        sc_target = codec.linearize(triplets, sc_schema, text).text
+        fe_rows.append({"id": point_id, "input": text, "target": fe_target})
+        sc_rows.append({"id": point_id, "input": text, "target": sc_target})
 
-    out = out_dir(args, cfg)
-    fe_path, sc_path = out / "prepared_fe.jsonl", out / "prepared_sc.jsonl"
-    write_jsonl(fe_path, fe_rows)
-    write_jsonl(sc_path, sc_rows)
-    summary = {"kept": len(fe_rows), "drops": drops, "max_input_tokens": max_input, "max_target_tokens": max_target}
-    write_manifest(out / "prepare.manifest.json", "prepare", summary, {"datapoints": datapoints_path}, [fe_path, sc_path])
-    print(json.dumps(summary, sort_keys=True))
+    write_jsonl(stage.output("prepared_fe.jsonl"), fe_rows)
+    write_jsonl(stage.output("prepared_sc.jsonl"), sc_rows)
+    stage.snapshot = {"kept": len(fe_rows), "drops": drops, "max_input_tokens": max_input, "max_target_tokens": max_target}
+    print(json.dumps(stage.snapshot, sort_keys=True))
     return EXIT_OK
 
 
-def cmd_encode(args) -> int:
-    cfg = load_config(args.config)
-    datapoints_path = Path(args.datapoints)
-    if not datapoints_path.exists():
-        raise ConfigError(f"datapoints file not found: {datapoints_path}")
-    schema = make_schema(cfg)
-    rows = []
-    for point in read_datapoints(datapoints_path):
-        if not point.triplets:
-            continue
-        rows.append(
-            {
-                "id": point.id,
-                "text": point.text,
-                "linearization": schema.variant.value,
-                "linearized": codec.linearize(point.triplets, schema, point.text).text,
-            }
-        )
-    out = out_dir(args, cfg)
-    encoded_path = out / f"encoded_{schema.variant.value}.jsonl"
-    write_jsonl(encoded_path, rows)
-    write_manifest(out / "encode.manifest.json", "encode", {"schema": schema.variant.value, "rows": len(rows)},
-                   {"datapoints": datapoints_path}, [encoded_path])
+def cmd_encode(stage: Stage) -> int:
+    datapoints_path = stage.input("datapoints")
+    schema = make_schema(stage.cfg)
+    rows = [
+        {
+            "id": point_id,
+            "text": text,
+            "linearization": schema.variant.value,
+            "linearized": codec.linearize(triplets, schema, text).text,
+        }
+        for point_id, text, triplets in _datapoints(datapoints_path)
+        if triplets
+    ]
+    write_jsonl(stage.output(f"encoded_{schema.variant.value}.jsonl"), rows)
+    stage.snapshot = {"schema": schema.variant.value, "rows": len(rows)}
     print(f"encoded {len(rows)} datapoints ({schema.variant.value})")
     return EXIT_OK
 
 
-def cmd_decode(args) -> int:
-    cfg = load_config(args.config)
-    graph_path = require_path(cfg, "paths.graph")
-    graph = load_graph(graph_path)
-    inputs_path = Path(args.inputs)
-    if not inputs_path.exists():
-        raise ConfigError(f"inputs file not found: {inputs_path}")
-    schema = make_schema(cfg)
-    tokenizer = make_tokenizer(cfg)
+def cmd_decode(stage: Stage) -> int:
+    graph = load_graph(stage.input("paths.graph"))
+    inputs_path = stage.input("inputs")
+    schema = make_schema(stage.cfg)
+    tokenizer = make_tokenizer(stage.cfg)
 
     entity_surfaces = [codec.entity_surface(label) for label in graph.entities.labels]
     kept_entities, dropped_e = filter_tokenizable(entity_surfaces, tokenizer)
@@ -359,15 +346,15 @@ def cmd_decode(args) -> int:
         build_trie(kept_entities, tokenizer),
         build_trie(kept_relations, tokenizer),
     )
-    decode_cfg = dict(cfg.get("decode", {}))
+    decode_cfg = dict(stage.cfg.get("decode", {}))
     params = DecodeParams(
         num_beams=int(decode_cfg.get("num_beams", 10)),
         length_penalty=decode_cfg.get("length_penalty"),
         max_length=int(decode_cfg.get("max_length", 256)),
         top_k_returned=int(decode_cfg.get("top_k_returned", 1)),
     )
-    if args.scorer_cmd:
-        scorer = SubprocessScorer(args.scorer_cmd, tokenizer.vocab_size, shell=True)
+    if stage.args.scorer_cmd:
+        scorer = SubprocessScorer(stage.args.scorer_cmd, tokenizer.vocab_size, shell=True)
     else:
         scorer = UniformScorer(tokenizer.vocab_size)
 
@@ -392,21 +379,26 @@ def cmd_decode(args) -> int:
     finally:
         if isinstance(scorer, SubprocessScorer):
             scorer.close()
-    out = out_dir(args, cfg)
-    preds_path = out / "predictions.jsonl"
-    write_jsonl(preds_path, rows)
-    write_manifest(out / "decode.manifest.json", "decode",
-                   {"schema": schema.variant.value, "decode": decode_cfg,
-                    "catalog": {"entities": len(kept_entities), "relations": len(kept_relations),
-                                "dropped_entities": len(dropped_e), "dropped_relations": len(dropped_r)}},
-                   {"graph": graph_path, "inputs": inputs_path}, [preds_path])
+    write_jsonl(stage.output("predictions.jsonl"), rows)
+    stage.snapshot = {"schema": schema.variant.value, "decode": decode_cfg,
+                      "catalog": {"entities": len(kept_entities), "relations": len(kept_relations),
+                                  "dropped_entities": len(dropped_e), "dropped_relations": len(dropped_r)}}
     print(f"decoded {len(rows)} inputs")
     return EXIT_OK
 
 
+def _triplets_by_id(path) -> dict[str, set]:
+    rows = {}
+    for raw in read_jsonl(path):
+        doc_id = str(raw["id"])
+        if doc_id in rows:
+            raise InputError(f"{path}: id {doc_id!r} appears more than once")
+        rows[doc_id] = set(triplets_from_row(raw))
+    return rows
+
+
 def _pairs_from_files(predictions_path, gold_path) -> list[metrics.EvalPair]:
-    preds = {str(raw["id"]): set(triplets_from_row(raw)) for raw in read_jsonl(predictions_path)}
-    gold = {str(raw["id"]): set(triplets_from_row(raw)) for raw in read_jsonl(gold_path)}
+    preds, gold = _triplets_by_id(predictions_path), _triplets_by_id(gold_path)
     return [
         metrics.EvalPair.make(doc_id, preds.get(doc_id, set()), gold.get(doc_id, set()))
         for doc_id in sorted(set(preds) | set(gold))
@@ -416,94 +408,59 @@ def _pairs_from_files(predictions_path, gold_path) -> list[metrics.EvalPair]:
 def _read_train_counts(path) -> dict:
     counts = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            relation, count = line.split("\t")
-            counts[relation] = int(count)
+            try:
+                relation, count = line.split("\t")
+                counts[relation] = int(count)
+            except ValueError:
+                raise InputError(f"{path}:{number}: expected relation<TAB>count") from None
     return counts
 
 
-def cmd_eval(args) -> int:
-    cfg = load_config(args.config)
-    predictions = Path(args.predictions)
-    gold = Path(args.gold)
-    for p in (predictions, gold):
-        if not p.exists():
-            raise ConfigError(f"file not found: {p}")
-    mcfg = dict(cfg.get("metrics", {}))
-    seed = effective_seed(args, cfg)
+def cmd_eval(stage: Stage) -> int:
+    predictions, gold = stage.input("predictions"), stage.input("gold")
+    mcfg = dict(stage.cfg.get("metrics", {}))
     pairs = _pairs_from_files(predictions, gold)
     if not pairs:
         raise ConfigError("no evaluation pairs found")
-    train_counts = None
-    inputs = {"predictions": predictions, "gold": gold}
-    if args.train_counts:
-        train_counts = _read_train_counts(args.train_counts)
-        inputs["train_counts"] = Path(args.train_counts)
+    train_counts = _read_train_counts(stage.input("train_counts")) if stage.args.train_counts else None
     report = metrics.evaluate(
         pairs,
         n_bootstrap=int(mcfg.get("n_bootstrap", 50)),
         level=float(mcfg.get("level", 0.95)),
-        seed=seed,
+        seed=stage.seed,
         macro_f1_mode=str(mcfg.get("macro_f1_mode", "mean_of_f1")),
         train_counts=train_counts,
     )
-    out = out_dir(args, cfg)
-    report_path = out / "eval_report.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    outputs = [report_path]
+    write_json(stage.output("eval_report.json"), report.to_json_dict())
     if report.per_bucket:
-        bucket_path = out / "buckets.tsv"
-        with open(bucket_path, "w", encoding="utf-8") as fh:
+        with open(stage.output("buckets.tsv"), "w", encoding="utf-8") as fh:
             fh.write("bucket\tn_gold\tn_predicted\tf1\tlower\tupper\n")
             for row in report.per_bucket:
                 fh.write(f"{row.bucket}\t{row.n_gold}\t{row.n_predicted}\t{row.f1_point:.6f}\t{row.f1_lower:.6f}\t{row.f1_upper:.6f}\n")
-        outputs.append(bucket_path)
-    write_manifest(out / "eval.manifest.json", "eval", {"metrics": mcfg}, inputs, outputs, seed=seed)
+    stage.snapshot = {"metrics": mcfg}
     micro = report.micro["f1"]
     print(f"micro-F1 {micro['point']:.4f} [{micro['lower']:.4f}, {micro['upper']:.4f}]")
     return EXIT_OK
 
 
-def cmd_stats(args) -> int:
-    cfg = load_config(args.config)
-    dataset = Path(args.dataset)
-    if not dataset.exists():
-        raise ConfigError(f"dataset file not found: {dataset}")
-    sets = [triplets_from_row(raw) for raw in read_jsonl(dataset)]
+def cmd_stats(stage: Stage) -> int:
+    sets = [triplets_from_row(raw) for raw in read_jsonl(stage.input("dataset"))]
     if not any(sets):
         raise ConfigError("dataset contains no triplets")
     stats = metrics.relation_stats(sets)
-    out = out_dir(args, cfg)
-    stats_path = out / "relation_stats.json"
-    with open(stats_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "summary": {
-                    "min": stats.minimum,
-                    "q1": stats.q1,
-                    "median": stats.median,
-                    "q3": stats.q3,
-                    "max": stats.maximum,
-                },
-                "n_relations": len(stats.counts),
-                "counts": {str(k): v for k, v in sorted(stats.counts.items())},
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
-    cdf_path = out / "relation_cdf.tsv"
-    with open(cdf_path, "w", encoding="utf-8") as fh:
+    write_json(stage.output("relation_stats.json"), {
+        "summary": {"min": stats.minimum, "q1": stats.q1, "median": stats.median, "q3": stats.q3, "max": stats.maximum},
+        "n_relations": len(stats.counts),
+        "counts": {str(k): v for k, v in sorted(stats.counts.items())},
+    })
+    with open(stage.output("relation_cdf.tsv"), "w", encoding="utf-8") as fh:
         fh.write("count\tfraction_relations_leq\n")
         for count, fraction in stats.cdf:
             fh.write(f"{count}\t{fraction:.6f}\n")
-    write_manifest(out / "stats.manifest.json", "stats", {}, {"dataset": dataset}, [stats_path, cdf_path])
     print(f"relation stats over {len(stats.counts)} relations: "
           f"min={stats.minimum:g} q1={stats.q1:g} median={stats.median:g} q3={stats.q3:g} max={stats.maximum:g}")
     return EXIT_OK
@@ -564,11 +521,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ConfigError, kgstore.KgError, textgen.TemplateError, codec.CodecError) as exc:
+        stage = Stage(args)
+        code = args.func(stage)
+        write_manifest(stage.out_dir / f"{args.command}.manifest.json", args.command, stage.snapshot,
+                       stage.inputs, stage.outputs, seed=stage.seed_read)
+        return code
+    except (ConfigError, InputError, kgstore.KgError, textgen.TemplateError, codec.CodecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -44,14 +44,10 @@ class Catalog:
             raise KgError("duplicate label in catalog")
         if len(set(self.external_ids)) != len(self.external_ids):
             raise KgError("duplicate external id in catalog")
-        object.__setattr__(self, "_by_label", {lab: i for i, lab in enumerate(self.labels)})
         object.__setattr__(self, "_by_external", {ext: i for i, ext in enumerate(self.external_ids)})
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def index_of_label(self, label: str) -> int | None:
-        return self._by_label.get(label)
 
     def index_of_external(self, external_id: str) -> int | None:
         return self._by_external.get(external_id)

@@ -9,11 +9,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
+import os
 import sys
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from . import __version__
+
+log = logging.getLogger(__name__)
+
+
+class InputError(ValueError):
+    """A malformed or repeated row in an input file."""
 
 
 def sha256_file(path) -> str:
@@ -24,47 +31,37 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
+def write_json(path, value) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(value, indent=2, sort_keys=True) + "\n")
+
+
 def write_manifest(path, command: str, config_snapshot: dict, inputs: dict, outputs: list, seed=None) -> None:
-    manifest = {
+    write_json(path, {
         "command": command,
         "config": config_snapshot,
         "inputs": {name: {"path": str(p), "sha256": sha256_file(p)} for name, p in sorted(inputs.items())},
         "outputs": sorted(str(o) for o in outputs),
         "seed": seed,
         "versions": {"kgsynth": __version__, "python": sys.version.split()[0]},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-@dataclass
-class DataPointRecord:
-    """One dataset row: text paired with its label-level triplets."""
-
-    id: str
-    text: str
-    triplets: list[tuple[str, str, str]]
-    provenance: str = "ingested"  # sampled | generated | ingested
-    flags: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "DataPointRecord":
-        return cls(
-            id=str(raw["id"]),
-            text=str(raw.get("text", "")),
-            triplets=[(t["s"], t["r"], t["o"]) for t in raw.get("triplets", [])],
-            provenance=str(raw.get("provenance", "ingested")),
-            flags=dict(raw.get("flags", {})),
-        )
+    })
 
 
 def read_jsonl(path) -> Iterator[dict]:
+    """The JSON object on each non-blank line; any other line is an
+    ``InputError`` naming ``path:line``."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                yield json.loads(line)
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+            except ValueError as exc:
+                raise InputError(f"{path}:{number}: not valid JSON ({exc})") from None
+            if not isinstance(row, dict):
+                raise InputError(f"{path}:{number}: not a JSON object")
+            yield row
 
 
 def write_jsonl(path, rows: Iterable[dict]) -> int:
@@ -76,8 +73,38 @@ def write_jsonl(path, rows: Iterable[dict]) -> int:
     return n
 
 
-def read_datapoints(path) -> list[DataPointRecord]:
-    return [DataPointRecord.from_dict(raw) for raw in read_jsonl(path)]
+def repair_jsonl_tail(path) -> None:
+    """Make an appended-to JSONL file end with a newline again. A kill
+    mid-append leaves a last line without one: if it holds a whole JSON
+    object it gets its newline, otherwise it is cut off, so the next append
+    starts a line of its own."""
+    try:
+        fh = open(path, "r+b")
+    except FileNotFoundError:
+        return
+    with fh:
+        end = start = fh.seek(0, os.SEEK_END)
+        while start > 0:  # back to just after the last newline
+            step = min(start, 1 << 16)
+            fh.seek(start - step)
+            cut = fh.read(step).rfind(b"\n")
+            if cut >= 0:
+                start += cut + 1 - step
+                break
+            start -= step
+        if start == end:
+            return
+        fh.seek(start)
+        tail = fh.read()
+        try:
+            whole = isinstance(json.loads(tail), dict)
+        except ValueError:
+            whole = False
+        if whole:
+            fh.write(b"\n")
+        else:
+            log.warning("%s: cut off a torn last line of %d bytes", path, end - start)
+            fh.truncate(start)
 
 
 def triplets_from_row(raw: dict) -> list[tuple[str, str, str]]:

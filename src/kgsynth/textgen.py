@@ -24,6 +24,8 @@ from typing import Callable, Iterable, Sequence
 import requests
 import yaml
 
+from .pipeline import repair_jsonl_tail
+
 TRIPLETS_PLACEHOLDER = "{triplets}"
 TEXT_PLACEHOLDER = "{text}"
 
@@ -367,8 +369,10 @@ class CompletionClient:
     def generate(self, prompts: Sequence[tuple[str, str]], out_path) -> dict:
         """Answer every (set_id, prompt), appending records to ``out_path`` as
         they complete. Prompts whose id already has an ok record are skipped,
-        so resuming after a kill never re-bills completed work."""
+        so resuming after a kill never re-bills completed work; a torn last
+        line the kill left is repaired or cut off first."""
         out_path = Path(out_path)
+        repair_jsonl_tail(out_path)
         done = completed_ids(out_path)
         todo = [(str(sid), prompt) for sid, prompt in prompts if str(sid) not in done]
         skipped = len(prompts) - len(todo)
@@ -409,16 +413,3 @@ def completed_ids(path) -> set[str]:
                 done.add(str(record.get("set_id")))
     return done
 
-
-def generate(
-    prompts: Sequence[tuple[str, str]],
-    params: GenerationParams,
-    endpoint: EndpointConfig,
-    rate_limits: tuple[int, int],
-    out_path,
-    **client_kwargs,
-) -> dict:
-    """Convenience wrapper: build a client and drive the whole batch."""
-    limiter = RateLimiter(rate_limits[0], rate_limits[1])
-    client = CompletionClient(endpoint, params, limiter, **client_kwargs)
-    return client.generate(prompts, out_path)

@@ -386,3 +386,120 @@ def test_generate_rows_follow_sets_file_order(workspace, tmp_path, monkeypatch):
     datapoints = [json.loads(l) for l in (workspace["out"] / "datapoints.jsonl").read_text().splitlines()]
     assert [dp["id"] for dp in datapoints] == [str(row["id"]) for row in sets]
     assert [dp["triplets"] for dp in datapoints] == [row["triplets"] for row in sets]
+
+
+class ConstantPost:
+    """``requests.post`` stand-in that answers every request alike."""
+
+    status_code = 200
+
+    def __call__(self, url, json, headers, timeout):
+        return self
+
+    def json(self):
+        return {"choices": [{"text": "Alpha is linked to Beta.", "finish_reason": "stop"}], "usage": {"total_tokens": 5}}
+
+
+# per subcommand: the input that is pointed at a missing file (a flag or a
+# config key), the inputs its manifest hashes, and whether it records a seed
+STAGE_INPUTS = {
+    "ingest": ("paths.edges", {"edges", "entity_labels", "relation_labels"}, False),
+    "sample": ("paths.graph", {"graph"}, True),
+    "generate": ("--sets", {"sets"}, False),
+    "prepare": ("--datapoints", {"datapoints"}, False),
+    "encode": ("--datapoints", {"datapoints"}, False),
+    "decode": ("--inputs", {"graph", "inputs"}, False),
+    "eval": ("--gold", {"predictions", "gold", "train_counts"}, True),
+    "stats": ("--dataset", {"dataset"}, False),
+}
+
+
+@pytest.mark.parametrize("command", sorted(STAGE_INPUTS))
+def test_every_stage_checks_its_inputs_and_reruns_to_the_same_manifest(command, workspace, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(textgen.requests, "post", ConstantPost())
+    config = generation_config(workspace, tmp_path, "http://127.0.0.1:9/v1/completions")
+    out = workspace["out"]
+    inputs, train_counts = tmp_path / "inputs.jsonl", tmp_path / "train_counts.tsv"
+    inputs.write_text(json.dumps({"id": "q1", "text": "some context"}) + "\n", encoding="utf-8")
+    train_counts.write_text("linked to\t40\npart of\t1\n", encoding="utf-8")
+    stage_argv = {
+        "ingest": [],
+        "sample": ["--n", 6],
+        "generate": ["--sets", out / "triplet_sets.jsonl"],
+        "prepare": ["--datapoints", out / "datapoints.jsonl"],
+        "encode": ["--datapoints", out / "datapoints.jsonl"],
+        "decode": ["--inputs", inputs],
+        "eval": ["--predictions", out / "predictions.jsonl", "--gold", out / "datapoints.jsonl",
+                 "--train-counts", train_counts],
+        "stats": ["--dataset", out / "datapoints.jsonl"],
+    }
+    for earlier in ("ingest", "sample", "generate", "decode"):
+        assert run_cli(earlier, "--config", config, *stage_argv[earlier]) == 0
+    argv = stage_argv[command]
+    missing_input, hashed, seeded = STAGE_INPUTS[command]
+
+    manifests = []
+    for _ in range(2):
+        if command == "generate":
+            (out / "generation_records.jsonl").unlink()  # a rerun from scratch, not a resume
+        assert run_cli(command, "--config", config, *argv) == 0
+        manifests.append((out / f"{command}.manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    manifest = json.loads(manifests[0])
+    assert manifest["command"] == command
+    assert set(manifest["inputs"]) == hashed
+    assert manifest["seed"] == (11 if seeded else None)
+
+    missing = tmp_path / "missing" / "file"
+    if missing_input.startswith("--"):
+        argv = list(argv)
+        argv[argv.index(missing_input) + 1] = missing
+    else:
+        cfg = yaml.safe_load(config.read_text(encoding="utf-8"))
+        cfg["paths"][missing_input.split(".")[1]] = str(missing)
+        config = tmp_path / "missing.yaml"
+        config.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli(command, "--config", config, *argv) == 1
+    err = capsys.readouterr().err
+    assert f"{missing_input}: file not found: {missing}" in err
+
+
+@pytest.mark.parametrize("bad_line", ['{"id": "b", "text": "torn', "[1, 2]"])
+def test_malformed_jsonl_row_is_validation_error(workspace, tmp_path, capsys, bad_line):
+    dp = tmp_path / "dp.jsonl"
+    write_datapoints(dp, [{"id": "a", "text": "t", "triplets": [("Alpha", "linked to", "Beta")]}])
+    with open(dp, "a", encoding="utf-8") as fh:
+        fh.write(bad_line + "\n")
+    assert run_cli("prepare", "--config", workspace["config"], "--datapoints", dp) == 1
+    assert f"{dp}:2:" in capsys.readouterr().err
+
+
+def eval_files(tmp_path, pred_rows, gold_rows):
+    preds, gold = tmp_path / "preds.jsonl", tmp_path / "gold.jsonl"
+    write_datapoints(preds, pred_rows)
+    write_datapoints(gold, gold_rows)
+    return preds, gold
+
+
+@pytest.mark.parametrize("bad_line", ["linked to 40", "linked to\t40\tmore", "linked to\tmany"])
+def test_malformed_train_counts_line_is_validation_error(workspace, tmp_path, capsys, bad_line):
+    row = {"id": "1", "text": "", "triplets": [("Alpha", "linked to", "Beta")]}
+    preds, gold = eval_files(tmp_path, [row], [row])
+    train_counts = tmp_path / "train_counts.tsv"
+    train_counts.write_text(f"part of\t1\n{bad_line}\n", encoding="utf-8")
+    assert run_cli("eval", "--config", workspace["config"], "--predictions", preds, "--gold", gold,
+                   "--train-counts", train_counts) == 1
+    assert f"{train_counts}:2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("repeated", ["predictions", "gold"])
+def test_repeated_eval_id_is_validation_error(workspace, tmp_path, capsys, repeated):
+    row = {"id": "1", "text": "", "triplets": [("Alpha", "linked to", "Beta")]}
+    rows = {"predictions": [row], "gold": [row]}
+    rows[repeated] = [row, {"id": "1", "text": "", "triplets": []}]  # the later row used to win silently
+    preds, gold = eval_files(tmp_path, rows["predictions"], rows["gold"])
+    assert run_cli("eval", "--config", workspace["config"], "--predictions", preds, "--gold", gold) == 1
+    err = capsys.readouterr().err
+    assert "'1'" in err and str(preds if repeated == "predictions" else gold) in err
+    assert not (workspace["out"] / "eval_report.json").exists()

@@ -172,7 +172,7 @@ def outgoing(graph, entity):
 
 def test_neighbors_outgoing_only(tiny_graph):
     # Gamma has two incoming edges, no outgoing
-    gamma = tiny_graph.entities.index_of_label("Gamma")
+    gamma = tiny_graph.entities.labels.index("Gamma")
     assert outgoing(tiny_graph, gamma) == []
     assert tiny_graph.degree(gamma) == 2
 
@@ -189,7 +189,7 @@ def test_neighbors_star_center():
 
 
 def test_neighbors_sorted_and_exact(tiny_graph):
-    alpha = tiny_graph.entities.index_of_label("Alpha")
+    alpha = tiny_graph.entities.labels.index("Alpha")
     assert outgoing(tiny_graph, alpha) == [(0, 1), (1, 2)]
     edge_ids, others = tiny_graph.incident(alpha)
     # outgoing by (relation, object), then incoming by (relation, subject)
@@ -206,7 +206,7 @@ def test_neighbors_invalid_index(tiny_graph):
 
 
 def test_triples_of_relation(tiny_graph):
-    linked = tiny_graph.relations.index_of_label("linked to")
+    linked = tiny_graph.relations.labels.index("linked to")
     got = edges_of(tiny_graph, tiny_graph.relation_edges(linked))
     assert got == [Triplet(0, 0, 1), Triplet(1, 0, 2)]
 
@@ -237,7 +237,7 @@ def test_adjacency_sums_to_edge_count(tiny_graph):
 
 
 def test_incident_preserves_stored_orientation(tiny_graph):
-    alpha = tiny_graph.entities.index_of_label("Alpha")
+    alpha = tiny_graph.entities.labels.index("Alpha")
     edge_ids, others = tiny_graph.incident(alpha)
     incident = list(zip(edges_of(tiny_graph, edge_ids), others.tolist()))
     # outgoing: (Alpha,linked,Beta), (Alpha,part of,Gamma); incoming: (Delta,part of,Alpha)

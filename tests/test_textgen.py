@@ -4,6 +4,7 @@ import threading
 import pytest
 
 from kgsynth import textgen
+from kgsynth.pipeline import read_jsonl
 from kgsynth.textgen import (
     CompletionClient,
     CostLedger,
@@ -310,18 +311,26 @@ def test_resume_never_rebills_completed_prompts(tmp_path):
     assert done == {f"id{i}" for i in range(30)}
 
 
-def test_generate_wrapper_drives_batch(tmp_path):
-    transport = lambda url, body, headers, timeout: (200, ok_payload())
+def recording_transport(calls):
+    return lambda url, body, headers, timeout: (calls.append(body["prompt"]), (200, ok_payload()))[1]
+
+
+@pytest.mark.parametrize("keep", ["half", "all but the newline"])
+def test_resume_repairs_a_torn_last_record(tmp_path, keep):
     out = tmp_path / "records.jsonl"
-    counts = textgen.generate(
-        [("a", "p1"), ("b", "p2")],
-        textgen.PRESETS["text"],
-        EndpointConfig(url="http://mock", model="m"),
-        rate_limits=(100, 1_000_000),
-        out_path=out,
-        transport=transport,
-    )
-    assert counts == {"ok": 2, "failed": 0, "skipped": 0}
+    prompts = [(f"id{i}", f"prompt {i}") for i in range(3)]
+    make_client(recording_transport([]), concurrency=1).generate(prompts[:2], out)
+    first, second = out.read_bytes().splitlines(keepends=True)
+    torn = second[: len(second) // 2] if keep == "half" else second[:-1]
+    out.write_bytes(first + torn)  # a kill in the middle of the second append
+
+    calls = []
+    counts = make_client(recording_transport(calls)).generate(prompts, out)
+    requeried = ["prompt 1", "prompt 2"] if keep == "half" else ["prompt 2"]
+    assert sorted(calls) == requeried
+    assert counts == {"ok": len(requeried), "failed": 0, "skipped": 3 - len(requeried)}
+    records = list(read_jsonl(out))  # every line parses again
+    assert sorted(r["set_id"] for r in records) == ["id0", "id1", "id2"]
 
 
 def test_failed_records_are_retried_on_resume(tmp_path):
