@@ -32,7 +32,7 @@ from .decoder import (
     filter_tokenizable,
 )
 from .kgstore import load_graph, save_graph
-from .pipeline import InputError, read_jsonl, triplets_from_row, write_json, write_jsonl, write_manifest
+from .pipeline import InputError, read_jsonl, read_lines, triplets_from_row, write_json, write_jsonl, write_manifest
 
 log = logging.getLogger("kgsynth")
 
@@ -49,8 +49,11 @@ class ConfigError(ValueError):
 def load_config(path) -> dict:
     if path is None:
         raise ConfigError("--config is required")
-    with open(existing(path, "--config"), encoding="utf-8") as fh:
-        cfg = yaml.safe_load(fh) or {}
+    try:
+        with open(existing(path, "--config"), encoding="utf-8") as fh:
+            cfg = yaml.safe_load(fh) or {}
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 ({exc})") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config root must be a mapping")
     return cfg
@@ -286,7 +289,7 @@ def cmd_prepare(stage: Stage) -> int:
             drops["empty"] += 1
             continue
         input_ids = tokenizer.try_encode(text)
-        fe_target = codec.linearize(triplets, fe_schema, text).text
+        fe_target = codec.linearize(triplets, fe_schema, text)
         fe_ids = tokenizer.try_encode(fe_target)
         if input_ids is None or fe_ids is None:
             drops["unencodable"] += 1
@@ -299,7 +302,7 @@ def cmd_prepare(stage: Stage) -> int:
         if len(fe_ids) > max_target:
             drops["target_too_long"] += 1
             continue
-        sc_target = codec.linearize(triplets, sc_schema, text).text
+        sc_target = codec.linearize(triplets, sc_schema, text)
         fe_rows.append({"id": point_id, "input": text, "target": fe_target})
         sc_rows.append({"id": point_id, "input": text, "target": sc_target})
 
@@ -318,7 +321,7 @@ def cmd_encode(stage: Stage) -> int:
             "id": point_id,
             "text": text,
             "linearization": schema.variant.value,
-            "linearized": codec.linearize(triplets, schema, text).text,
+            "linearized": codec.linearize(triplets, schema, text),
         }
         for point_id, text, triplets in _datapoints(datapoints_path)
         if triplets
@@ -363,13 +366,14 @@ def cmd_decode(stage: Stage) -> int:
     rows = []
     try:
         for raw in read_jsonl(inputs_path):
+            doc_id = str(raw["id"])
             context = str(raw.get("text", raw.get("context", "")))
             results = constrained_beam_search(scorer, context, engine, params)
             best = results[0]
             parsed = codec.parse(best.text, schema, entity_labels, relation_labels)
             rows.append(
                 {
-                    "id": str(raw["id"]),
+                    "id": doc_id,
                     "triplets": [{"s": s, "r": r, "o": o} for s, r, o in parsed.triplets],
                     "linearized": best.text,
                     "score": best.normalized_score,
@@ -407,16 +411,15 @@ def _pairs_from_files(predictions_path, gold_path) -> list[metrics.EvalPair]:
 
 def _read_train_counts(path) -> dict:
     counts = {}
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                relation, count = line.split("\t")
-                counts[relation] = int(count)
-            except ValueError:
-                raise InputError(f"{path}:{number}: expected relation<TAB>count") from None
+    for number, line in read_lines(path):
+        line = line.rstrip("\r\n")
+        if not line:
+            continue
+        try:
+            relation, count = line.split("\t")
+            counts[relation] = int(count)
+        except ValueError:
+            raise InputError(f"{path}:{number}: expected relation<TAB>count") from None
     return counts
 
 

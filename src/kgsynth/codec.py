@@ -44,12 +44,6 @@ class LinearizationSchema:
         return (self.start_subject, self.start_relation, self.start_object, self.end)
 
 
-@dataclass(frozen=True)
-class LinearizedTarget:
-    text: str
-    schema: LinearizationSchema
-
-
 def entity_surface(label: str) -> str:
     return label.replace(" ", "_")
 
@@ -114,7 +108,7 @@ def linearize(
     triplets: Iterable[LabelTriplet],
     schema: LinearizationSchema,
     source_text: str = "",
-) -> LinearizedTarget:
+) -> str:
     """Render a triplet set as a single delimiter-structured string.
 
     FE emits one full block per triplet. SC groups triplets by subject (first
@@ -138,7 +132,7 @@ def linearize(
             parts.extend([s_, entity_surface(subject)])
             for _, r, o in group:
                 parts.extend([r_, r, o_, entity_surface(o), e_])
-    return LinearizedTarget(" ".join(parts), schema)
+    return " ".join(parts)
 
 
 @dataclass

@@ -44,19 +44,11 @@ def f1(precision: float, recall: float) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def _ratio(numerator: int, denominator: int, other_total: int) -> float:
-    if denominator == 0:
-        return 1.0 if other_total == 0 else 0.0
-    return numerator / denominator
-
-
-def micro_scores(pairs: Sequence[EvalPair]) -> tuple[float, float, float]:
-    """Corpus-level precision/recall/F1 weighting every fact equally."""
-    correct = sum(len(p.predicted & p.gold) for p in pairs)
-    n_pred = sum(len(p.predicted) for p in pairs)
-    n_gold = sum(len(p.gold) for p in pairs)
-    precision = _ratio(correct, n_pred, n_gold)
-    recall = _ratio(correct, n_gold, n_pred)
+def _prf(correct: int, predicted: int, gold: int) -> tuple[float, float, float]:
+    """Precision/recall/F1 from fact counts, under the zero-denominator
+    convention."""
+    precision = correct / predicted if predicted else (0.0 if gold else 1.0)
+    recall = correct / gold if gold else (0.0 if predicted else 1.0)
     return precision, recall, f1(precision, recall)
 
 
@@ -64,29 +56,46 @@ def _relation_of(fact) -> Hashable:
     return fact[1]
 
 
-def per_relation_scores(pairs: Sequence[EvalPair]) -> dict[Hashable, tuple[float, float, float]]:
-    """P/R/F1 per relation over the restricted per-relation fact sets.
-
-    Relations with zero gold and zero predicted occurrences never appear;
-    the others are keyed in sorted order.
-    """
-    correct: Counter = Counter()
-    n_pred: Counter = Counter()
-    n_gold: Counter = Counter()
+def relation_counts(pairs: Sequence[EvalPair]) -> dict[Hashable, tuple[int, int, int]]:
+    """``relation -> (correct, predicted, gold)`` fact counts, keyed in sorted
+    order so that sums over the table do not follow the string hash seed.
+    Relations with no predicted and no gold fact do not appear."""
+    counts: dict = {}
     for p in pairs:
-        for t in p.predicted:
-            n_pred[_relation_of(t)] += 1
-        for t in p.gold:
-            n_gold[_relation_of(t)] += 1
-        for t in p.predicted & p.gold:
-            correct[_relation_of(t)] += 1
-    out = {}
-    # sorted, so that the macro sums do not follow the string hash seed
-    for r in sorted(n_pred.keys() | n_gold.keys()):
-        prec = _ratio(correct[r], n_pred[r], n_gold[r])
-        rec = _ratio(correct[r], n_gold[r], n_pred[r])
-        out[r] = (prec, rec, f1(prec, rec))
-    return out
+        for column, facts in enumerate((p.predicted & p.gold, p.predicted, p.gold)):
+            for t in facts:
+                counts.setdefault(_relation_of(t), [0, 0, 0])[column] += 1
+    return {r: tuple(counts[r]) for r in sorted(counts)}
+
+
+def _sums(rows: Iterable[tuple[int, int, int]]) -> tuple[int, int, int]:
+    """Column sums of (correct, predicted, gold) rows."""
+    return tuple(map(sum, zip((0, 0, 0), *rows)))
+
+
+def _macro(table: Mapping[Hashable, tuple[int, int, int]], f1_mode: str) -> tuple[float, float, float]:
+    if f1_mode not in ("mean_of_f1", "harmonic_of_means"):
+        raise ValueError(f"unknown f1_mode {f1_mode!r}")
+    if not table:
+        return 1.0, 1.0, 1.0  # no facts anywhere: vacuously perfect, as in micro
+    scores = [_prf(*row) for row in table.values()]
+    macro_p = sum(v[0] for v in scores) / len(scores)
+    macro_r = sum(v[1] for v in scores) / len(scores)
+    if f1_mode == "mean_of_f1":
+        macro_f = sum(v[2] for v in scores) / len(scores)
+    else:
+        macro_f = f1(macro_p, macro_r)
+    return macro_p, macro_r, macro_f
+
+
+def micro_scores(pairs: Sequence[EvalPair]) -> tuple[float, float, float]:
+    """Corpus-level precision/recall/F1 weighting every fact equally."""
+    return _prf(*_sums(relation_counts(pairs).values()))
+
+
+def per_relation_scores(pairs: Sequence[EvalPair]) -> dict[Hashable, tuple[float, float, float]]:
+    """P/R/F1 per relation, in the order of ``relation_counts``."""
+    return {r: _prf(*row) for r, row in relation_counts(pairs).items()}
 
 
 def macro_scores(
@@ -101,47 +110,40 @@ def macro_scores(
     never occur are excluded). ``f1_mode`` selects the mean of per-relation
     F1 values (default) or the harmonic mean of macro-P and macro-R.
     """
-    if f1_mode not in ("mean_of_f1", "harmonic_of_means"):
-        raise ValueError(f"unknown f1_mode {f1_mode!r}")
-    table = per_relation_scores(pairs)
+    table = relation_counts(pairs)
     if relation_catalog is not None:
-        catalog = set(relation_catalog)
-        unknown = set(table) - catalog
+        unknown = set(table) - set(relation_catalog)
         if unknown:
             raise ValueError(f"relations outside the catalog: {sorted(map(str, unknown))[:5]}")
-    if not table:
-        return 1.0, 1.0, 1.0  # no facts anywhere: vacuously perfect, as in micro
-    macro_p = sum(v[0] for v in table.values()) / len(table)
-    macro_r = sum(v[1] for v in table.values()) / len(table)
-    if f1_mode == "mean_of_f1":
-        macro_f = sum(v[2] for v in table.values()) / len(table)
-    else:
-        macro_f = f1(macro_p, macro_r)
-    return macro_p, macro_r, macro_f
+    return _macro(table, f1_mode)
 
 
 def bootstrap_ci(
     pairs: Sequence[EvalPair],
-    metric_fn: Callable[[Sequence[EvalPair]], float],
+    metric_fn: Callable[[Sequence[EvalPair]], float | Sequence[float]],
     n: int = 50,
     level: float = 0.95,
     seed: int = 0,
-) -> tuple[float, float, float]:
+) -> tuple[float, float, float] | list[tuple[float, float, float]]:
     """Point estimate plus a percentile interval from ``n`` document-level
     resamples. Bounds use outward order statistics, so both are values the
-    metric actually took on some resample."""
+    metric actually took on some resample.
+
+    A metric that returns a tuple or list gets one ``(point, lower, upper)``
+    per component, all from the same resamples."""
     if not pairs:
         raise ValueError("bootstrap requires at least one pair")
     point = metric_fn(pairs)
     rng = np.random.default_rng(seed)
-    values = np.empty(n)
-    for b in range(n):
-        idx = rng.integers(0, len(pairs), size=len(pairs))
-        values[b] = metric_fn([pairs[j] for j in idx])
+    values = np.array(
+        [metric_fn([pairs[j] for j in rng.integers(0, len(pairs), size=len(pairs))]) for _ in range(n)], dtype=float
+    )
     alpha = (1.0 - level) / 2.0
-    lower = float(np.quantile(values, alpha, method="lower"))
-    upper = float(np.quantile(values, 1.0 - alpha, method="higher"))
-    return point, lower, upper
+    lower = np.quantile(values, alpha, axis=0, method="lower")
+    upper = np.quantile(values, 1.0 - alpha, axis=0, method="higher")
+    if isinstance(point, (tuple, list)):
+        return [(p, float(lo), float(hi)) for p, lo, hi in zip(point, lower, upper)]
+    return point, float(lower), float(upper)
 
 
 def bucketize(relation_count: int) -> int:
@@ -152,10 +154,6 @@ def bucketize(relation_count: int) -> int:
     if relation_count == 0:
         return UNSEEN_BUCKET
     return relation_count.bit_length() - 1
-
-
-def _restrict(pair: EvalPair, keep: Callable[[Fact], bool]) -> EvalPair:
-    return EvalPair(pair.doc_id, frozenset(t for t in pair.predicted if keep(t)), frozenset(t for t in pair.gold if keep(t)))
 
 
 @dataclass
@@ -180,23 +178,20 @@ def per_bucket_f1(
     unseen bucket."""
     if not pairs:
         return []
-    bucket_of = lambda fact: bucketize(train_counts.get(_relation_of(fact), 0))
-    buckets = sorted({bucket_of(t) for p in pairs for t in (p.predicted | p.gold)})
-    rows = []
-    for b in buckets:
-        restricted = [_restrict(p, lambda t, b=b: bucket_of(t) == b) for p in pairs]
-        point, lower, upper = bootstrap_ci(restricted, lambda ps: micro_scores(ps)[2], n=n_bootstrap, level=level, seed=seed)
-        rows.append(
-            BucketRow(
-                bucket=b,
-                n_gold=sum(len(p.gold) for p in restricted),
-                n_predicted=sum(len(p.predicted) for p in restricted),
-                f1_point=point,
-                f1_lower=lower,
-                f1_upper=upper,
-            )
-        )
-    return rows
+    table = relation_counts(pairs)
+    members: dict[int, list] = {}
+    for r in table:
+        members.setdefault(bucketize(train_counts.get(r, 0)), []).append(r)
+    buckets = sorted(members)
+
+    def bucket_sums(counts):
+        return [_sums(counts[r] for r in members[b] if r in counts) for b in buckets]
+
+    cis = bootstrap_ci(
+        pairs, lambda ps: tuple(_prf(*sums)[2] for sums in bucket_sums(relation_counts(ps))),
+        n=n_bootstrap, level=level, seed=seed,
+    )
+    return [BucketRow(b, gold, predicted, *ci) for b, (_, predicted, gold), ci in zip(buckets, bucket_sums(table), cis)]
 
 
 @dataclass
@@ -278,13 +273,15 @@ def evaluate(
 ) -> MetricsReport:
     """Compute the full report over evaluation pairs."""
     report = MetricsReport(n_bootstrap=n_bootstrap, level=level, seed=seed, macro_f1_mode=macro_f1_mode)
-    for i, name in enumerate(("precision", "recall", "f1")):
-        point, lower, upper = bootstrap_ci(pairs, lambda ps, i=i: micro_scores(ps)[i], n=n_bootstrap, level=level, seed=seed)
-        report.micro[name] = {"point": point, "lower": lower, "upper": upper}
-        point, lower, upper = bootstrap_ci(
-            pairs, lambda ps, i=i: macro_scores(ps, f1_mode=macro_f1_mode)[i], n=n_bootstrap, level=level, seed=seed
-        )
-        report.macro[name] = {"point": point, "lower": lower, "upper": upper}
+
+    def scores(ps):
+        table = relation_counts(ps)
+        return (*_prf(*_sums(table.values())), *_macro(table, macro_f1_mode))
+
+    cis = bootstrap_ci(pairs, scores, n=n_bootstrap, level=level, seed=seed)
+    names = ("precision", "recall", "f1")
+    report.micro = {name: dict(zip(("point", "lower", "upper"), ci)) for name, ci in zip(names, cis[:3])}
+    report.macro = {name: dict(zip(("point", "lower", "upper"), ci)) for name, ci in zip(names, cis[3:])}
     report.per_relation = per_relation_scores(pairs)
     if train_counts is not None:
         report.per_bucket = per_bucket_f1(pairs, train_counts, n_bootstrap=n_bootstrap, level=level, seed=seed)

@@ -47,21 +47,47 @@ def write_manifest(path, command: str, config_snapshot: dict, inputs: dict, outp
     })
 
 
-def read_jsonl(path) -> Iterator[dict]:
+def read_lines(path) -> Iterator[tuple[int, str]]:
+    """``(number, line)`` for each line of a UTF-8 text file, its newline
+    kept; a line that is not UTF-8 is an ``InputError`` naming ``path:line``."""
+    with open(path, "rb") as fh:
+        for number, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise InputError(f"{path}:{number}: not UTF-8 ({exc})") from None
+            yield number, line
+
+
+class Row(dict):
+    """A JSON object read from the line ``where`` (``path:line``) of a JSONL
+    file. Reading a key it lacks with ``row[key]`` is an ``InputError`` naming
+    both."""
+
+    __slots__ = ("where",)
+
+    def __init__(self, row: dict, where: str):
+        super().__init__(row)
+        self.where = where
+
+    def __missing__(self, key):
+        raise InputError(f"{self.where}: missing key {key!r}")
+
+
+def read_jsonl(path) -> Iterator[Row]:
     """The JSON object on each non-blank line; any other line is an
     ``InputError`` naming ``path:line``."""
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except ValueError as exc:
-                raise InputError(f"{path}:{number}: not valid JSON ({exc})") from None
-            if not isinstance(row, dict):
-                raise InputError(f"{path}:{number}: not a JSON object")
-            yield row
+    for number, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = json.loads(line)
+        except ValueError as exc:
+            raise InputError(f"{path}:{number}: not valid JSON ({exc})") from None
+        if not isinstance(row, dict):
+            raise InputError(f"{path}:{number}: not a JSON object")
+        yield Row(row, f"{path}:{number}")
 
 
 def write_jsonl(path, rows: Iterable[dict]) -> int:
@@ -107,5 +133,8 @@ def repair_jsonl_tail(path) -> None:
             fh.truncate(start)
 
 
-def triplets_from_row(raw: dict) -> list[tuple[str, str, str]]:
-    return [(t["s"], t["r"], t["o"]) for t in raw.get("triplets", [])]
+def triplets_from_row(raw: Row) -> list[tuple[str, str, str]]:
+    try:
+        return [(t["s"], t["r"], t["o"]) for t in raw.get("triplets", [])]
+    except KeyError as exc:
+        raise InputError(f"{raw.where}: missing key {exc.args[0]!r} in a triplet") from None

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 import requests
 import yaml
 
-from .pipeline import repair_jsonl_tail
+from .pipeline import read_jsonl, repair_jsonl_tail
 
 TRIPLETS_PLACEHOLDER = "{triplets}"
 TEXT_PLACEHOLDER = "{text}"
@@ -396,20 +396,6 @@ class CompletionClient:
 
 def completed_ids(path) -> set[str]:
     """Set ids with an ok record already persisted at ``path``."""
-    path = Path(path)
-    done: set[str] = set()
-    if not path.exists():
-        return done
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if record.get("status") == "ok":
-                done.add(str(record.get("set_id")))
-    return done
-
+    if not Path(path).exists():
+        return set()
+    return {str(record["set_id"]) for record in read_jsonl(path) if record.get("status") == "ok"}

@@ -60,8 +60,8 @@ def test_criterion_01_codec_golden():
         " [r] mountain range [o] Sentinel_Range [e]"
         " [s] Newcomer_Glacier [r] mountain range [o] Sentinel_Range [e]"
     )
-    assert codec.linearize(triplets, FE).text == fe_expected
-    assert codec.linearize(triplets, SC).text == sc_expected
+    assert codec.linearize(triplets, FE) == fe_expected
+    assert codec.linearize(triplets, SC) == sc_expected
     assert codec.parse(fe_expected, FE).as_set() == set(triplets)
     assert codec.parse(sc_expected, SC).as_set() == set(triplets)
     elapsed = time.monotonic() - start
@@ -84,8 +84,8 @@ def test_criterion_02_codec_property_suite():
         while len(triplets) < n:
             triplets.add((rng.choice(entities), rng.choice(relations), rng.choice(entities)))
         triplets = sorted(triplets)
-        fe_text = codec.linearize(triplets, FE).text
-        sc_text = codec.linearize(triplets, SC).text
+        fe_text = codec.linearize(triplets, FE)
+        sc_text = codec.linearize(triplets, SC)
         assert codec.parse(fe_text, FE).as_set() == set(triplets)
         assert codec.parse(sc_text, SC).as_set() == set(triplets)
         sc_never_longer += int(len(sc_text) <= len(fe_text))
@@ -241,7 +241,7 @@ def test_criterion_08_decoder_soundness_completeness():
     n_sets = 0
     for triplets in itertools.chain(((t,) for t in singles), itertools.combinations(singles, 2)):
         for variant, engine in engines.items():
-            text = codec.linearize(list(triplets), LinearizationSchema(variant=variant)).text
+            text = codec.linearize(list(triplets), LinearizationSchema(variant=variant))
             ids = tokenizer.try_encode(text)
             assert ids is not None and engine.accepts(ids), text
         n_sets += 1
@@ -388,7 +388,7 @@ def test_criterion_09_generation_client(tmp_path):
 def test_criterion_10_prepare_token_filter(tmp_path):
     # byte tokenizer: one token per byte, so lengths are exact and auditable
     def fe_len(triplets, text=""):
-        return len(codec.linearize(triplets, FE, text).text.encode("utf-8"))
+        return len(codec.linearize(triplets, FE, text).encode("utf-8"))
 
     def pad_entity(base, target, triplets_fn):
         # grow the object label until the FE target hits the requested length
@@ -407,7 +407,7 @@ def test_criterion_10_prepare_token_filter(tmp_path):
         return [("Subject", "relation", "CompactObj"), ("Subject", "relation two", label)]
 
     fe_governs_label = pad_entity("Obj", 257, pair)
-    sc_len = len(codec.linearize(pair(fe_governs_label), SC).text.encode("utf-8"))
+    sc_len = len(codec.linearize(pair(fe_governs_label), SC).encode("utf-8"))
     assert sc_len <= 256
 
     rows = [

@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 import kgsynth
-from kgsynth import textgen
+from kgsynth import cli, textgen
 from kgsynth.cli import main
 
 ENTITIES = [("Q1", "Alpha"), ("Q2", "Beta"), ("Q3", "Gamma"), ("Q4", "Delta"), ("Q5", "Orphan")]
@@ -503,3 +503,90 @@ def test_repeated_eval_id_is_validation_error(workspace, tmp_path, capsys, repea
     err = capsys.readouterr().err
     assert "'1'" in err and str(preds if repeated == "predictions" else gold) in err
     assert not (workspace["out"] / "eval_report.json").exists()
+
+
+GOOD_ROW = {"id": "0", "text": "Alpha is linked to Beta.", "triplets": [{"s": "Alpha", "r": "linked to", "o": "Beta"}]}
+# per subcommand: the flag naming the file that holds the bad row
+ROW_INPUT = {"generate": "--sets", "prepare": "--datapoints", "encode": "--datapoints", "decode": "--inputs",
+             "eval": "--gold", "stats": "--dataset"}
+
+
+@pytest.mark.parametrize("command, bad_row, key", [
+    pytest.param(command, bad_row, key, id=f"{command}-{key}")
+    for command in sorted(ROW_INPUT)
+    for bad_row, key in (({"text": "Gamma is part of Delta."}, "id"), ({"id": "a", "triplets": [{"s": "Alpha"}]}, "r"))
+    # decode reads no triplets, stats no ids
+    if (command, key) not in (("decode", "r"), ("stats", "id"))
+])
+def test_row_without_a_key_is_validation_error(command, bad_row, key, workspace, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(textgen.requests, "post", ConstantPost())
+    searched = []
+    search = cli.constrained_beam_search
+    monkeypatch.setattr(cli, "constrained_beam_search", lambda scorer, context, *args: (
+        searched.append(context), search(scorer, context, *args))[1])
+    config = generation_config(workspace, tmp_path, "http://127.0.0.1:9/v1/completions")
+    if command == "decode":
+        assert run_cli("ingest", "--config", config) == 0
+    rows = tmp_path / "rows.jsonl"
+    rows.write_text(json.dumps(GOOD_ROW) + "\n" + json.dumps(bad_row) + "\n", encoding="utf-8")
+    argv = [ROW_INPUT[command], rows]
+    if command == "eval":
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps(GOOD_ROW) + "\n", encoding="utf-8")
+        argv += ["--predictions", preds]
+    capsys.readouterr()
+    assert run_cli(command, "--config", config, *argv) == 1
+    assert f"{rows}:2: missing key '{key}'" in capsys.readouterr().err
+    assert searched == ([GOOD_ROW["text"]] if command == "decode" else [])  # the bad row is never searched
+
+
+BAD_UTF8_LINE = {
+    "datapoints": b'{"id": "2", "text": "caf\xff", "triplets": []}\n',
+    "train_counts": b"caf\xff\t3\n",
+    "config": b"# caf\xff\n",
+}
+
+
+@pytest.mark.parametrize("bad_file", sorted(BAD_UTF8_LINE))
+def test_input_that_is_not_utf8_is_validation_error(bad_file, workspace, tmp_path, capsys):
+    row = {"id": "1", "text": "", "triplets": [("Alpha", "linked to", "Beta")]}
+    preds, gold = eval_files(tmp_path, [row], [row])
+    train_counts = tmp_path / "train_counts.tsv"
+    train_counts.write_text("linked to\t40\n", encoding="utf-8")
+    path = {"datapoints": gold, "train_counts": train_counts, "config": workspace["config"]}[bad_file]
+    with open(path, "ab") as fh:
+        fh.write(BAD_UTF8_LINE[bad_file])
+    if bad_file == "train_counts":
+        argv = ["eval", "--predictions", preds, "--gold", gold, "--train-counts", train_counts]
+    else:
+        argv = ["prepare", "--datapoints", gold]
+    assert run_cli(*argv, "--config", workspace["config"]) == 1
+    err = capsys.readouterr().err
+    where = str(path) if bad_file == "config" else f"{path}:2"
+    assert f"{where}: not UTF-8" in err
+
+
+class CountingPost(ConstantPost):
+    """``ConstantPost`` that keeps the body of every request it answers."""
+
+    def __init__(self):
+        self.bodies = []
+
+    def __call__(self, url, json, headers, timeout):
+        self.bodies.append(json)
+        return self
+
+
+def test_non_json_generation_record_fails_before_any_request(workspace, tmp_path, monkeypatch, capsys):
+    post = CountingPost()
+    monkeypatch.setattr(textgen.requests, "post", post)
+    run_cli("ingest", "--config", workspace["config"])
+    run_cli("sample", "--config", workspace["config"], "--n", 6)
+    records = workspace["out"] / "generation_records.jsonl"
+    done = [json.dumps({"set_id": set_id, "status": "ok", "completion": "A sentence."}) for set_id in ("0", "1")]
+    records.write_text(f"{done[0]}\nnot a record\n{done[1]}\n", encoding="utf-8")
+    config = generation_config(workspace, tmp_path, "http://127.0.0.1:9/v1/completions")
+    capsys.readouterr()
+    assert run_cli("generate", "--config", config, "--sets", workspace["out"] / "triplet_sets.jsonl") == 1
+    assert f"{records}:2: not valid JSON" in capsys.readouterr().err
+    assert post.bodies == []  # nothing is sent before the whole records file is read

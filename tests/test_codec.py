@@ -28,11 +28,11 @@ MOUNT_SC = (
 
 
 def test_fully_expanded_golden():
-    assert codec.linearize(MOUNT_SET, FE).text == MOUNT_FE
+    assert codec.linearize(MOUNT_SET, FE) == MOUNT_FE
 
 
 def test_subject_collapsed_golden():
-    assert codec.linearize(MOUNT_SET, SC).text == MOUNT_SC
+    assert codec.linearize(MOUNT_SET, SC) == MOUNT_SC
 
 
 def test_golden_round_trips():
@@ -42,7 +42,7 @@ def test_golden_round_trips():
 
 def test_single_triplet_fe_equals_sc():
     triplets = [("Pix Brook", "mouth of the watercourse", "River Hiz")]
-    assert codec.linearize(triplets, FE).text == codec.linearize(triplets, SC).text
+    assert codec.linearize(triplets, FE) == codec.linearize(triplets, SC)
 
 
 def test_order_by_subject_position():
@@ -142,12 +142,12 @@ def test_round_trip_randomized_both_schemas():
     for _ in range(500):
         triplets = _random_set(rng, entities, relations)
         for schema in (FE, SC):
-            text = codec.linearize(triplets, schema).text
+            text = codec.linearize(triplets, schema)
             result = codec.parse(text, schema, entity_catalog=entities, relation_catalog=relations)
             assert result.as_set() == set(triplets)
             assert result.dropped_fragments == 0
             assert result.dropped_unresolvable == 0
-        assert len(codec.linearize(triplets, SC).text) <= len(codec.linearize(triplets, FE).text)
+        assert len(codec.linearize(triplets, SC)) <= len(codec.linearize(triplets, FE))
 
 
 def test_cross_schema_agreement():
@@ -155,8 +155,8 @@ def test_cross_schema_agreement():
     entities, relations = _random_catalog(rng)
     for _ in range(200):
         triplets = _random_set(rng, entities, relations)
-        fe_set = codec.parse(codec.linearize(triplets, FE).text, FE).as_set()
-        sc_set = codec.parse(codec.linearize(triplets, SC).text, SC).as_set()
+        fe_set = codec.parse(codec.linearize(triplets, FE), FE).as_set()
+        sc_set = codec.parse(codec.linearize(triplets, SC), SC).as_set()
         assert fe_set == sc_set
 
 

@@ -253,7 +253,7 @@ def test_completeness_exhaustive_toy_world():
     for triplets in enumerate_toy_sets(entities, relations):
         for variant, engine in engines.items():
             schema = LinearizationSchema(variant=variant)
-            text = codec.linearize(triplets, schema).text
+            text = codec.linearize(triplets, schema)
             ids = tokenizer.try_encode(text)
             assert ids is not None
             assert engine.accepts(ids), text
@@ -290,7 +290,7 @@ def test_oracle_scorer_target_ranked_first():
     entities, relations = ["Ada", "Bob", "Lab"], ["knows", "runs"]
     tokenizer, et, rt = toy_world(entities, relations)
     engine = ConstraintEngine(FE, tokenizer, et, rt)
-    target_text = codec.linearize([("Bob", "runs", "Lab")], FE).text
+    target_text = codec.linearize([("Bob", "runs", "Lab")], FE)
     target = tuple(tokenizer.encode(target_text))
     scorer = OracleScorer(tokenizer.vocab_size, target, tokenizer.eos_id)
     results = constrained_beam_search(scorer, "", engine, DecodeParams(num_beams=4, max_length=30, top_k_returned=4))
@@ -299,10 +299,10 @@ def test_oracle_scorer_target_ranked_first():
     # exhaustive cross-check: no single-triplet linearization scores higher
     best_alternative = max(
         (
-            sum(scorer.score_next("", tuple(tokenizer.encode(codec.linearize([t], FE).text))[:i])[tok]
-                for i, tok in enumerate(tokenizer.encode(codec.linearize([t], FE).text)))
+            sum(scorer.score_next("", tuple(tokenizer.encode(codec.linearize([t], FE)))[:i])[tok]
+                for i, tok in enumerate(tokenizer.encode(codec.linearize([t], FE))))
             for t in itertools.product(entities, relations, entities)
-            if codec.linearize([t], FE).text != target_text
+            if codec.linearize([t], FE) != target_text
         ),
     )
     assert best_alternative < results[0].score
@@ -311,7 +311,7 @@ def test_oracle_scorer_target_ranked_first():
 def test_single_beam_equals_greedy(fe_engine):
     scorer = OracleScorer(
         fe_engine.tokenizer.vocab_size,
-        tuple(fe_engine.tokenizer.encode(codec.linearize([("Ada", "knows", "Bob")], FE).text)),
+        tuple(fe_engine.tokenizer.encode(codec.linearize([("Ada", "knows", "Bob")], FE))),
         fe_engine.tokenizer.eos_id,
     )
 
@@ -355,7 +355,7 @@ def test_target_of_exactly_max_length_tokens_finishes():
     # max_length bounds the emitted tokens; the end-of-sequence step is extra
     tokenizer, et, rt = toy_world(ENTITIES, RELATIONS)
     engine = ConstraintEngine(FE, tokenizer, et, rt)
-    target = tuple(tokenizer.encode(codec.linearize([("Zuse", "built", "Computer")], FE).text))
+    target = tuple(tokenizer.encode(codec.linearize([("Zuse", "built", "Computer")], FE)))
     scorer = OracleScorer(tokenizer.vocab_size, target, tokenizer.eos_id)
     best = constrained_beam_search(scorer, "", engine, DecodeParams(num_beams=2, max_length=len(target)))[0]
     assert best.tokens == target

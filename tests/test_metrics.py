@@ -351,3 +351,86 @@ def test_evaluate_report_shape():
     assert payload["n_bootstrap"] == 10
     assert payload["seed"] == 9
     assert "conventions" in payload
+
+
+# --- one count table, one bootstrap pass per report section ---
+
+def keep_facts(p, keep):
+    return EvalPair(p.doc_id, frozenset(t for t in p.predicted if keep(t)), frozenset(t for t in p.gold if keep(t)))
+
+
+def per_component_report(pairs, train_counts, n, seed, mode):
+    """The per-component path as a reference: one scalar ``bootstrap_ci`` per
+    micro and macro value, and one per bucket over bucket-restricted pairs.
+    Also says whether some resample of some bucket held none of its facts."""
+    ci = lambda ps, fn: dict(zip(("point", "lower", "upper"), metrics.bootstrap_ci(ps, fn, n=n, seed=seed)))
+    names = ("precision", "recall", "f1")
+    micro = {name: ci(pairs, lambda ps, i=i: metrics.micro_scores(ps)[i]) for i, name in enumerate(names)}
+    macro = {name: ci(pairs, lambda ps, i=i: metrics.macro_scores(ps, f1_mode=mode)[i]) for i, name in enumerate(names)}
+    bucket_of = lambda t: metrics.bucketize(train_counts.get(t[1], 0))
+    rows, saw_empty = [], False
+    for b in sorted({bucket_of(t) for p in pairs for t in p.predicted | p.gold}):
+        restricted = [keep_facts(p, lambda t: bucket_of(t) == b) for p in pairs]
+
+        def bucket_f1(ps):
+            nonlocal saw_empty
+            saw_empty |= not any(p.predicted or p.gold for p in ps)
+            return metrics.micro_scores(ps)[2]
+
+        point, lower, upper = metrics.bootstrap_ci(restricted, bucket_f1, n=n, seed=seed)
+        rows.append(metrics.BucketRow(b, sum(len(p.gold) for p in restricted),
+                                      sum(len(p.predicted) for p in restricted), point, lower, upper))
+    return micro, macro, rows, saw_empty
+
+
+facts = st.frozensets(st.tuples(st.sampled_from("abc"), st.sampled_from(["r0", "r1", "r2", "r3", "r4"]),
+                                st.sampled_from("abc")), max_size=4)
+
+
+def assert_evaluate_equals_per_component_path(pairs, train_counts, seed):
+    """Returns whether some bucket resample held none of the bucket's facts."""
+    for mode in ("mean_of_f1", "harmonic_of_means"):
+        report = metrics.evaluate(pairs, n_bootstrap=20, seed=seed, macro_f1_mode=mode, train_counts=train_counts)
+        micro, macro, rows, saw_empty = per_component_report(pairs, train_counts, 20, seed, mode)
+        assert report.micro == micro
+        assert report.macro == macro
+        assert report.per_bucket == rows
+    return saw_empty
+
+
+@given(
+    docs=st.lists(st.tuples(facts, facts), min_size=1, max_size=8),
+    train_counts=st.dictionaries(st.sampled_from(["r0", "r1", "r2", "r3"]), st.integers(0, 40)),
+    seed=st.integers(0, 3),
+)
+@settings(max_examples=60, deadline=None)
+def test_evaluate_equals_the_per_component_path(docs, train_counts, seed):
+    pairs = [pair(f"d{i}", predicted, gold) for i, (predicted, gold) in enumerate(docs)]
+    assert_evaluate_equals_per_component_path(pairs, train_counts, seed)
+
+
+def test_evaluate_equals_the_per_component_path_when_a_resample_empties_a_bucket():
+    # r1 occurs in one document of four, so some resamples hold none of its bucket
+    pairs = [pair(f"d{i}", {T("a", "r0", "b")}, {T("a", "r0", "b")}) for i in range(3)]
+    pairs.append(pair("d3", {T("a", "r1", "c")}, {T("a", "r1", "b")}))
+    assert assert_evaluate_equals_per_component_path(pairs, {"r0": 8, "r1": 1}, seed=0)
+
+
+def test_tuple_metric_bootstrap_equals_per_component_calls():
+    pairs = random_instance(random.Random(21), max_docs=12)
+    components = (lambda ps: metrics.micro_scores(ps)[2], lambda ps: metrics.macro_scores(ps)[0], lambda ps: metrics.micro_scores(ps)[1])
+    expected = [metrics.bootstrap_ci(pairs, fn, n=30, level=0.9, seed=4) for fn in components]
+    assert metrics.bootstrap_ci(pairs, lambda ps: tuple(fn(ps) for fn in components), n=30, level=0.9, seed=4) == expected
+    assert metrics.bootstrap_ci(pairs, lambda ps: [fn(ps) for fn in components], n=30, level=0.9, seed=4) == expected
+
+
+def test_evaluate_bootstraps_once_per_report_section(monkeypatch):
+    calls = []
+    bootstrap = metrics.bootstrap_ci
+    monkeypatch.setattr(metrics, "bootstrap_ci", lambda *args, **kwargs: (calls.append(1), bootstrap(*args, **kwargs))[1])
+    pairs = random_instance(random.Random(8))
+    metrics.evaluate(pairs, n_bootstrap=10, train_counts={"r0": 3, "r1": 70})
+    assert len(calls) == 2
+    calls.clear()
+    metrics.evaluate(pairs, n_bootstrap=10)
+    assert len(calls) == 1
