@@ -24,6 +24,7 @@ from .decoder import (
     ByteTokenizer,
     ConstraintEngine,
     DecodeParams,
+    ScorerError,
     SubprocessScorer,
     UniformScorer,
     WordPieceTokenizer,
@@ -54,6 +55,10 @@ def load_config(path) -> dict:
             cfg = yaml.safe_load(fh) or {}
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 ({exc})") from None
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f"{path}:{mark.line + 1}:{mark.column + 1}" if mark else str(path)
+        raise ConfigError(f"{where}: not valid YAML ({getattr(exc, 'problem', None) or exc})") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config root must be a mapping")
     return cfg
@@ -368,7 +373,10 @@ def cmd_decode(stage: Stage) -> int:
         for raw in read_jsonl(inputs_path):
             doc_id = str(raw["id"])
             context = str(raw.get("text", raw.get("context", "")))
-            results = constrained_beam_search(scorer, context, engine, params)
+            try:
+                results = constrained_beam_search(scorer, context, engine, params)
+            except ScorerError as exc:
+                raise ScorerError(f"{raw.where}: input {doc_id!r}: {exc}") from None
             best = results[0]
             parsed = codec.parse(best.text, schema, entity_labels, relation_labels)
             rows.append(

@@ -5,7 +5,7 @@ from .tokenizers import ByteTokenizer, Tokenizer, UnencodableText, WordPieceToke
 from .trie import CatalogTrie, TrieNode, build_trie
 from .constraints import ConstraintEngine, ConstraintError, ConstraintState
 from .beam import DEFAULT_LENGTH_PENALTY, DecodedSequence, DecodeParams, constrained_beam_search
-from .scorers import AdversarialScorer, OracleScorer, Scorer, SubprocessScorer, UniformScorer
+from .scorers import AdversarialScorer, OracleScorer, Scorer, ScorerError, SubprocessScorer, UniformScorer
 
 __all__ = [
     "AdversarialScorer",
@@ -19,6 +19,7 @@ __all__ = [
     "DEFAULT_LENGTH_PENALTY",
     "OracleScorer",
     "Scorer",
+    "ScorerError",
     "SubprocessScorer",
     "Tokenizer",
     "TrieNode",

@@ -138,3 +138,5 @@ def triplets_from_row(raw: Row) -> list[tuple[str, str, str]]:
         return [(t["s"], t["r"], t["o"]) for t in raw.get("triplets", [])]
     except KeyError as exc:
         raise InputError(f"{raw.where}: missing key {exc.args[0]!r} in a triplet") from None
+    except TypeError:
+        raise InputError(f"{raw.where}: 'triplets' must be a list of objects with keys 's', 'r', 'o'") from None

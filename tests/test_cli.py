@@ -590,3 +590,57 @@ def test_non_json_generation_record_fails_before_any_request(workspace, tmp_path
     assert run_cli("generate", "--config", config, "--sets", workspace["out"] / "triplet_sets.jsonl") == 1
     assert f"{records}:2: not valid JSON" in capsys.readouterr().err
     assert post.bodies == []  # nothing is sent before the whole records file is read
+
+
+FAILING_SCORERS = {
+    # answers two requests, then exits with status 3
+    "exits": "import json, sys\n"
+             "for n, line in enumerate(sys.stdin):\n"
+             "    if n == 2:\n"
+             "        sys.exit(3)\n"
+             "    print(json.dumps({'logprobs': [-1.0] * 257}), flush=True)\n",
+    "nan": "import json, sys\n"
+           "for line in sys.stdin:\n"
+           "    print(json.dumps({'logprobs': [-1.0] * 256 + [float('nan')]}), flush=True)\n",
+    "short": "import json, sys\n"
+             "for line in sys.stdin:\n"
+             "    print(json.dumps({'logprobs': [-1.0] * 3}), flush=True)\n",
+    "garbled": "import sys\n"
+               "for line in sys.stdin:\n"
+               "    print('{\"scores\": []}', flush=True)\n",
+}
+
+
+@pytest.mark.parametrize("failure, message", [
+    ("exits", "scorer process closed its output and exited with status 3"),
+    ("nan", "scorer returned non-finite log-probabilities"),
+    ("short", "scorer returned 3 values, expected 257"),
+    ("garbled", """scorer reply b'{"scores": []}' is not {"logprobs": [...]}"""),
+])
+def test_failing_scorer_is_runtime_error_naming_the_input(failure, message, workspace, tmp_path, capsys):
+    run_cli("ingest", "--config", workspace["config"])
+    inputs = tmp_path / "inputs.jsonl"
+    inputs.write_text("".join(json.dumps({"id": f"q{n}", "text": "some context"}) + "\n" for n in (1, 2)), encoding="utf-8")
+    scorer = tmp_path / "scorer.py"
+    scorer.write_text(FAILING_SCORERS[failure], encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("decode", "--config", workspace["config"], "--inputs", inputs,
+                   "--scorer-cmd", f"{sys.executable} {scorer}") == cli.EXIT_RUNTIME
+    assert f"runtime error: {inputs}:1: input 'q1': {message}" in capsys.readouterr().err
+    assert not (workspace["out"] / "predictions.jsonl").exists()
+
+
+@pytest.mark.parametrize("triplets", [[["Alpha", "linked to", "Beta"]], ["Alpha linked to Beta"], 5])
+def test_triplet_that_is_not_an_object_is_validation_error(triplets, workspace, tmp_path, capsys):
+    dataset = tmp_path / "dataset.jsonl"
+    rows = [GOOD_ROW, {"id": "1", "text": "", "triplets": triplets}]
+    dataset.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    assert run_cli("stats", "--config", workspace["config"], "--dataset", dataset) == 1
+    assert f"{dataset}:2: 'triplets' must be a list of objects" in capsys.readouterr().err
+
+
+def test_config_that_is_not_yaml_is_validation_error(tmp_path, capsys):
+    config = tmp_path / "config.yaml"
+    config.write_text("seed: [1\n", encoding="utf-8")
+    assert run_cli("stats", "--config", config, "--dataset", config) == 1
+    assert f"{config}:2:1: not valid YAML (expected ',' or ']'" in capsys.readouterr().err

@@ -1,10 +1,13 @@
 import itertools
 import json
+import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import kgsynth
 from kgsynth import codec
 from kgsynth.codec import LinearizationSchema, Variant
 from kgsynth.decoder import (
@@ -439,3 +442,84 @@ def test_subprocess_scorer_rejects_bad_row(tmp_path):
     with SubprocessScorer([sys.executable, str(script)], vocab_size=5) as scorer:
         with pytest.raises(RuntimeError, match="expected 5"):
             scorer.score_next("", [])
+
+
+# --- pipelined scorer steps ---
+
+# a scorer whose every value depends on the whole request: a reply that went
+# to the wrong prefix, or a request rendered wrongly, changes the row
+HASHING_SCORER = """\
+import json, sys, zlib
+
+def row(context, prefix, vocab):
+    h = zlib.crc32(json.dumps([context, prefix]).encode("utf-8"))
+    return [-((h >> (j % 16)) % 997) / 100.0 - 0.001 * j for j in range(vocab)]
+
+if __name__ == "__main__":
+    vocab = int(sys.argv[1])
+    for line in sys.stdin:
+        request = json.loads(line)
+        sys.stdout.write(json.dumps({"logprobs": row(request["context"], request["prefix_tokens"], vocab)}) + "\\n")
+        sys.stdout.flush()
+"""
+
+
+def test_pipelined_scores_equal_row_by_row(tmp_path):
+    script = tmp_path / "hashing_scorer.py"
+    script.write_text(HASHING_SCORER, encoding="utf-8")
+    namespace = {}
+    exec(HASHING_SCORER, namespace)
+    vocab = 11
+    rng = np.random.default_rng(5)
+    contexts = ["", "plain", 'Zürich – 東京 "quoted" back\\slash\nnew line   🎉']
+    with SubprocessScorer([sys.executable, str(script), str(vocab)], vocab) as scorer:
+        previous = [()]
+        for step in range(60):
+            context = contexts[step % len(contexts)]
+            # mostly children of the last step's prefixes, as in a beam search
+            batch = [previous[rng.integers(len(previous))] + (int(rng.integers(vocab)),) for _ in range(rng.integers(1, 9))]
+            batch += [tuple(int(t) for t in rng.integers(vocab, size=rng.integers(0, 4)))]
+            if step % 5 == 0:
+                batch = [()] + batch + [batch[0]]  # the empty prefix and a repeated one
+            if step % 7 == 0:
+                batch = batch[:1]
+            rows = scorer.score_many(context, batch)
+            assert rows.shape == (len(batch), vocab)
+            for prefix, got in zip(batch, rows):
+                assert got.tolist() == namespace["row"](context, list(prefix), vocab)
+                assert np.array_equal(scorer.score_next(context, prefix), got)
+            previous = batch
+
+
+DEADLOCK_PROBE = """\
+import sys
+import numpy as np
+from kgsynth.decoder import SubprocessScorer
+
+script, vocab, beams, context_bytes = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
+context = "x" * context_bytes
+prefixes = [tuple(range(b + 1)) for b in range(beams)]
+with SubprocessScorer([sys.executable, script, str(vocab)], vocab) as scorer:
+    for _ in range(2):
+        rows = scorer.score_many(context, prefixes)
+        assert rows.shape == (beams, vocab)
+        for prefix, row in zip(prefixes, rows):
+            assert row[len(prefix)] == -0.5 and row[0] == -1.25
+print("ok")
+"""
+
+
+def test_step_larger_than_both_pipe_buffers_finishes(tmp_path):
+    script = tmp_path / "scorer.py"
+    script.write_text(SCORER_SCRIPT.replace("-1.0 - 0.001 * (i % 7)", "-1.25"), encoding="utf-8")
+    probe = tmp_path / "probe.py"
+    probe.write_text(DEADLOCK_PROBE, encoding="utf-8")
+    vocab, beams, context_bytes = 30_000, 8, 16_384
+    # one step's requests and replies each exceed a 64 KiB pipe buffer
+    assert beams * context_bytes > 1 << 16 and beams * vocab * len("-1.25, ") > 1 << 16
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.dirname(os.path.dirname(kgsynth.__file__)),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, str(probe), str(script), str(vocab), str(beams), str(context_bytes)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
