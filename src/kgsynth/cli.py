@@ -19,21 +19,9 @@ from pathlib import Path
 
 import yaml
 
-from . import codec, kgstore, metrics, sampler, textgen
-from .decoder import (
-    ByteTokenizer,
-    ConstraintEngine,
-    DecodeParams,
-    ScorerError,
-    SubprocessScorer,
-    UniformScorer,
-    WordPieceTokenizer,
-    build_trie,
-    constrained_beam_search,
-    filter_tokenizable,
-)
-from .kgstore import load_graph, save_graph
-from .pipeline import InputError, read_jsonl, read_lines, triplets_from_row, write_json, write_jsonl, write_manifest
+# Each command imports the layers it runs inside its cmd_* body, so a stage
+# process loads only those: prepare and generate, for one, never load numpy.
+from .pipeline import InputError, ValidationError, read_jsonl, read_lines, triplets_from_row, write_json, write_jsonl, write_manifest
 
 log = logging.getLogger("kgsynth")
 
@@ -43,8 +31,34 @@ EXIT_RUNTIME = 2
 EXIT_PARTIAL = 3
 
 
-class ConfigError(ValueError):
+class ConfigError(ValidationError):
     pass
+
+
+# Names of this module that the command bodies call, so a caller can wrap or
+# replace them here; each imports its owner on first use.
+def load_graph(path):
+    from .kgstore import load_graph as load
+
+    return load(path)
+
+
+def save_graph(graph, path) -> None:
+    from .kgstore import save_graph as save
+
+    save(graph, path)
+
+
+def build_trie(catalog, tokenizer):
+    from .decoder import build_trie as build
+
+    return build(catalog, tokenizer)
+
+
+def constrained_beam_search(scorer, input_context, engine, params):
+    from .decoder import constrained_beam_search as search
+
+    return search(scorer, input_context, engine, params)
 
 
 def load_config(path) -> dict:
@@ -81,7 +95,9 @@ def require_path(cfg: dict, dotted: str) -> Path:
     return existing(node, dotted)
 
 
-def make_schema(cfg: dict) -> codec.LinearizationSchema:
+def make_schema(cfg: dict):
+    from . import codec
+
     variant = str(cfg.get("schema", "fe")).lower()
     if variant not in ("fe", "sc"):
         raise ConfigError(f"schema must be 'fe' or 'sc', got {variant!r}")
@@ -89,6 +105,8 @@ def make_schema(cfg: dict) -> codec.LinearizationSchema:
 
 
 def make_tokenizer(cfg: dict):
+    from .decoder import ByteTokenizer, WordPieceTokenizer
+
     spec = str(cfg.get("tokenizer", "byte"))
     if spec == "byte":
         return ByteTokenizer()
@@ -149,6 +167,8 @@ class Stage:
 
 
 def cmd_ingest(stage: Stage) -> int:
+    from . import kgstore
+
     graph = kgstore.filter_zero_degree(kgstore.ingest(
         stage.input("paths.edges"), stage.input("paths.entity_labels"), stage.input("paths.relation_labels")
     ))
@@ -168,6 +188,8 @@ def cmd_ingest(stage: Stage) -> int:
 
 
 def cmd_sample(stage: Stage) -> int:
+    from . import sampler
+
     graph = load_graph(stage.input("paths.graph"))
     scfg_raw = dict(stage.cfg.get("sampler", {}))
     scfg = sampler.SamplerConfig(
@@ -198,6 +220,8 @@ def _load_demonstrations(path, count: int) -> list:
 
 
 def cmd_generate(stage: Stage) -> int:
+    from . import textgen
+
     gen_cfg = dict(stage.cfg.get("generation", {}))
     sets_path = stage.input("sets")
     preset = str(gen_cfg.get("preset", "code"))
@@ -279,6 +303,8 @@ def _datapoints(path):
 
 
 def cmd_prepare(stage: Stage) -> int:
+    from . import codec
+
     datapoints_path = stage.input("datapoints")
     tokenizer = make_tokenizer(stage.cfg)
     prep_cfg = dict(stage.cfg.get("prepare", {}))
@@ -288,13 +314,17 @@ def cmd_prepare(stage: Stage) -> int:
     fe_schema = codec.LinearizationSchema(variant=codec.Variant.FE)
     sc_schema = codec.LinearizationSchema(variant=codec.Variant.SC)
     fe_rows, sc_rows = [], []
-    drops = {"empty": 0, "input_too_long": 0, "target_too_long": 0, "unencodable": 0}
+    drops = {"empty": 0, "input_too_long": 0, "target_too_long": 0, "unencodable": 0, "unlinearizable": 0}
     for point_id, text, triplets in _datapoints(datapoints_path):
         if not triplets:
             drops["empty"] += 1
             continue
         input_ids = tokenizer.try_encode(text)
-        fe_target = codec.linearize(triplets, fe_schema, text)
+        try:
+            fe_target = codec.linearize(triplets, fe_schema, text)
+        except codec.CodecError:  # a label holds a delimiter
+            drops["unlinearizable"] += 1
+            continue
         fe_ids = tokenizer.try_encode(fe_target)
         if input_ids is None or fe_ids is None:
             drops["unencodable"] += 1
@@ -319,25 +349,30 @@ def cmd_prepare(stage: Stage) -> int:
 
 
 def cmd_encode(stage: Stage) -> int:
+    from . import codec
+
     datapoints_path = stage.input("datapoints")
     schema = make_schema(stage.cfg)
-    rows = [
-        {
-            "id": point_id,
-            "text": text,
-            "linearization": schema.variant.value,
-            "linearized": codec.linearize(triplets, schema, text),
-        }
-        for point_id, text, triplets in _datapoints(datapoints_path)
-        if triplets
-    ]
+    rows, unlinearizable = [], 0
+    for point_id, text, triplets in _datapoints(datapoints_path):
+        if not triplets:
+            continue
+        try:
+            linearized = codec.linearize(triplets, schema, text)
+        except codec.CodecError:  # a label holds a delimiter
+            unlinearizable += 1
+            continue
+        rows.append({"id": point_id, "text": text, "linearization": schema.variant.value, "linearized": linearized})
     write_jsonl(stage.output(f"encoded_{schema.variant.value}.jsonl"), rows)
-    stage.snapshot = {"schema": schema.variant.value, "rows": len(rows)}
+    stage.snapshot = {"schema": schema.variant.value, "rows": len(rows), "unlinearizable": unlinearizable}
     print(f"encoded {len(rows)} datapoints ({schema.variant.value})")
     return EXIT_OK
 
 
 def cmd_decode(stage: Stage) -> int:
+    from . import codec
+    from .decoder import ConstraintEngine, DecodeParams, ScorerError, SubprocessScorer, UniformScorer, filter_tokenizable
+
     graph = load_graph(stage.input("paths.graph"))
     inputs_path = stage.input("inputs")
     schema = make_schema(stage.cfg)
@@ -409,7 +444,9 @@ def _triplets_by_id(path) -> dict[str, set]:
     return rows
 
 
-def _pairs_from_files(predictions_path, gold_path) -> list[metrics.EvalPair]:
+def _pairs_from_files(predictions_path, gold_path) -> list:
+    from . import metrics
+
     preds, gold = _triplets_by_id(predictions_path), _triplets_by_id(gold_path)
     return [
         metrics.EvalPair.make(doc_id, preds.get(doc_id, set()), gold.get(doc_id, set()))
@@ -432,6 +469,8 @@ def _read_train_counts(path) -> dict:
 
 
 def cmd_eval(stage: Stage) -> int:
+    from . import metrics
+
     predictions, gold = stage.input("predictions"), stage.input("gold")
     mcfg = dict(stage.cfg.get("metrics", {}))
     pairs = _pairs_from_files(predictions, gold)
@@ -459,6 +498,8 @@ def cmd_eval(stage: Stage) -> int:
 
 
 def cmd_stats(stage: Stage) -> int:
+    from . import metrics
+
     sets = [triplets_from_row(raw) for raw in read_jsonl(stage.input("dataset"))]
     if not any(sets):
         raise ConfigError("dataset contains no triplets")
@@ -539,7 +580,7 @@ def main(argv=None) -> int:
         write_manifest(stage.out_dir / f"{args.command}.manifest.json", args.command, stage.snapshot,
                        stage.inputs, stage.outputs, seed=stage.seed_read)
         return code
-    except (ConfigError, InputError, kgstore.KgError, textgen.TemplateError, codec.CodecError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # noqa: BLE001 - CLI boundary

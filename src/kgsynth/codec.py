@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
+from .pipeline import ValidationError
+
 LabelTriplet = tuple[str, str, str]
 
 
@@ -23,7 +25,7 @@ class Variant(str, Enum):
     SC = "sc"
 
 
-class CodecError(ValueError):
+class CodecError(ValidationError):
     """Raised when a triplet set cannot be linearized under a schema."""
 
 

@@ -17,10 +17,12 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .pipeline import ValidationError
+
 log = logging.getLogger(__name__)
 
 
-class KgError(ValueError):
+class KgError(ValidationError):
     """Raised on malformed or inconsistent graph input."""
 
 

@@ -19,7 +19,13 @@ from . import __version__
 log = logging.getLogger(__name__)
 
 
-class InputError(ValueError):
+class ValidationError(ValueError):
+    """Input the program cannot run on: a bad config, file, row or label.
+    The CLI exits 1 on it, naming what is wrong; each layer derives its own
+    error from it."""
+
+
+class InputError(ValidationError):
     """A malformed or repeated row in an input file."""
 
 
@@ -135,8 +141,13 @@ def repair_jsonl_tail(path) -> None:
 
 def triplets_from_row(raw: Row) -> list[tuple[str, str, str]]:
     try:
-        return [(t["s"], t["r"], t["o"]) for t in raw.get("triplets", [])]
+        triplets = [(t["s"], t["r"], t["o"]) for t in raw.get("triplets", [])]
     except KeyError as exc:
         raise InputError(f"{raw.where}: missing key {exc.args[0]!r} in a triplet") from None
     except TypeError:
         raise InputError(f"{raw.where}: 'triplets' must be a list of objects with keys 's', 'r', 'o'") from None
+    for triplet in triplets:
+        for key, label in zip("sro", triplet):
+            if not isinstance(label, str):
+                raise InputError(f"{raw.where}: triplet key {key!r} must be a string, got {json.dumps(label)}")
+    return triplets

@@ -21,10 +21,9 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-import requests
 import yaml
 
-from .pipeline import read_jsonl, repair_jsonl_tail
+from .pipeline import ValidationError, read_jsonl, repair_jsonl_tail
 
 TRIPLETS_PLACEHOLDER = "{triplets}"
 TEXT_PLACEHOLDER = "{text}"
@@ -32,7 +31,7 @@ TEXT_PLACEHOLDER = "{text}"
 DEFAULT_API_KEY_ENV = "KGSYNTH_API_KEY"
 
 
-class TemplateError(ValueError):
+class TemplateError(ValidationError):
     """Malformed prompt template or demonstration mismatch."""
 
 
@@ -237,6 +236,8 @@ class GenerationRecord:
 
 
 def _default_transport(url: str, body: dict, headers: dict, timeout: float) -> tuple[int, dict]:
+    import requests  # here, not at module level: only a run that sends requests pays for it
+
     response = requests.post(url, json=body, headers=headers, timeout=timeout)
     try:
         payload = response.json()

@@ -7,10 +7,11 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+import requests
 import yaml
 
 import kgsynth
-from kgsynth import cli, textgen
+from kgsynth import cli
 from kgsynth.cli import main
 
 ENTITIES = [("Q1", "Alpha"), ("Q2", "Beta"), ("Q3", "Gamma"), ("Q4", "Delta"), ("Q5", "Orphan")]
@@ -148,7 +149,8 @@ def test_encode_and_prepare(workspace, tmp_path):
     assert [r["id"] for r in fe_rows] == ["a"]  # long text and empty triplets dropped
     assert [r["id"] for r in sc_rows] == [r["id"] for r in fe_rows]
     manifest = json.loads((workspace["out"] / "prepare.manifest.json").read_text())
-    assert manifest["config"]["drops"] == {"empty": 1, "input_too_long": 1, "target_too_long": 0, "unencodable": 0}
+    assert manifest["config"]["drops"] == {"empty": 1, "input_too_long": 1, "target_too_long": 0, "unencodable": 0,
+                                          "unlinearizable": 0}
 
 
 def test_stats_and_eval(workspace, tmp_path):
@@ -376,7 +378,7 @@ def test_generate_rows_follow_sets_file_order(workspace, tmp_path, monkeypatch):
     n = 6
     run_cli("ingest", "--config", workspace["config"])
     run_cli("sample", "--config", workspace["config"], "--n", n)
-    monkeypatch.setattr(textgen.requests, "post", ReverseOrderPost(n))
+    monkeypatch.setattr(requests, "post", ReverseOrderPost(n))
     config = generation_config(workspace, tmp_path, "http://127.0.0.1:9/v1/completions", concurrency=n)
     sets_file = workspace["out"] / "triplet_sets.jsonl"
     assert run_cli("generate", "--config", config, "--sets", sets_file) == 0
@@ -416,7 +418,7 @@ STAGE_INPUTS = {
 
 @pytest.mark.parametrize("command", sorted(STAGE_INPUTS))
 def test_every_stage_checks_its_inputs_and_reruns_to_the_same_manifest(command, workspace, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(textgen.requests, "post", ConstantPost())
+    monkeypatch.setattr(requests, "post", ConstantPost())
     config = generation_config(workspace, tmp_path, "http://127.0.0.1:9/v1/completions")
     out = workspace["out"]
     inputs, train_counts = tmp_path / "inputs.jsonl", tmp_path / "train_counts.tsv"
@@ -511,19 +513,9 @@ ROW_INPUT = {"generate": "--sets", "prepare": "--datapoints", "encode": "--datap
              "eval": "--gold", "stats": "--dataset"}
 
 
-@pytest.mark.parametrize("command, bad_row, key", [
-    pytest.param(command, bad_row, key, id=f"{command}-{key}")
-    for command in sorted(ROW_INPUT)
-    for bad_row, key in (({"text": "Gamma is part of Delta."}, "id"), ({"id": "a", "triplets": [{"s": "Alpha"}]}, "r"))
-    # decode reads no triplets, stats no ids
-    if (command, key) not in (("decode", "r"), ("stats", "id"))
-])
-def test_row_without_a_key_is_validation_error(command, bad_row, key, workspace, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(textgen.requests, "post", ConstantPost())
-    searched = []
-    search = cli.constrained_beam_search
-    monkeypatch.setattr(cli, "constrained_beam_search", lambda scorer, context, *args: (
-        searched.append(context), search(scorer, context, *args))[1])
+def run_on_bad_row(command, bad_row, workspace, tmp_path, capsys):
+    """Run ``command`` on a file whose second row is ``bad_row``, with every
+    other input good; return the exit code, the file and standard error."""
     config = generation_config(workspace, tmp_path, "http://127.0.0.1:9/v1/completions")
     if command == "decode":
         assert run_cli("ingest", "--config", config) == 0
@@ -535,9 +527,39 @@ def test_row_without_a_key_is_validation_error(command, bad_row, key, workspace,
         preds.write_text(json.dumps(GOOD_ROW) + "\n", encoding="utf-8")
         argv += ["--predictions", preds]
     capsys.readouterr()
-    assert run_cli(command, "--config", config, *argv) == 1
-    assert f"{rows}:2: missing key '{key}'" in capsys.readouterr().err
+    code = run_cli(command, "--config", config, *argv)
+    return code, rows, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, bad_row, key", [
+    pytest.param(command, bad_row, key, id=f"{command}-{key}")
+    for command in sorted(ROW_INPUT)
+    for bad_row, key in (({"text": "Gamma is part of Delta."}, "id"), ({"id": "a", "triplets": [{"s": "Alpha"}]}, "r"))
+    # decode reads no triplets, stats no ids
+    if (command, key) not in (("decode", "r"), ("stats", "id"))
+])
+def test_row_without_a_key_is_validation_error(command, bad_row, key, workspace, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(requests, "post", ConstantPost())
+    searched = []
+    search = cli.constrained_beam_search
+    monkeypatch.setattr(cli, "constrained_beam_search", lambda scorer, context, *args: (
+        searched.append(context), search(scorer, context, *args))[1])
+    code, rows, err = run_on_bad_row(command, bad_row, workspace, tmp_path, capsys)
+    assert code == 1
+    assert f"{rows}:2: missing key '{key}'" in err
     assert searched == ([GOOD_ROW["text"]] if command == "decode" else [])  # the bad row is never searched
+
+
+@pytest.mark.parametrize("label", [1, ["Alpha"], None], ids=["int", "list", "null"])
+@pytest.mark.parametrize("command", sorted(set(ROW_INPUT) - {"decode"}))  # decode reads no triplets
+def test_triplet_label_that_is_not_a_string_is_validation_error(command, label, workspace, tmp_path, monkeypatch, capsys):
+    post = CountingPost()
+    monkeypatch.setattr(requests, "post", post)
+    bad_row = {"id": "a", "text": "Alpha x Beta", "triplets": [{"s": "Alpha", "r": "x", "o": label}]}
+    code, rows, err = run_on_bad_row(command, bad_row, workspace, tmp_path, capsys)
+    assert code == 1
+    assert f"{rows}:2: triplet key 'o' must be a string, got {json.dumps(label)}" in err
+    assert post.bodies == []
 
 
 BAD_UTF8_LINE = {
@@ -579,7 +601,7 @@ class CountingPost(ConstantPost):
 
 def test_non_json_generation_record_fails_before_any_request(workspace, tmp_path, monkeypatch, capsys):
     post = CountingPost()
-    monkeypatch.setattr(textgen.requests, "post", post)
+    monkeypatch.setattr(requests, "post", post)
     run_cli("ingest", "--config", workspace["config"])
     run_cli("sample", "--config", workspace["config"], "--n", 6)
     records = workspace["out"] / "generation_records.jsonl"
@@ -644,3 +666,86 @@ def test_config_that_is_not_yaml_is_validation_error(tmp_path, capsys):
     config.write_text("seed: [1\n", encoding="utf-8")
     assert run_cli("stats", "--config", config, "--dataset", config) == 1
     assert f"{config}:2:1: not valid YAML (expected ',' or ']'" in capsys.readouterr().err
+
+
+def test_row_with_an_unlinearizable_label_is_dropped(workspace, tmp_path):
+    dp = tmp_path / "datapoints.jsonl"
+    write_datapoints(dp, [
+        {"id": "a", "text": "Alpha is linked to Beta.", "triplets": [("Alpha", "linked to", "Beta")]},
+        {"id": "b", "text": "Alpha [e] is linked to Beta.", "triplets": [("Alpha [e]", "linked to", "Beta")]},
+        {"id": "c", "text": "Beta is part of Gamma.", "triplets": [("Beta", "part [s] of", "Gamma")]},
+        {"id": "d", "text": "Beta is part of Gamma.", "triplets": [("Beta", "part of", "Gamma")]},
+    ])
+    out = workspace["out"]
+    assert run_cli("prepare", "--config", workspace["config"], "--datapoints", dp) == 0
+    for name in ("prepared_fe.jsonl", "prepared_sc.jsonl"):
+        assert [json.loads(line)["id"] for line in (out / name).read_text().splitlines()] == ["a", "d"]
+    drops = json.loads((out / "prepare.manifest.json").read_text())["config"]["drops"]
+    assert drops == {"empty": 0, "input_too_long": 0, "target_too_long": 0, "unencodable": 0, "unlinearizable": 2}
+
+    assert run_cli("encode", "--config", workspace["config"], "--datapoints", dp) == 0
+    assert [json.loads(line)["id"] for line in (out / "encoded_fe.jsonl").read_text().splitlines()] == ["a", "d"]
+    assert json.loads((out / "encode.manifest.json").read_text())["config"]["unlinearizable"] == 2
+
+
+def run_fresh_python(code: str) -> str:
+    """Standard output of ``code`` run in a new interpreter that imports
+    kgsynth from this tree."""
+    src = os.path.dirname(os.path.dirname(kgsynth.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True).stdout
+
+
+def test_importing_the_cli_loads_no_layer():
+    loaded = json.loads(run_fresh_python("import json, sys\nimport kgsynth.cli\nprint(json.dumps(sorted(sys.modules)))"))
+    assert not {"numpy", "requests", "kgsynth.kgstore", "kgsynth.decoder.scorers"} & set(loaded)
+
+
+@pytest.mark.parametrize("command", ["generate", "prepare", "encode"])
+def test_text_stages_never_load_numpy(command, workspace, tmp_path):
+    rows = tmp_path / "rows.jsonl"
+    rows.write_text(json.dumps(GOOD_ROW) + "\n", encoding="utf-8")
+    config = generation_config(workspace, tmp_path, "http://127.0.0.1:9/v1/completions")
+    argv = [command, "--config", str(config), "--sets" if command == "generate" else "--datapoints", str(rows)]
+    stdout = run_fresh_python(
+        "import json, sys\n"
+        "import requests\n"
+        "class Post:\n"
+        "    status_code = 200\n"
+        "    def __call__(self, url, json, headers, timeout):\n"
+        "        return self\n"
+        "    def json(self):\n"
+        "        return {'choices': [{'text': 'Alpha is linked to Beta.', 'finish_reason': 'stop'}], 'usage': {}}\n"
+        "requests.post = Post()\n"
+        "from kgsynth import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(json.dumps({'code': code, 'numpy': 'numpy' in sys.modules}))\n"
+    )
+    assert json.loads(stdout.splitlines()[-1]) == {"code": 0, "numpy": False}
+
+
+DECODER_NAMES = [
+    "AdversarialScorer", "ByteTokenizer", "CatalogTrie", "ConstraintEngine", "ConstraintError", "ConstraintState",
+    "DecodedSequence", "DecodeParams", "DEFAULT_LENGTH_PENALTY", "OracleScorer", "Scorer", "ScorerError",
+    "SubprocessScorer", "Tokenizer", "TrieNode", "UnencodableText", "UniformScorer", "WordPieceTokenizer",
+    "build_trie", "constrained_beam_search", "filter_tokenizable",
+]
+
+
+def test_every_decoder_name_imports_from_the_package():
+    stdout = run_fresh_python(
+        "import json\n"
+        "import kgsynth.decoder\n"
+        "for name in kgsynth.decoder.__all__:\n"
+        "    exec(f'from kgsynth.decoder import {name}')\n"
+        "print(json.dumps(kgsynth.decoder.__all__))\n"
+    )
+    assert sorted(json.loads(stdout)) == sorted(DECODER_NAMES)
+
+
+def test_every_layer_error_is_a_validation_error():
+    from kgsynth import codec, kgstore, pipeline, textgen
+
+    for error in (cli.ConfigError, pipeline.InputError, kgstore.KgError, textgen.TemplateError, codec.CodecError):
+        assert issubclass(error, pipeline.ValidationError)
+    assert issubclass(pipeline.ValidationError, ValueError)
