@@ -21,7 +21,7 @@ import yaml
 
 # Each command imports the layers it runs inside its cmd_* body, so a stage
 # process loads only those: prepare and generate, for one, never load numpy.
-from .pipeline import InputError, ValidationError, read_jsonl, read_lines, triplets_from_row, write_json, write_jsonl, write_manifest
+from .pipeline import InputError, ValidationError, read_jsonl, read_lines, triplet_rows, triplets_from_row, write_json, write_jsonl, write_manifest
 
 log = logging.getLogger("kgsynth")
 
@@ -76,6 +76,17 @@ def load_config(path) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config root must be a mapping")
     return cfg
+
+
+def setting(cfg: dict, key: str, kind, default):
+    """The config value at the dotted ``key`` as ``kind``, ``default`` when
+    it is absent; a value ``kind`` rejects is a ConfigError naming the key."""
+    section, _, name = key.rpartition(".")
+    value = (cfg.get(section) or {}).get(name, default) if section else cfg.get(name, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {value!r}") from None
 
 
 def existing(path, what: str) -> Path:
@@ -162,7 +173,7 @@ class Stage:
 
     @property
     def seed(self) -> int:
-        self.seed_read = int(self.args.seed if self.args.seed is not None else self.cfg.get("seed", 0))
+        self.seed_read = self.args.seed if self.args.seed is not None else setting(self.cfg, "seed", int, 0)
         return self.seed_read
 
 
@@ -193,11 +204,11 @@ def cmd_sample(stage: Stage) -> int:
     graph = load_graph(stage.input("paths.graph"))
     scfg_raw = dict(stage.cfg.get("sampler", {}))
     scfg = sampler.SamplerConfig(
-        poisson_mean=float(scfg_raw.get("poisson_mean", 3.0)),
-        bias_factor=float(scfg_raw.get("bias_factor", 7.0)),
-        dampening=float(scfg_raw.get("dampening", 0.01)),
-        reweight_interval=int(scfg_raw.get("reweight_interval", 20_000)),
-        strategy=str(scfg_raw.get("strategy", sampler.MIXED)),
+        poisson_mean=setting(stage.cfg, "sampler.poisson_mean", float, 3.0),
+        bias_factor=setting(stage.cfg, "sampler.bias_factor", float, 7.0),
+        dampening=setting(stage.cfg, "sampler.dampening", float, 0.01),
+        reweight_interval=setting(stage.cfg, "sampler.reweight_interval", int, 20_000),
+        strategy=setting(stage.cfg, "sampler.strategy", str, sampler.MIXED),
         seed=stage.seed,
     )
     n = int(stage.args.n)
@@ -257,18 +268,18 @@ def cmd_generate(stage: Stage) -> int:
     if not endpoint.url:
         raise ConfigError("generation.endpoint is required")
     limiter = textgen.RateLimiter(
-        int(gen_cfg.get("requests_per_minute", 20)),
-        int(gen_cfg.get("tokens_per_minute", 150_000)),
+        setting(stage.cfg, "generation.requests_per_minute", int, 20),
+        setting(stage.cfg, "generation.tokens_per_minute", int, 150_000),
     )
-    ledger = textgen.CostLedger(float(gen_cfg.get("price_per_1k_tokens", 0.0)))
+    ledger = textgen.CostLedger(setting(stage.cfg, "generation.price_per_1k_tokens", float, 0.0))
     client = textgen.CompletionClient(
         endpoint,
         params,
         limiter,
         ledger=ledger,
-        concurrency=int(gen_cfg.get("concurrency", 4)),
-        max_attempts=int(gen_cfg.get("max_attempts", 5)),
-        backoff_base=float(gen_cfg.get("backoff_base", 2.0)),
+        concurrency=setting(stage.cfg, "generation.concurrency", int, 4),
+        max_attempts=setting(stage.cfg, "generation.max_attempts", int, 5),
+        backoff_base=setting(stage.cfg, "generation.backoff_base", float, 2.0),
     )
     records_path = stage.output("generation_records.jsonl")
     counts = client.generate(prompts, records_path)
@@ -282,7 +293,7 @@ def cmd_generate(stage: Stage) -> int:
         {
             "id": set_id,
             "text": completions[set_id].strip(),
-            "triplets": [{"s": s, "r": r, "o": o} for s, r, o in triplets_from_row(src)],
+            "triplets": triplet_rows(triplets_from_row(src)),
             "provenance": "generated",
             "flags": {"partial": bool(src.get("partial", False))},
         }
@@ -307,9 +318,8 @@ def cmd_prepare(stage: Stage) -> int:
 
     datapoints_path = stage.input("datapoints")
     tokenizer = make_tokenizer(stage.cfg)
-    prep_cfg = dict(stage.cfg.get("prepare", {}))
-    max_input = int(prep_cfg.get("max_input_tokens", 256))
-    max_target = int(prep_cfg.get("max_target_tokens", 256))
+    max_input = setting(stage.cfg, "prepare.max_input_tokens", int, 256)
+    max_target = setting(stage.cfg, "prepare.max_target_tokens", int, 256)
 
     fe_schema = codec.LinearizationSchema(variant=codec.Variant.FE)
     sc_schema = codec.LinearizationSchema(variant=codec.Variant.SC)
@@ -322,7 +332,7 @@ def cmd_prepare(stage: Stage) -> int:
         input_ids = tokenizer.try_encode(text)
         try:
             fe_target = codec.linearize(triplets, fe_schema, text)
-        except codec.CodecError:  # a label holds a delimiter
+        except codec.CodecError:  # parse could not read a label back
             drops["unlinearizable"] += 1
             continue
         fe_ids = tokenizer.try_encode(fe_target)
@@ -359,7 +369,7 @@ def cmd_encode(stage: Stage) -> int:
             continue
         try:
             linearized = codec.linearize(triplets, schema, text)
-        except codec.CodecError:  # a label holds a delimiter
+        except codec.CodecError:  # parse could not read a label back
             unlinearizable += 1
             continue
         rows.append({"id": point_id, "text": text, "linearization": schema.variant.value, "linearized": linearized})
@@ -369,32 +379,39 @@ def cmd_encode(stage: Stage) -> int:
     return EXIT_OK
 
 
+def catalog_trie(labels, schema, tokenizer, entity: bool):
+    """The trie over the surfaces of the ``labels`` that ``parse`` reads back,
+    and its manifest counts: labels left out by reason, and entries kept."""
+    from . import codec
+
+    surfaces = [codec.entity_surface(label) if entity else label
+                for label in labels if codec.linearizable(label, schema, entity)]
+    trie = build_trie(surfaces, tokenizer)
+    return trie, {"kept": trie.n_entries, "dropped": {"not_linearizable": len(labels) - len(surfaces), **trie.dropped}}
+
+
 def cmd_decode(stage: Stage) -> int:
     from . import codec
-    from .decoder import ConstraintEngine, DecodeParams, ScorerError, SubprocessScorer, UniformScorer, filter_tokenizable
+    from .decoder import ConstraintEngine, DecodeParams, ScorerError, SubprocessScorer, UniformScorer
 
     graph = load_graph(stage.input("paths.graph"))
     inputs_path = stage.input("inputs")
     schema = make_schema(stage.cfg)
     tokenizer = make_tokenizer(stage.cfg)
 
-    entity_surfaces = [codec.entity_surface(label) for label in graph.entities.labels]
-    kept_entities, dropped_e = filter_tokenizable(entity_surfaces, tokenizer)
-    kept_relations, dropped_r = filter_tokenizable(list(graph.relations.labels), tokenizer)
-    if dropped_e or dropped_r:
-        log.warning("catalog filtering dropped %d entities, %d relations", len(dropped_e), len(dropped_r))
-    engine = ConstraintEngine(
-        schema,
-        tokenizer,
-        build_trie(kept_entities, tokenizer),
-        build_trie(kept_relations, tokenizer),
-    )
+    entity_trie, entity_counts = catalog_trie(graph.entities.labels, schema, tokenizer, entity=True)
+    relation_trie, relation_counts = catalog_trie(graph.relations.labels, schema, tokenizer, entity=False)
+    catalog = {"entities": entity_counts, "relations": relation_counts}
+    dropped = {name: counts["dropped"] for name, counts in catalog.items() if any(counts["dropped"].values())}
+    if dropped:
+        log.warning("decode left catalog labels out: %s", json.dumps(dropped, sort_keys=True))
+    engine = ConstraintEngine(schema, tokenizer, entity_trie, relation_trie)
     decode_cfg = dict(stage.cfg.get("decode", {}))
     params = DecodeParams(
-        num_beams=int(decode_cfg.get("num_beams", 10)),
+        num_beams=setting(stage.cfg, "decode.num_beams", int, 10),
         length_penalty=decode_cfg.get("length_penalty"),
-        max_length=int(decode_cfg.get("max_length", 256)),
-        top_k_returned=int(decode_cfg.get("top_k_returned", 1)),
+        max_length=setting(stage.cfg, "decode.max_length", int, 256),
+        top_k_returned=setting(stage.cfg, "decode.top_k_returned", int, 1),
     )
     if stage.args.scorer_cmd:
         scorer = SubprocessScorer(stage.args.scorer_cmd, tokenizer.vocab_size, shell=True)
@@ -417,7 +434,7 @@ def cmd_decode(stage: Stage) -> int:
             rows.append(
                 {
                     "id": doc_id,
-                    "triplets": [{"s": s, "r": r, "o": o} for s, r, o in parsed.triplets],
+                    "triplets": triplet_rows(parsed.triplets),
                     "linearized": best.text,
                     "score": best.normalized_score,
                     "truncated": not best.finished,
@@ -427,9 +444,7 @@ def cmd_decode(stage: Stage) -> int:
         if isinstance(scorer, SubprocessScorer):
             scorer.close()
     write_jsonl(stage.output("predictions.jsonl"), rows)
-    stage.snapshot = {"schema": schema.variant.value, "decode": decode_cfg,
-                      "catalog": {"entities": len(kept_entities), "relations": len(kept_relations),
-                                  "dropped_entities": len(dropped_e), "dropped_relations": len(dropped_r)}}
+    stage.snapshot = {"schema": schema.variant.value, "decode": decode_cfg, "catalog": catalog}
     print(f"decoded {len(rows)} inputs")
     return EXIT_OK
 
@@ -479,8 +494,8 @@ def cmd_eval(stage: Stage) -> int:
     train_counts = _read_train_counts(stage.input("train_counts")) if stage.args.train_counts else None
     report = metrics.evaluate(
         pairs,
-        n_bootstrap=int(mcfg.get("n_bootstrap", 50)),
-        level=float(mcfg.get("level", 0.95)),
+        n_bootstrap=setting(stage.cfg, "metrics.n_bootstrap", int, 50),
+        level=setting(stage.cfg, "metrics.level", float, 0.95),
         seed=stage.seed,
         macro_f1_mode=str(mcfg.get("macro_f1_mode", "mean_of_f1")),
         train_counts=train_counts,

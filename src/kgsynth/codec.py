@@ -98,12 +98,15 @@ def order_triplets(triplets: Iterable[LabelTriplet], source_text: str = "") -> l
     return sorted(triplets, key=lambda t: (pos(t[0]), pos(t[2]), t[0], t[1], t[2]))
 
 
-def _check_labels(triplets: Sequence[LabelTriplet], schema: LinearizationSchema) -> None:
-    for t in triplets:
-        for part in t:
-            for d in schema.delimiters():
-                if d in part:
-                    raise CodecError(f"delimiter {d!r} occurs inside label {part!r}")
+def linearizable(label: str, schema: LinearizationSchema, entity: bool) -> bool:
+    """Whether ``parse`` reads ``label`` back out of a linearization under
+    ``schema``: its surface form is non-empty, holds no delimiter and no
+    leading or trailing whitespace, and an entity's surface maps back to the
+    label: it does not when the label holds both a space and an underscore."""
+    surface = entity_surface(label) if entity else label
+    s_, r_, o_, e_ = schema.delimiters()
+    return (bool(surface) and surface == surface.strip() and not (entity and " " in label and "_" in label)
+            and not (s_ in surface or r_ in surface or o_ in surface or e_ in surface))
 
 
 def linearize(
@@ -120,7 +123,10 @@ def linearize(
     ordered = order_triplets(triplets, source_text)
     if not ordered:
         raise CodecError("cannot linearize an empty triplet set")
-    _check_labels(ordered, schema)
+    for s, r, o in ordered:
+        for label, entity in ((s, True), (r, False), (o, True)):
+            if not linearizable(label, schema, entity):
+                raise CodecError(f"label {label!r} cannot be read back from a linearization")
     s_, r_, o_, e_ = schema.delimiters()
     parts: list[str] = []
     if schema.variant is Variant.FE:

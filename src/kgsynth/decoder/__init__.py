@@ -8,7 +8,7 @@ caller that only tokenizes does not load the scorers and numpy."""
 import importlib
 
 _EXPORTS = {
-    "tokenizers": ("ByteTokenizer", "Tokenizer", "UnencodableText", "WordPieceTokenizer", "filter_tokenizable"),
+    "tokenizers": ("ByteTokenizer", "Tokenizer", "UnencodableText", "WordPieceTokenizer"),
     "trie": ("CatalogTrie", "TrieNode", "build_trie"),
     "constraints": ("ConstraintEngine", "ConstraintError", "ConstraintState"),
     "beam": ("DEFAULT_LENGTH_PENALTY", "DecodedSequence", "DecodeParams", "constrained_beam_search"),

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..codec import Variant
+from ..pipeline import ValidationError
 from .constraints import ConstraintEngine, ConstraintState
 from .scorers import Scorer
 
@@ -26,11 +27,11 @@ class DecodeParams:
 
     def __post_init__(self):
         if self.num_beams < 1:
-            raise ValueError("num_beams must be >= 1")
+            raise ValidationError("num_beams must be >= 1")
         if not (1 <= self.top_k_returned <= self.num_beams):
-            raise ValueError("top_k_returned must lie in [1, num_beams]")
+            raise ValidationError("top_k_returned must lie in [1, num_beams]")
         if self.max_length < 1:
-            raise ValueError("max_length must be >= 1")
+            raise ValidationError("max_length must be >= 1")
 
     def resolve_length_penalty(self, variant: Variant) -> float:
         if self.length_penalty is not None:

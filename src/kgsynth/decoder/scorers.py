@@ -1,9 +1,9 @@
 """Scorer boundary for constrained search.
 
-A scorer maps (input context, generated prefix) to finite log-probabilities
-over the full vocabulary. The engine queries all live beams in one
-``score_many`` call per step, which hands the batch to ``_score_batch``;
-batch-capable scorers override that hook. The ``SubprocessScorer`` speaks a
+A scorer maps (input context, generated prefixes) to finite log-probabilities
+over the full vocabulary, one row per prefix. The engine queries all live
+beams in one ``score_many`` call per step, which hands the batch to the
+``_score_batch`` each scorer implements. The ``SubprocessScorer`` speaks a
 newline-delimited JSON protocol, which lets an external model process in any
 ecosystem serve the probabilities.
 """
@@ -27,18 +27,16 @@ class ScorerError(RuntimeError):
 class Scorer(ABC):
     vocab_size: int
 
-    @abstractmethod
-    def score_next(self, context: str, prefix: Sequence[int]) -> np.ndarray:
-        """Finite log-probabilities, one per vocabulary token."""
-
     def score_many(self, context: str, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
-        """One row of ``score_next`` per prefix: the live beams of one step."""
+        """Finite log-probabilities, one row per prefix (the live beams of
+        one step) and one column per vocabulary token."""
         return self._score_batch(context, prefixes)
 
+    @abstractmethod
     def _score_batch(self, context: str, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
-        # subclasses batch here rather than in score_many, so that wrapping
+        # subclasses score here rather than in score_many, so that wrapping
         # Scorer.score_many (bench/spans.py) times every scorer's steps
-        return np.stack([self.score_next(context, p) for p in prefixes])
+        ...
 
 
 class UniformScorer(Scorer):
@@ -48,11 +46,12 @@ class UniformScorer(Scorer):
         self.vocab_size = vocab_size
         self._row = np.full(vocab_size, -math.log(vocab_size))
 
-    def score_next(self, context, prefix):
-        return self._row
-
-    def score_many(self, context, prefixes):
+    def _score_batch(self, context, prefixes):
         return np.broadcast_to(self._row, (len(prefixes), self.vocab_size))
+
+    # a binding of its own, so that wrappers on this and on Scorer.score_many
+    # (bench/spans.py wraps both) do not nest
+    score_many = Scorer.score_many
 
 
 class AdversarialScorer(Scorer):
@@ -64,8 +63,8 @@ class AdversarialScorer(Scorer):
         self._row = np.full(vocab_size, low)
         self._row[favored_token] = math.log1p(-1e-9)
 
-    def score_next(self, context, prefix):
-        return self._row
+    def _score_batch(self, context, prefixes):
+        return np.broadcast_to(self._row, (len(prefixes), self.vocab_size))
 
 
 class OracleScorer(Scorer):
@@ -78,14 +77,14 @@ class OracleScorer(Scorer):
         self.eos_id = eos_id
         self.off_score = off_score
 
-    def score_next(self, context, prefix):
-        row = np.full(self.vocab_size, self.off_score)
-        prefix = tuple(prefix)
-        if prefix == self.target:
-            row[self.eos_id] = 0.0
-        elif len(prefix) < len(self.target) and prefix == self.target[: len(prefix)]:
-            row[self.target[len(prefix)]] = 0.0
-        return row
+    def _score_batch(self, context, prefixes):
+        rows = np.full((len(prefixes), self.vocab_size), self.off_score)
+        for row, prefix in zip(rows, map(tuple, prefixes)):
+            if prefix == self.target:
+                row[self.eos_id] = 0.0
+            elif len(prefix) < len(self.target) and prefix == self.target[: len(prefix)]:
+                row[self.target[len(prefix)]] = 0.0
+        return rows
 
 
 class SubprocessScorer(Scorer):
@@ -110,9 +109,6 @@ class SubprocessScorer(Scorer):
         self._selector.register(self._out, selectors.EVENT_READ)
         self._pending = b""  # bytes read past the last reply taken
         self._rendered: dict[tuple, str] = {}  # last step's prefixes -> their "1, 2, 3"
-
-    def score_next(self, context, prefix):
-        return self.score_many(context, [prefix])[0]
 
     def _score_batch(self, context, prefixes):
         status = self._proc.poll()

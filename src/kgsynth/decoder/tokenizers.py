@@ -9,7 +9,7 @@ never produces it.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class UnencodableText(ValueError):
@@ -91,15 +91,3 @@ class WordPieceTokenizer(Tokenizer):
     def decode(self, ids: Sequence[int]) -> str:
         return "".join(self.pieces[i] for i in ids if i != self.eos_id)
 
-
-def filter_tokenizable(catalog: Iterable[str], tokenizer: Tokenizer) -> tuple[list[str], list[tuple[str, str]]]:
-    """Split a catalog into entries the tokenizer can fully encode and
-    dropped entries paired with a reason."""
-    kept: list[str] = []
-    dropped: list[tuple[str, str]] = []
-    for label in catalog:
-        if tokenizer.try_encode(label) is None:
-            dropped.append((label, "not tokenizable"))
-        else:
-            kept.append(label)
-    return kept, dropped

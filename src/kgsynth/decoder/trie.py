@@ -5,12 +5,10 @@ trie membership defines token-level validity for entity and relation names.
 """
 from __future__ import annotations
 
-import logging
 from typing import Iterable
 
+from ..pipeline import ValidationError
 from .tokenizers import Tokenizer
-
-log = logging.getLogger(__name__)
 
 
 class TrieNode:
@@ -26,14 +24,13 @@ class CatalogTrie:
     def __init__(self):
         self.root = TrieNode()
         self.n_entries = 0
-        self.collisions = 0
+        self.dropped = {"duplicate": 0, "not_tokenizable": 0}  # labels build_trie left out
 
     def insert(self, token_ids: Iterable[int], entry: str) -> bool:
         node = self.root
         for tok in token_ids:
             node = node.children.setdefault(tok, TrieNode())
         if node.terminal:
-            self.collisions += 1
             return False
         node.terminal = True
         node.entry = entry
@@ -60,19 +57,18 @@ class CatalogTrie:
 
 
 def build_trie(catalog: Iterable[str], tokenizer: Tokenizer) -> CatalogTrie:
-    """Deterministic trie construction; the catalog must already have passed
-    tokenizability filtering. Duplicate tokenizations keep the first terminal
-    and log the collision. An empty catalog is an error: a constraint level
-    with no options is unusable."""
+    """Deterministic trie construction, tokenizing each label once. A label
+    that does not tokenize, or tokenizes to nothing, is left out as
+    ``not_tokenizable``; a label whose tokens repeat an earlier entry's is
+    left out as ``duplicate``, keeping the first. A trie with no entries is
+    a validation error: a constraint level with no options is unusable."""
     trie = CatalogTrie()
-    n_seen = 0
     for label in catalog:
-        n_seen += 1
-        ids = tokenizer.encode(label)
+        ids = tokenizer.try_encode(label)
         if not ids:
-            raise ValueError(f"catalog entry {label!r} tokenizes to nothing")
-        if not trie.insert(ids, label):
-            log.warning("duplicate tokenization for catalog entry %r", label)
-    if n_seen == 0 or trie.n_entries == 0:
-        raise ValueError("cannot build a trie over an empty catalog")
+            trie.dropped["not_tokenizable"] += 1
+        elif not trie.insert(ids, label):
+            trie.dropped["duplicate"] += 1
+    if trie.n_entries == 0:
+        raise ValidationError("cannot build a trie over an empty catalog")
     return trie

@@ -60,9 +60,6 @@ class Catalog:
 
 @dataclass
 class IngestStats:
-    n_entities: int = 0
-    n_relations: int = 0
-    n_edges: int = 0
     duplicate_edges_dropped: int = 0
     literal_relations_dropped: int = 0
     literal_edges_dropped: int = 0
@@ -123,11 +120,7 @@ class KnowledgeGraph:
     stats: IngestStats = field(default_factory=IngestStats)
 
     def __post_init__(self):
-        n_ent, n_rel = len(self.entities), len(self.relations)
-        self.edges = _checked_edges(self.edges, n_ent, n_rel)
-        self.stats.n_entities = n_ent
-        self.stats.n_relations = n_rel
-        self.stats.n_edges = len(self.edges)
+        self.edges = _checked_edges(self.edges, len(self.entities), len(self.relations))
 
     @cached_property
     def _index(self) -> _Index:

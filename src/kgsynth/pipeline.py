@@ -139,6 +139,12 @@ def repair_jsonl_tail(path) -> None:
             fh.truncate(start)
 
 
+def triplet_rows(triplets: Iterable[tuple[str, str, str]]) -> list[dict]:
+    """The ``triplets`` value of a row: one ``{"s", "r", "o"}`` object per
+    triplet, as ``triplets_from_row`` reads it."""
+    return [{"s": s, "r": r, "o": o} for s, r, o in triplets]
+
+
 def triplets_from_row(raw: Row) -> list[tuple[str, str, str]]:
     try:
         triplets = [(t["s"], t["r"], t["o"]) for t in raw.get("triplets", [])]

@@ -21,6 +21,7 @@ from typing import Iterator, Union
 import numpy as np
 
 from .kgstore import KnowledgeGraph, Triplet
+from .pipeline import ValidationError, triplet_rows
 
 ENTITY_CENTRIC = "entity_centric"
 RELATION_CENTRIC = "relation_centric"
@@ -44,17 +45,17 @@ class SamplerConfig:
 
     def __post_init__(self):
         if self.poisson_mean <= 0:
-            raise ValueError("poisson_mean must be positive")
+            raise ValidationError("poisson_mean must be positive")
         if self.bias_factor < 0:
-            raise ValueError("bias_factor must be >= 0")
+            raise ValidationError("bias_factor must be >= 0")
         if not (0 < self.dampening <= 1):
-            raise ValueError("dampening must lie in (0, 1]")
+            raise ValidationError("dampening must lie in (0, 1]")
         if self.reweight_interval < 1:
-            raise ValueError("reweight_interval must be a positive integer")
+            raise ValidationError("reweight_interval must be a positive integer")
         if self.strategy not in _STRATEGIES:
-            raise ValueError(f"strategy must be one of {_STRATEGIES}")
+            raise ValidationError(f"strategy must be one of {_STRATEGIES}")
         if self.max_attempts_factor < 1:
-            raise ValueError("max_attempts_factor must be >= 1")
+            raise ValidationError("max_attempts_factor must be >= 1")
 
 
 @dataclass
@@ -68,9 +69,7 @@ class TripletSet:
     def to_record(self, graph: KnowledgeGraph, set_id) -> dict:
         return {
             "id": set_id,
-            "triplets": [
-                {"s": s, "r": r, "o": o} for s, r, o in map(graph.triplet_labels, self.triplets)
-            ],
+            "triplets": triplet_rows(map(graph.triplet_labels, self.triplets)),
             "partial": self.partial,
         }
 

@@ -185,7 +185,7 @@ class RateLimiter:
         window: float = 60.0,
     ):
         if requests_per_minute < 1 or tokens_per_minute < 1:
-            raise ValueError("budgets must be positive")
+            raise ValidationError("requests_per_minute and tokens_per_minute must be positive")
         self.requests_per_minute = requests_per_minute
         self.tokens_per_minute = tokens_per_minute
         self.window = window

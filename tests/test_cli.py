@@ -11,7 +11,7 @@ import requests
 import yaml
 
 import kgsynth
-from kgsynth import cli
+from kgsynth import cli, codec
 from kgsynth.cli import main
 
 ENTITIES = [("Q1", "Alpha"), ("Q2", "Beta"), ("Q3", "Gamma"), ("Q4", "Delta"), ("Q5", "Orphan")]
@@ -249,6 +249,77 @@ def test_decode_with_builtin_and_subprocess_scorers(workspace, tmp_path):
     assert rows[0]["triplets"]
 
 
+def test_decode_admits_only_labels_parse_reads_back(workspace, tmp_path, caplog):
+    data = workspace["data"]
+    entities = ENTITIES + [("Q6", "New_York"), ("Q7", "New York")]
+    entities[1] = ("Q2", "Beta [o] Gamma")  # holds a delimiter
+    (data / "entities.tsv").write_text("".join(f"{e}\t{l}\n" for e, l in entities), encoding="utf-8")
+    # a trailing space that parse would strip off
+    (data / "relations.tsv").write_text("P1\tlinked to \nP2\tpart of\nP3\tpopulation\tliteral\n", encoding="utf-8")
+    edges = EDGES + [("Q6", "P2", "Q7"), ("Q7", "P1", "Q1")]
+    (data / "edges.tsv").write_text("".join(f"{s}\t{r}\t{o}\n" for s, r, o in edges), encoding="utf-8")
+    assert run_cli("ingest", "--config", workspace["config"]) == 0
+    inputs = tmp_path / "inputs.jsonl"
+    inputs.write_text("".join(json.dumps({"id": f"q{i}", "text": f"context {i}"}) + "\n" for i in range(4)), encoding="utf-8")
+    with caplog.at_level("WARNING", logger="kgsynth"):
+        assert run_cli("decode", "--config", workspace["config"], "--inputs", inputs) == 0
+    manifest = json.loads((workspace["out"] / "decode.manifest.json").read_text())
+    assert manifest["config"]["catalog"] == {
+        "entities": {"kept": 4, "dropped": {"duplicate": 1, "not_linearizable": 1, "not_tokenizable": 0}},
+        "relations": {"kept": 1, "dropped": {"duplicate": 0, "not_linearizable": 1, "not_tokenizable": 0}},
+    }
+    assert [r.message for r in caplog.records if r.name == "kgsynth"] == [
+        'decode left catalog labels out: {"entities": {"duplicate": 1, "not_linearizable": 1, "not_tokenizable": 0}, '
+        '"relations": {"duplicate": 0, "not_linearizable": 1, "not_tokenizable": 0}}'
+    ]
+    labels = {label for _, label in entities}
+    for row in map(json.loads, (workspace["out"] / "predictions.jsonl").read_text().splitlines()):
+        parsed = codec.parse(row["linearized"], codec.LinearizationSchema(), labels, {"linked to ", "part of"})
+        assert row["triplets"] and not parsed.dropped_unresolvable and not parsed.dropped_fragments
+        assert row["triplets"] == [{"s": s, "r": r, "o": o} for s, r, o in parsed.triplets]
+
+
+def test_decode_with_no_admissible_relation_exits_1(workspace, tmp_path, capsys):
+    (workspace["data"] / "relations.tsv").write_text("P1\tlinked [e]\nP2\tpart of \nP3\tpopulation\tliteral\n", encoding="utf-8")
+    assert run_cli("ingest", "--config", workspace["config"]) == 0
+    inputs = tmp_path / "inputs.jsonl"
+    inputs.write_text(json.dumps({"id": "q1", "text": "some context"}) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("decode", "--config", workspace["config"], "--inputs", inputs) == 1
+    assert capsys.readouterr().err == "error: cannot build a trie over an empty catalog\n"
+
+
+def test_decode_tokenizes_each_catalog_label_once(workspace, tmp_path, monkeypatch):
+    from kgsynth.decoder import ByteTokenizer
+
+    run_cli("ingest", "--config", workspace["config"])
+    inputs = tmp_path / "inputs.jsonl"
+    inputs.write_text(json.dumps({"id": "q1", "text": "some context"}) + "\n", encoding="utf-8")
+    encoded = []
+    try_encode = ByteTokenizer.try_encode
+    monkeypatch.setattr(ByteTokenizer, "try_encode", lambda self, text: encoded.append(text) or try_encode(self, text))
+    assert run_cli("decode", "--config", workspace["config"], "--inputs", inputs) == 0
+    # each catalog surface once, then the constraint engine's five delimiter segments
+    assert encoded[:-5] == ["Alpha", "Beta", "Gamma", "Delta", "linked to", "part of"]
+    assert encoded[-5:] == ["[s] ", " [s] ", " [r] ", " [o] ", " [e]"]
+
+
+@pytest.mark.parametrize("key, value", [("sampler.poisson_mean", -1), ("decode.num_beams", 0), ("decode.num_beams", "ten")])
+def test_config_value_a_layer_rejects_exits_1(key, value, workspace, tmp_path, capsys):
+    run_cli("ingest", "--config", workspace["config"])
+    section, name = key.split(".")
+    cfg = dict(workspace["raw"], **{section: dict(workspace["raw"][section], **{name: value})})
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    inputs = tmp_path / "inputs.jsonl"
+    inputs.write_text(json.dumps({"id": "q1", "text": "some context"}) + "\n", encoding="utf-8")
+    argv = ["sample", "--n", 5] if section == "sampler" else ["decode", "--inputs", inputs]
+    capsys.readouterr()
+    assert run_cli(argv[0], "--config", config, *argv[1:], "--out", tmp_path / "o") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err and "runtime error" not in err
+
+
 class MockCompletionsHandler(BaseHTTPRequestHandler):
     fail_marker = None
 
@@ -282,6 +353,7 @@ def mock_endpoint():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/completions", handler
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
 
 
@@ -728,7 +800,7 @@ DECODER_NAMES = [
     "AdversarialScorer", "ByteTokenizer", "CatalogTrie", "ConstraintEngine", "ConstraintError", "ConstraintState",
     "DecodedSequence", "DecodeParams", "DEFAULT_LENGTH_PENALTY", "OracleScorer", "Scorer", "ScorerError",
     "SubprocessScorer", "Tokenizer", "TrieNode", "UnencodableText", "UniformScorer", "WordPieceTokenizer",
-    "build_trie", "constrained_beam_search", "filter_tokenizable",
+    "build_trie", "constrained_beam_search",
 ]
 
 

@@ -81,6 +81,28 @@ def test_linearize_rejects_delimiter_in_label():
         codec.linearize([("bad [r] label", "r", "B")], FE)
 
 
+@pytest.mark.parametrize("label, entity, readable", [
+    ("Mount Lanning", True, True),
+    ("New_York", True, True),
+    (" Alpha", True, True),  # its surface _Alpha reads back as " Alpha"
+    ("a_b c", True, False),  # its surface a_b_c reads back as "a b c"
+    ("a_b c", False, True),  # a relation keeps its label verbatim
+    ("linked to ", False, False),
+    ("\tAlpha", True, False),
+    ("", False, False),
+    ("Beta [o] Gamma", True, False),
+])
+def test_linearizable_holds_exactly_when_parse_reads_the_label_back(label, entity, readable):
+    assert codec.linearizable(label, FE, entity) is readable
+    triplet = (label, "r", "Alpha") if entity else ("Alpha", label, "Alpha")
+    if readable:
+        parsed = codec.parse(codec.linearize([triplet], FE), FE, {label, "Alpha"}, {triplet[1]})
+        assert parsed.triplets == [triplet]
+    else:
+        with pytest.raises(codec.CodecError):
+            codec.linearize([triplet], FE)
+
+
 def test_schema_rejects_duplicate_delimiters():
     with pytest.raises(codec.CodecError):
         LinearizationSchema(variant=Variant.FE, start_subject="[x]", start_relation="[x]")

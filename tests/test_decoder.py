@@ -6,9 +6,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kgsynth
-from kgsynth import codec
+from kgsynth import cli, codec
 from kgsynth.codec import LinearizationSchema, Variant
 from kgsynth.decoder import (
     AdversarialScorer,
@@ -23,7 +25,6 @@ from kgsynth.decoder import (
     WordPieceTokenizer,
     build_trie,
     constrained_beam_search,
-    filter_tokenizable,
 )
 
 FE = LinearizationSchema(variant=Variant.FE)
@@ -87,27 +88,30 @@ def test_wordpiece_rejects_bad_vocab():
         WordPieceTokenizer(["a", "a"])
 
 
+# build_trie leaves out, and counts, the labels the tokenizer cannot encode
+
 def test_filter_tokenizable_drops_unencodable():
     ascii_pieces = [chr(c) for c in range(32, 127)]
     tok = WordPieceTokenizer(ascii_pieces)
-    kept, dropped = filter_tokenizable(["Zurich", "Zürich"], tok)
-    assert kept == ["Zurich"]
-    assert dropped == [("Zürich", "not tokenizable")]
+    trie = build_trie(["Zurich", "Zürich", ""], tok)  # the empty label tokenizes to nothing
+    assert trie.entries() == ["Zurich"]
+    assert trie.dropped == {"duplicate": 0, "not_tokenizable": 2}
 
 
 def test_filter_tokenizable_identity_when_all_encodable():
     tok = ByteTokenizer()
     labels = ["anything", "Zürich", "日本語"]
-    kept, dropped = filter_tokenizable(labels, tok)
-    assert kept == labels and dropped == []
+    trie = build_trie(labels, tok)
+    assert trie.entries() == sorted(labels)
+    assert trie.dropped == {"duplicate": 0, "not_tokenizable": 0}
 
 
 def test_filter_tokenizable_counts():
     ascii_pieces = [chr(c) for c in range(32, 127)]
     tok = WordPieceTokenizer(ascii_pieces)
     labels = [f"label {i}" for i in range(93)] + [f"label {i} é" for i in range(7)]
-    kept, dropped = filter_tokenizable(labels, tok)
-    assert len(kept) == 93 and len(dropped) == 7
+    trie = build_trie(labels, tok)
+    assert trie.n_entries == 93 and trie.dropped["not_tokenizable"] == 7
 
 
 # --- tries ---
@@ -137,13 +141,12 @@ def test_trie_singleton_path():
     assert trie.walk(tok.encode("sol")).terminal is False
 
 
-def test_trie_duplicate_keeps_first_and_logs(caplog):
-    tok = ByteTokenizer()
-    with caplog.at_level("WARNING"):
-        trie = build_trie(["dup", "dup"], tok)
-    assert trie.n_entries == 1
-    assert trie.collisions == 1
-    assert "duplicate" in caplog.text
+def test_trie_duplicate_keeps_first_and_counts():
+    tok = WordPieceTokenizer(["a", "b", "ab"])
+    trie = build_trie(["ab", "b", "ab"], tok)
+    assert trie.n_entries == 2
+    assert trie.dropped == {"duplicate": 1, "not_tokenizable": 0}
+    assert trie.entries() == ["ab", "b"]
 
 
 # --- constraint automaton ---
@@ -302,7 +305,7 @@ def test_oracle_scorer_target_ranked_first():
     # exhaustive cross-check: no single-triplet linearization scores higher
     best_alternative = max(
         (
-            sum(scorer.score_next("", tuple(tokenizer.encode(codec.linearize([t], FE)))[:i])[tok]
+            sum(scorer.score_many("", [tuple(tokenizer.encode(codec.linearize([t], FE)))[:i]])[0][tok]
                 for i, tok in enumerate(tokenizer.encode(codec.linearize([t], FE))))
             for t in itertools.product(entities, relations, entities)
             if codec.linearize([t], FE) != target_text
@@ -323,7 +326,7 @@ def test_single_beam_equals_greedy(fe_engine):
         tokens = ()
         for _ in range(max_length):
             allowed, eos_ok = fe_engine.allowed_next(state)
-            row = scorer.score_next("", tokens)
+            row = scorer.score_many("", [tokens])[0]
             candidates = []
             if eos_ok:
                 candidates.append((row[fe_engine.eos_id], 0, fe_engine.eos_id))
@@ -400,6 +403,48 @@ def test_soundness_finished_outputs_fully_parse(sc_engine):
                 assert parsed.triplets
 
 
+# one plain label, so that decode has something to admit, and labels built
+# from pieces that can break a linearization: delimiters, parts of them,
+# underscores, and spaces and tabs anywhere in the label
+LABEL_PIECES = ["a", "b", "o", "_", " ", "\t", "[", "]", "[o]", "[e]", "[s]", "[r]"]
+CATALOGS = st.builds(
+    lambda plain, labels: list(dict.fromkeys([plain, *labels])),
+    st.text("ab", min_size=1, max_size=3),
+    st.lists(st.lists(st.sampled_from(LABEL_PIECES), max_size=4).map("".join), max_size=6),
+)
+# the word-piece vocabulary has no tab, so a label holding one does not tokenize
+TOKENIZERS = [ByteTokenizer(), WordPieceTokenizer(DELIM_PIECES + ["a", "b", "o", "_", " ", "[", "]"])]
+
+
+@given(
+    entities=CATALOGS,
+    relations=CATALOGS,
+    schema=st.sampled_from([FE, SC]),
+    tokenizer=st.sampled_from(TOKENIZERS),
+    rng=st.randoms(use_true_random=False),
+)
+@settings(max_examples=300, deadline=None)
+def test_every_walk_to_eos_parses_into_catalog_triplets(entities, relations, schema, tokenizer, rng):
+    entity_trie, _ = cli.catalog_trie(entities, schema, tokenizer, entity=True)
+    relation_trie, _ = cli.catalog_trie(relations, schema, tokenizer, entity=False)
+    engine = ConstraintEngine(schema, tokenizer, entity_trie, relation_trie)
+    state, tokens = engine.initial_state(), []
+    while True:
+        allowed, eos_ok = engine.allowed_next(state)
+        if eos_ok and rng.random() < 0.5:
+            break
+        token = rng.choice(sorted(allowed))
+        tokens.append(token)
+        state = engine.advance(state, token)
+    text = tokenizer.decode(tokens)
+    parsed = codec.parse(text, schema, entity_catalog=entities, relation_catalog=relations)
+    assert parsed.triplets, text
+    assert parsed.dropped_unresolvable == 0 and parsed.dropped_fragments == 0, text
+    for s, r, o in parsed.triplets:
+        for surface in (codec.entity_surface(s), r, codec.entity_surface(o)):
+            assert surface in text
+
+
 # --- scorer subprocess protocol ---
 
 SCORER_SCRIPT = """\
@@ -422,7 +467,7 @@ def test_subprocess_scorer_protocol(tmp_path, fe_engine):
     script.write_text(SCORER_SCRIPT, encoding="utf-8")
     vocab = fe_engine.tokenizer.vocab_size
     with SubprocessScorer([sys.executable, str(script), str(vocab)], vocab) as scorer:
-        row = scorer.score_next("ctx", [1, 2, 3])
+        row = scorer.score_many("ctx", [[1, 2, 3]])[0]
         assert row.shape == (vocab,)
         assert row[3] == -0.5
         results = constrained_beam_search(scorer, "", fe_engine, DecodeParams(num_beams=2, max_length=40))
@@ -441,7 +486,7 @@ def test_subprocess_scorer_rejects_bad_row(tmp_path):
     )
     with SubprocessScorer([sys.executable, str(script)], vocab_size=5) as scorer:
         with pytest.raises(RuntimeError, match="expected 5"):
-            scorer.score_next("", [])
+            scorer.score_many("", [[]])[0]
 
 
 # --- pipelined scorer steps ---
@@ -487,7 +532,7 @@ def test_pipelined_scores_equal_row_by_row(tmp_path):
             assert rows.shape == (len(batch), vocab)
             for prefix, got in zip(batch, rows):
                 assert got.tolist() == namespace["row"](context, list(prefix), vocab)
-                assert np.array_equal(scorer.score_next(context, prefix), got)
+                assert np.array_equal(scorer.score_many(context, [prefix])[0], got)
             previous = batch
 
 

@@ -60,7 +60,7 @@ def test_ingest_keeps_first_appearance_of_duplicates(tmp_path):
     graph = kgstore.ingest(*files)
     assert graph.edges.tolist() == [[1, 1, 2], [0, 0, 1], [2, 0, 0], [2, 0, 2]]
     assert graph.stats.duplicate_edges_dropped == 3
-    assert graph.stats.n_edges == 4
+    assert len(graph.edges) == 4
 
 
 def test_ingest_assigns_dense_indices_in_file_order(kg_files):
