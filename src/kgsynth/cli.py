@@ -21,7 +21,7 @@ import yaml
 
 # Each command imports the layers it runs inside its cmd_* body, so a stage
 # process loads only those: prepare and generate, for one, never load numpy.
-from .pipeline import InputError, ValidationError, read_jsonl, read_lines, triplet_rows, triplets_from_row, write_json, write_jsonl, write_manifest
+from .pipeline import InputError, JsonlSink, ValidationError, read_jsonl, read_lines, triplet_rows, triplets_from_row, write_json, write_jsonl, write_manifest
 
 log = logging.getLogger("kgsynth")
 
@@ -78,11 +78,25 @@ def load_config(path) -> dict:
     return cfg
 
 
+def config_section(cfg: dict, name: str) -> dict:
+    """The config section ``name``, empty when it is absent or null; any
+    other value than a mapping is a ConfigError naming the section."""
+    value = cfg.get(name)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"config section {name!r} must be a mapping, got {value!r}")
+    return value
+
+
 def setting(cfg: dict, key: str, kind, default):
     """The config value at the dotted ``key`` as ``kind``, ``default`` when
-    it is absent; a value ``kind`` rejects is a ConfigError naming the key."""
+    it is absent or null; a value ``kind`` rejects is a ConfigError naming
+    the key."""
     section, _, name = key.rpartition(".")
-    value = (cfg.get(section) or {}).get(name, default) if section else cfg.get(name, default)
+    value = (config_section(cfg, section) if section else cfg).get(name)
+    if value is None:
+        return default
     try:
         return kind(value)
     except (TypeError, ValueError):
@@ -162,7 +176,7 @@ class Stage:
 
     @functools.cached_property
     def out_dir(self) -> Path:
-        path = Path(self.args.out or self.cfg.get("paths", {}).get("workdir", "out"))
+        path = Path(self.args.out or config_section(self.cfg, "paths").get("workdir", "out"))
         path.mkdir(parents=True, exist_ok=True)
         return path
 
@@ -202,7 +216,7 @@ def cmd_sample(stage: Stage) -> int:
     from . import sampler
 
     graph = load_graph(stage.input("paths.graph"))
-    scfg_raw = dict(stage.cfg.get("sampler", {}))
+    scfg_raw = dict(config_section(stage.cfg, "sampler"))
     scfg = sampler.SamplerConfig(
         poisson_mean=setting(stage.cfg, "sampler.poisson_mean", float, 3.0),
         bias_factor=setting(stage.cfg, "sampler.bias_factor", float, 7.0),
@@ -233,7 +247,7 @@ def _load_demonstrations(path, count: int) -> list:
 def cmd_generate(stage: Stage) -> int:
     from . import textgen
 
-    gen_cfg = dict(stage.cfg.get("generation", {}))
+    gen_cfg = dict(config_section(stage.cfg, "generation"))
     sets_path = stage.input("sets")
     preset = str(gen_cfg.get("preset", "code"))
     if preset not in textgen.PRESETS:
@@ -406,10 +420,10 @@ def cmd_decode(stage: Stage) -> int:
     if dropped:
         log.warning("decode left catalog labels out: %s", json.dumps(dropped, sort_keys=True))
     engine = ConstraintEngine(schema, tokenizer, entity_trie, relation_trie)
-    decode_cfg = dict(stage.cfg.get("decode", {}))
+    decode_cfg = dict(config_section(stage.cfg, "decode"))
     params = DecodeParams(
         num_beams=setting(stage.cfg, "decode.num_beams", int, 10),
-        length_penalty=decode_cfg.get("length_penalty"),
+        length_penalty=setting(stage.cfg, "decode.length_penalty", float, None),  # None: per variant
         max_length=setting(stage.cfg, "decode.max_length", int, 256),
         top_k_returned=setting(stage.cfg, "decode.top_k_returned", int, 1),
     )
@@ -420,32 +434,34 @@ def cmd_decode(stage: Stage) -> int:
 
     entity_labels = set(graph.entities.labels)
     relation_labels = set(graph.relations.labels)
-    rows = []
-    try:
-        for raw in read_jsonl(inputs_path):
-            doc_id = str(raw["id"])
-            context = str(raw.get("text", raw.get("context", "")))
-            try:
-                results = constrained_beam_search(scorer, context, engine, params)
-            except ScorerError as exc:
-                raise ScorerError(f"{raw.where}: input {doc_id!r}: {exc}") from None
-            best = results[0]
-            parsed = codec.parse(best.text, schema, entity_labels, relation_labels)
-            rows.append(
-                {
+    decoded = 0
+    with JsonlSink(stage.output("predictions.jsonl")) as sink:
+        done = {str(row["id"]) for row in sink.rows}
+        try:
+            for raw in read_jsonl(inputs_path):
+                doc_id = str(raw["id"])
+                if doc_id in done:
+                    continue
+                context = str(raw.get("text", raw.get("context", "")))
+                try:
+                    results = constrained_beam_search(scorer, context, engine, params)
+                except ScorerError as exc:
+                    raise ScorerError(f"{raw.where}: input {doc_id!r}: {exc}") from None
+                best = results[0]
+                parsed = codec.parse(best.text, schema, entity_labels, relation_labels)
+                sink.append({
                     "id": doc_id,
                     "triplets": triplet_rows(parsed.triplets),
                     "linearized": best.text,
                     "score": best.normalized_score,
                     "truncated": not best.finished,
-                }
-            )
-    finally:
-        if isinstance(scorer, SubprocessScorer):
-            scorer.close()
-    write_jsonl(stage.output("predictions.jsonl"), rows)
+                })
+                decoded += 1
+        finally:
+            if isinstance(scorer, SubprocessScorer):
+                scorer.close()
     stage.snapshot = {"schema": schema.variant.value, "decode": decode_cfg, "catalog": catalog}
-    print(f"decoded {len(rows)} inputs")
+    print(f"decoded {decoded} inputs ({len(done)} predictions kept from an earlier run)")
     return EXIT_OK
 
 
@@ -487,7 +503,7 @@ def cmd_eval(stage: Stage) -> int:
     from . import metrics
 
     predictions, gold = stage.input("predictions"), stage.input("gold")
-    mcfg = dict(stage.cfg.get("metrics", {}))
+    mcfg = dict(config_section(stage.cfg, "metrics"))
     pairs = _pairs_from_files(predictions, gold)
     if not pairs:
         raise ConfigError("no evaluation pairs found")

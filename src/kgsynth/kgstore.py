@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .pipeline import ValidationError
+from .pipeline import ValidationError, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -254,16 +254,15 @@ def load_graph(path) -> KnowledgeGraph:
 
 def _read_label_file(path, *, allow_flags: bool) -> list[tuple[str, str, set[str]]]:
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2 or not parts[0] or not parts[1]:
-                raise KgError(f"{path}:{lineno}: expected 'external_id<TAB>label[<TAB>flags]'")
-            flags = set(parts[2].split(",")) if allow_flags and len(parts) > 2 and parts[2] else set()
-            rows.append((parts[0], parts[1], flags))
+    for lineno, raw in read_lines(path):
+        line = raw.rstrip("\r\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) < 2 or not parts[0] or not parts[1]:
+            raise KgError(f"{path}:{lineno}: expected 'external_id<TAB>label[<TAB>flags]'")
+        flags = set(parts[2].split(",")) if allow_flags and len(parts) > 2 and parts[2] else set()
+        rows.append((parts[0], parts[1], flags))
     return rows
 
 
@@ -292,30 +291,29 @@ def ingest(edges_file, entity_labels_file, relation_labels_file) -> KnowledgeGra
     subjects: list[int] = []
     relation_ids: list[int] = []
     objects: list[int] = []
-    with open(edges_file, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise KgError(f"{edges_file}:{lineno}: expected 3 tab-separated columns")
-            s_ext, r_ext, o_ext = parts
-            if r_ext in literal_ids:
-                stats.literal_edges_dropped += 1
-                continue
-            s = entities.index_of_external(s_ext)
-            if s is None:
-                raise KgError(f"{edges_file}:{lineno}: unknown entity id {s_ext!r}")
-            o = entities.index_of_external(o_ext)
-            if o is None:
-                raise KgError(f"{edges_file}:{lineno}: unknown entity id {o_ext!r}")
-            r = relations.index_of_external(r_ext)
-            if r is None:
-                raise KgError(f"{edges_file}:{lineno}: unknown relation id {r_ext!r}")
-            subjects.append(s)
-            relation_ids.append(r)
-            objects.append(o)
+    for lineno, raw in read_lines(edges_file):
+        line = raw.rstrip("\r\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise KgError(f"{edges_file}:{lineno}: expected 3 tab-separated columns")
+        s_ext, r_ext, o_ext = parts
+        if r_ext in literal_ids:
+            stats.literal_edges_dropped += 1
+            continue
+        s = entities.index_of_external(s_ext)
+        if s is None:
+            raise KgError(f"{edges_file}:{lineno}: unknown entity id {s_ext!r}")
+        o = entities.index_of_external(o_ext)
+        if o is None:
+            raise KgError(f"{edges_file}:{lineno}: unknown entity id {o_ext!r}")
+        r = relations.index_of_external(r_ext)
+        if r is None:
+            raise KgError(f"{edges_file}:{lineno}: unknown relation id {r_ext!r}")
+        subjects.append(s)
+        relation_ids.append(r)
+        objects.append(o)
     if stats.literal_edges_dropped:
         log.warning("dropped %d edge(s) using literal-valued relations", stats.literal_edges_dropped)
 

@@ -15,6 +15,8 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .pipeline import ValidationError
+
 Fact = Hashable  # usually a (subject, relation, object) label tuple
 
 UNSEEN_BUCKET = -1
@@ -272,6 +274,10 @@ def evaluate(
     train_counts: Mapping[Hashable, int] | None = None,
 ) -> MetricsReport:
     """Compute the full report over evaluation pairs."""
+    if n_bootstrap < 1:
+        raise ValidationError("n_bootstrap must be >= 1")
+    if not 0 < level < 1:
+        raise ValidationError("level must lie in (0, 1)")
     report = MetricsReport(n_bootstrap=n_bootstrap, level=level, seed=seed, macro_f1_mode=macro_f1_mode)
 
     def scores(ps):

@@ -10,8 +10,10 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 import sys
+import threading
+from collections import deque
+from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import __version__
@@ -53,16 +55,24 @@ def write_manifest(path, command: str, config_snapshot: dict, inputs: dict, outp
     })
 
 
+def _decoded(raw: bytes, path, number: int) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}:{number}: not UTF-8 ({exc})") from None
+
+
 def read_lines(path) -> Iterator[tuple[int, str]]:
     """``(number, line)`` for each line of a UTF-8 text file, its newline
     kept; a line that is not UTF-8 is an ``InputError`` naming ``path:line``."""
-    with open(path, "rb") as fh:
-        for number, raw in enumerate(fh, 1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise InputError(f"{path}:{number}: not UTF-8 ({exc})") from None
-            yield number, line
+    try:
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            yield from enumerate(fh, 1)
+    except UnicodeDecodeError:  # the text layer decodes whole blocks: find the line
+        with open(path, "rb") as fh:
+            for number, raw in enumerate(fh, 1):
+                _decoded(raw, path, number)
+        raise
 
 
 class Row(dict):
@@ -80,63 +90,90 @@ class Row(dict):
         raise InputError(f"{self.where}: missing key {key!r}")
 
 
+def _row(line: str, path, number: int) -> Row | None:
+    """The JSON object on a JSONL line; None if it is blank, else an ``InputError``."""
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        row = json.loads(line)
+    except ValueError as exc:
+        raise InputError(f"{path}:{number}: not valid JSON ({exc})") from None
+    if not isinstance(row, dict):
+        raise InputError(f"{path}:{number}: not a JSON object")
+    return Row(row, f"{path}:{number}")
+
+
 def read_jsonl(path) -> Iterator[Row]:
     """The JSON object on each non-blank line; any other line is an
     ``InputError`` naming ``path:line``."""
     for number, line in read_lines(path):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            row = json.loads(line)
-        except ValueError as exc:
-            raise InputError(f"{path}:{number}: not valid JSON ({exc})") from None
-        if not isinstance(row, dict):
-            raise InputError(f"{path}:{number}: not a JSON object")
-        yield Row(row, f"{path}:{number}")
+        row = _row(line, path, number)
+        if row is not None:
+            yield row
+
+
+def jsonl_line(row: dict) -> str:
+    """``row`` as a JSONL line: the one encoding of every JSONL output."""
+    return json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
 
 
 def write_jsonl(path, rows: Iterable[dict]) -> int:
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+            fh.write(jsonl_line(row))
             n += 1
     return n
 
 
-def repair_jsonl_tail(path) -> None:
-    """Make an appended-to JSONL file end with a newline again. A kill
-    mid-append leaves a last line without one: if it holds a whole JSON
-    object it gets its newline, otherwise it is cut off, so the next append
-    starts a line of its own."""
-    try:
-        fh = open(path, "r+b")
-    except FileNotFoundError:
-        return
-    with fh:
-        end = start = fh.seek(0, os.SEEK_END)
-        while start > 0:  # back to just after the last newline
-            step = min(start, 1 << 16)
-            fh.seek(start - step)
-            cut = fh.read(step).rfind(b"\n")
-            if cut >= 0:
-                start += cut + 1 - step
-                break
-            start -= step
-        if start == end:
-            return
-        fh.seek(start)
-        tail = fh.read()
-        try:
-            whole = isinstance(json.loads(tail), dict)
-        except ValueError:
-            whole = False
-        if whole:
-            fh.write(b"\n")
-        else:
-            log.warning("%s: cut off a torn last line of %d bytes", path, end - start)
-            fh.truncate(start)
+class JsonlSink:
+    """An append-only JSONL file that a killed run resumes. Iterating ``rows``
+    reads the rows already there one at a time, so a resumed run never holds
+    them all, and mends a torn last line: one holding a whole JSON object gets
+    its newline, any other is cut off. ``append`` writes and flushes one line
+    under a lock. As a context manager, the file is created by the first
+    append or by a clean exit."""
+
+    def __init__(self, path):
+        self.path, self._fh, self._lock = Path(path), None, threading.Lock()
+        self.rows = self._read() if self.path.exists() else iter(())
+
+    def _read(self) -> Iterator[Row]:
+        with open(self.path, "r+b") as fh:
+            for number, raw in enumerate(fh, 1):
+                torn = not raw.endswith(b"\n")
+                try:
+                    row = _row(_decoded(raw, self.path, number), self.path, number)
+                except InputError:
+                    if not torn:
+                        raise
+                    row = None
+                if torn and row is None:
+                    log.warning("%s: cut off a torn last line of %d bytes", self.path, len(raw))
+                    fh.truncate(fh.tell() - len(raw))
+                elif torn:
+                    fh.write(b"\n")
+                if row is not None:
+                    yield row
+
+    def append(self, row: dict) -> None:
+        line = jsonl_line(row)
+        with self._lock:
+            if self._fh is None:
+                deque(self.rows, maxlen=0)  # the torn last line is mended before the first append
+                self._fh = open(self.path, "a", encoding="utf-8")
+            self._fh.write(line)
+            self._fh.flush()
+
+    def __enter__(self) -> "JsonlSink":
+        return self
+
+    def __exit__(self, exc_type, *_) -> None:
+        if self._fh is None and exc_type is None:
+            self._fh = open(self.path, "a", encoding="utf-8")
+        if self._fh is not None:
+            self._fh.close()
 
 
 def triplet_rows(triplets: Iterable[tuple[str, str, str]]) -> list[dict]:

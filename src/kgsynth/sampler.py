@@ -13,7 +13,6 @@ the two at every recomputation).
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterator, Union
@@ -21,7 +20,7 @@ from typing import Iterator, Union
 import numpy as np
 
 from .kgstore import KnowledgeGraph, Triplet
-from .pipeline import ValidationError, triplet_rows
+from .pipeline import ValidationError, jsonl_line, triplet_rows
 
 ENTITY_CENTRIC = "entity_centric"
 RELATION_CENTRIC = "relation_centric"
@@ -317,7 +316,7 @@ def write_dataset_jsonl(graph: KnowledgeGraph, config: SamplerConfig, n_sets: in
     n_partial = 0
     sizes = []
     for i, ts in enumerate(sample_dataset(graph, config, n_sets)):
-        fh.write(json.dumps(ts.to_record(graph, i), ensure_ascii=False, sort_keys=True) + "\n")
+        fh.write(jsonl_line(ts.to_record(graph, i)))
         sizes.append(len(ts.triplets))
         n_partial += int(ts.partial)
         for t in ts.triplets:

@@ -9,7 +9,6 @@ for simulated-time testing.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 import random
@@ -23,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 import yaml
 
-from .pipeline import ValidationError, read_jsonl, repair_jsonl_tail
+from .pipeline import JsonlSink, ValidationError
 
 TRIPLETS_PLACEHOLDER = "{triplets}"
 TEXT_PLACEHOLDER = "{text}"
@@ -231,9 +230,6 @@ class GenerationRecord:
     attempts: int = 1
     timestamp: float = 0.0
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), ensure_ascii=False, sort_keys=True)
-
 
 def _default_transport(url: str, body: dict, headers: dict, timeout: float) -> tuple[int, dict]:
     import requests  # here, not at module level: only a run that sends requests pays for it
@@ -372,31 +368,22 @@ class CompletionClient:
         they complete. Prompts whose id already has an ok record are skipped,
         so resuming after a kill never re-bills completed work; a torn last
         line the kill left is repaired or cut off first."""
-        out_path = Path(out_path)
-        repair_jsonl_tail(out_path)
-        done = completed_ids(out_path)
-        todo = [(str(sid), prompt) for sid, prompt in prompts if str(sid) not in done]
-        skipped = len(prompts) - len(todo)
-        write_lock = threading.Lock()
-        counts = {"ok": 0, "failed": 0, "skipped": skipped}
+        with JsonlSink(out_path) as sink:
+            done = completed_ids(sink.rows)
+            todo = [(str(sid), prompt) for sid, prompt in prompts if str(sid) not in done]
+            counts = {"ok": 0, "failed": 0, "skipped": len(prompts) - len(todo)}
 
-        def run(item):
-            record = self.generate_one(*item)
-            with write_lock:
-                with open(out_path, "a", encoding="utf-8") as fh:
-                    fh.write(record.to_json() + "\n")
-                counts[record.status] += 1
-            return record
+            def run(item):
+                record = self.generate_one(*item)
+                sink.append(asdict(record))
+                return record
 
-        if not todo:
-            return counts
-        with ThreadPoolExecutor(max_workers=self.concurrency) as pool:
-            list(pool.map(run, todo))
+            with ThreadPoolExecutor(max_workers=self.concurrency) as pool:
+                for record in pool.map(run, todo):
+                    counts[record.status] += 1
         return counts
 
 
-def completed_ids(path) -> set[str]:
-    """Set ids with an ok record already persisted at ``path``."""
-    if not Path(path).exists():
-        return set()
-    return {str(record["set_id"]) for record in read_jsonl(path) if record.get("status") == "ok"}
+def completed_ids(records: Iterable[dict]) -> set[str]:
+    """Set ids with an ok record among ``records``, the rows of a records file."""
+    return {str(record["set_id"]) for record in records if record.get("status") == "ok"}

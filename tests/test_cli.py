@@ -241,12 +241,53 @@ def test_decode_with_builtin_and_subprocess_scorers(workspace, tmp_path):
         "    sys.stdout.flush()\n",
         encoding="utf-8",
     )
+    # a directory of its own: in the first one, decode would resume and skip q1
     assert run_cli(
         "decode", "--config", workspace["config"], "--inputs", inputs,
-        "--scorer-cmd", f"{sys.executable} {scorer}",
+        "--scorer-cmd", f"{sys.executable} {scorer}", "--out", tmp_path / "subprocess",
     ) == 0
-    rows = [json.loads(l) for l in (workspace["out"] / "predictions.jsonl").read_text().splitlines()]
+    rows = [json.loads(l) for l in (tmp_path / "subprocess" / "predictions.jsonl").read_text().splitlines()]
+    assert [row["id"] for row in rows] == ["q1"]
     assert rows[0]["triplets"]
+
+
+SEARCH = cli.constrained_beam_search
+
+
+def decode_searching(workspace, inputs, out, monkeypatch, crash_after=None):
+    """Decode ``inputs`` into ``out``, the search raising once it has run
+    ``crash_after`` times; the exit code and the contexts searched."""
+    searched = []
+
+    def search(scorer, context, *args):
+        if len(searched) == crash_after:
+            raise RuntimeError("killed")
+        searched.append(context)
+        return SEARCH(scorer, context, *args)
+
+    monkeypatch.setattr(cli, "constrained_beam_search", search)
+    return run_cli("decode", "--config", workspace["config"], "--inputs", inputs, "--out", out), searched
+
+
+@pytest.mark.parametrize("keep", ["every line", "half", "all but the newline"])
+def test_killed_decode_resumes_with_the_inputs_left(keep, workspace, tmp_path, monkeypatch):
+    assert run_cli("ingest", "--config", workspace["config"]) == 0
+    contexts = [f"context {i}" for i in range(5)]
+    inputs = tmp_path / "inputs.jsonl"
+    inputs.write_text("".join(json.dumps({"id": f"q{i}", "text": c}) + "\n" for i, c in enumerate(contexts)), encoding="utf-8")
+    assert decode_searching(workspace, inputs, tmp_path / "whole", monkeypatch) == (0, contexts)
+    whole = (tmp_path / "whole" / "predictions.jsonl").read_bytes()
+
+    assert decode_searching(workspace, inputs, tmp_path / "o", monkeypatch, crash_after=3) == (2, contexts[:3])
+    predictions = tmp_path / "o" / "predictions.jsonl"
+    lines = predictions.read_bytes().splitlines(keepends=True)
+    assert lines == whole.splitlines(keepends=True)[:3]  # each prediction is written as it is found
+    last = {"every line": lines[-1], "half": lines[-1][: len(lines[-1]) // 2], "all but the newline": lines[-1][:-1]}[keep]
+    predictions.write_bytes(b"".join(lines[:-1]) + last)  # a kill in the middle of the third append
+
+    redone = 2 if keep == "half" else 3
+    assert decode_searching(workspace, inputs, tmp_path / "o", monkeypatch) == (0, contexts[redone:])
+    assert predictions.read_bytes() == whole
 
 
 def test_decode_admits_only_labels_parse_reads_back(workspace, tmp_path, caplog):
@@ -304,20 +345,25 @@ def test_decode_tokenizes_each_catalog_label_once(workspace, tmp_path, monkeypat
     assert encoded[-5:] == ["[s] ", " [s] ", " [r] ", " [o] ", " [e]"]
 
 
-@pytest.mark.parametrize("key, value", [("sampler.poisson_mean", -1), ("decode.num_beams", 0), ("decode.num_beams", "ten")])
+@pytest.mark.parametrize("key, value", [
+    ("sampler.poisson_mean", -1), ("decode.num_beams", 0), ("decode.num_beams", "ten"), ("decode.length_penalty", "abc"),
+    ("metrics.level", 2), ("metrics.n_bootstrap", 0), ("metrics.n_bootstrap", -3), ("decode", 5),
+])
 def test_config_value_a_layer_rejects_exits_1(key, value, workspace, tmp_path, capsys):
     run_cli("ingest", "--config", workspace["config"])
-    section, name = key.split(".")
-    cfg = dict(workspace["raw"], **{section: dict(workspace["raw"][section], **{name: value})})
+    section, _, name = key.partition(".")
+    cfg = dict(workspace["raw"], **{section: dict(workspace["raw"][section], **{name: value}) if name else value})
     config = tmp_path / "bad.yaml"
     config.write_text(yaml.safe_dump(cfg), encoding="utf-8")
     inputs = tmp_path / "inputs.jsonl"
-    inputs.write_text(json.dumps({"id": "q1", "text": "some context"}) + "\n", encoding="utf-8")
-    argv = ["sample", "--n", 5] if section == "sampler" else ["decode", "--inputs", inputs]
+    row = {"id": "q1", "text": "some context", "triplets": [{"s": "Alpha", "r": "linked to", "o": "Beta"}]}
+    inputs.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    argv = {"sampler": ["sample", "--n", 5], "metrics": ["eval", "--predictions", inputs, "--gold", inputs]}.get(
+        section, ["decode", "--inputs", inputs])
     capsys.readouterr()
     assert run_cli(argv[0], "--config", config, *argv[1:], "--out", tmp_path / "o") == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and name in err and "runtime error" not in err
+    assert err.startswith("error: ") and (name or section) in err and "runtime error" not in err
 
 
 class MockCompletionsHandler(BaseHTTPRequestHandler):
@@ -638,6 +684,9 @@ BAD_UTF8_LINE = {
     "datapoints": b'{"id": "2", "text": "caf\xff", "triplets": []}\n',
     "train_counts": b"caf\xff\t3\n",
     "config": b"# caf\xff\n",
+    "edges": b"Q1\tP1\tQ\xff\n",
+    "entity_labels": b"Q9\tcaf\xff\n",
+    "relation_labels": b"P9\tcaf\xff\n",
 }
 
 
@@ -647,16 +696,20 @@ def test_input_that_is_not_utf8_is_validation_error(bad_file, workspace, tmp_pat
     preds, gold = eval_files(tmp_path, [row], [row])
     train_counts = tmp_path / "train_counts.tsv"
     train_counts.write_text("linked to\t40\n", encoding="utf-8")
-    path = {"datapoints": gold, "train_counts": train_counts, "config": workspace["config"]}[bad_file]
-    with open(path, "ab") as fh:
+    path = {"datapoints": gold, "train_counts": train_counts, "config": workspace["config"],
+            **{name: workspace["raw"]["paths"][name] for name in ("edges", "entity_labels", "relation_labels")}}[bad_file]
+    with open(path, "rb+") as fh:
+        number = len(fh.read().splitlines()) + 1
         fh.write(BAD_UTF8_LINE[bad_file])
     if bad_file == "train_counts":
         argv = ["eval", "--predictions", preds, "--gold", gold, "--train-counts", train_counts]
+    elif bad_file in workspace["raw"]["paths"]:
+        argv = ["ingest"]
     else:
         argv = ["prepare", "--datapoints", gold]
     assert run_cli(*argv, "--config", workspace["config"]) == 1
     err = capsys.readouterr().err
-    where = str(path) if bad_file == "config" else f"{path}:2"
+    where = str(path) if bad_file == "config" else f"{path}:{number}"
     assert f"{where}: not UTF-8" in err
 
 

@@ -307,7 +307,7 @@ def test_resume_never_rebills_completed_prompts(tmp_path):
     assert counts["skipped"] == 18
     assert counts["ok"] == 12
     assert sorted(second_calls) == sorted(f"prompt {i}" for i in range(18, 30))
-    done = textgen.completed_ids(out)
+    done = textgen.completed_ids(read_jsonl(out))
     assert done == {f"id{i}" for i in range(30)}
 
 
