@@ -111,19 +111,17 @@ def existing(path, what: str) -> Path:
     return path
 
 
-def require_path(cfg: dict, dotted: str) -> Path:
-    node = cfg
-    for part in dotted.split("."):
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"config key {dotted!r} is required")
-        node = node[part]
-    return existing(node, dotted)
+def require_path(cfg: dict, key: str) -> Path:
+    path = setting(cfg, key, str, None)
+    if path is None:
+        raise ConfigError(f"config key {key!r} is required")
+    return existing(path, key)
 
 
 def make_schema(cfg: dict):
     from . import codec
 
-    variant = str(cfg.get("schema", "fe")).lower()
+    variant = setting(cfg, "schema", str, "fe").lower()
     if variant not in ("fe", "sc"):
         raise ConfigError(f"schema must be 'fe' or 'sc', got {variant!r}")
     return codec.LinearizationSchema(variant=codec.Variant(variant))
@@ -132,13 +130,16 @@ def make_schema(cfg: dict):
 def make_tokenizer(cfg: dict):
     from .decoder import ByteTokenizer, WordPieceTokenizer
 
-    spec = str(cfg.get("tokenizer", "byte"))
+    spec = setting(cfg, "tokenizer", str, "byte")
     if spec == "byte":
         return ByteTokenizer()
     if spec.startswith("wordpiece:"):
         vocab_path = existing(spec.split(":", 1)[1], "tokenizer")
-        pieces = [line.rstrip("\n") for line in open(vocab_path, encoding="utf-8") if line.rstrip("\n")]
-        return WordPieceTokenizer(pieces)
+        pieces = [piece for _, line in read_lines(vocab_path) if (piece := line.rstrip("\r\n"))]
+        try:
+            return WordPieceTokenizer(pieces)
+        except ValidationError as exc:
+            raise ConfigError(f"tokenizer: {vocab_path}: {exc}") from None
     raise ConfigError(f"unknown tokenizer {spec!r} (use 'byte' or 'wordpiece:<vocab file>')")
 
 
@@ -176,7 +177,7 @@ class Stage:
 
     @functools.cached_property
     def out_dir(self) -> Path:
-        path = Path(self.args.out or config_section(self.cfg, "paths").get("workdir", "out"))
+        path = Path(self.args.out or setting(self.cfg, "paths.workdir", str, "out"))
         path.mkdir(parents=True, exist_ok=True)
         return path
 
@@ -215,6 +216,9 @@ def cmd_ingest(stage: Stage) -> int:
 def cmd_sample(stage: Stage) -> int:
     from . import sampler
 
+    n = stage.args.n
+    if n < 1:
+        raise ConfigError(f"--n must be >= 1, got {n}")
     graph = load_graph(stage.input("paths.graph"))
     scfg_raw = dict(config_section(stage.cfg, "sampler"))
     scfg = sampler.SamplerConfig(
@@ -225,7 +229,6 @@ def cmd_sample(stage: Stage) -> int:
         strategy=setting(stage.cfg, "sampler.strategy", str, sampler.MIXED),
         seed=stage.seed,
     )
-    n = int(stage.args.n)
     with open(stage.output("triplet_sets.jsonl"), "w", encoding="utf-8") as fh:
         summary = sampler.write_dataset_jsonl(graph, scfg, n, fh)
     stage.snapshot = {"sampler": scfg_raw, "n": n, "summary": summary}
@@ -249,11 +252,11 @@ def cmd_generate(stage: Stage) -> int:
 
     gen_cfg = dict(config_section(stage.cfg, "generation"))
     sets_path = stage.input("sets")
-    preset = str(gen_cfg.get("preset", "code"))
+    preset = setting(stage.cfg, "generation.preset", str, "code")
     if preset not in textgen.PRESETS:
         raise ConfigError(f"unknown generation preset {preset!r}")
     params = textgen.PRESETS[preset]
-    template_path = gen_cfg.get("template")
+    template_path = setting(stage.cfg, "generation.template", str, None)
     if template_path:
         template = textgen.PromptTemplate.from_file(existing(template_path, "generation.template"))
     else:
@@ -275,9 +278,9 @@ def cmd_generate(stage: Stage) -> int:
         prompts.append((set_id, textgen.build_prompt(triplets, template, demos)))
 
     endpoint = textgen.EndpointConfig(
-        url=str(gen_cfg.get("endpoint", "")),
-        model=str(gen_cfg.get("model", "")),
-        api_key_env=str(gen_cfg.get("api_key_env", textgen.DEFAULT_API_KEY_ENV)),
+        url=setting(stage.cfg, "generation.endpoint", str, ""),
+        model=setting(stage.cfg, "generation.model", str, ""),
+        api_key_env=setting(stage.cfg, "generation.api_key_env", str, textgen.DEFAULT_API_KEY_ENV),
     )
     if not endpoint.url:
         raise ConfigError("generation.endpoint is required")
@@ -393,13 +396,13 @@ def cmd_encode(stage: Stage) -> int:
     return EXIT_OK
 
 
-def catalog_trie(labels, schema, tokenizer, entity: bool):
+def catalog_trie(labels, tokenizer, entity: bool):
     """The trie over the surfaces of the ``labels`` that ``parse`` reads back,
     and its manifest counts: labels left out by reason, and entries kept."""
     from . import codec
 
     surfaces = [codec.entity_surface(label) if entity else label
-                for label in labels if codec.linearizable(label, schema, entity)]
+                for label in labels if codec.linearizable(label, entity)]
     trie = build_trie(surfaces, tokenizer)
     return trie, {"kept": trie.n_entries, "dropped": {"not_linearizable": len(labels) - len(surfaces), **trie.dropped}}
 
@@ -413,8 +416,8 @@ def cmd_decode(stage: Stage) -> int:
     schema = make_schema(stage.cfg)
     tokenizer = make_tokenizer(stage.cfg)
 
-    entity_trie, entity_counts = catalog_trie(graph.entities.labels, schema, tokenizer, entity=True)
-    relation_trie, relation_counts = catalog_trie(graph.relations.labels, schema, tokenizer, entity=False)
+    entity_trie, entity_counts = catalog_trie(graph.entities.labels, tokenizer, entity=True)
+    relation_trie, relation_counts = catalog_trie(graph.relations.labels, tokenizer, entity=False)
     catalog = {"entities": entity_counts, "relations": relation_counts}
     dropped = {name: counts["dropped"] for name, counts in catalog.items() if any(counts["dropped"].values())}
     if dropped:
@@ -425,7 +428,6 @@ def cmd_decode(stage: Stage) -> int:
         num_beams=setting(stage.cfg, "decode.num_beams", int, 10),
         length_penalty=setting(stage.cfg, "decode.length_penalty", float, None),  # None: per variant
         max_length=setting(stage.cfg, "decode.max_length", int, 256),
-        top_k_returned=setting(stage.cfg, "decode.top_k_returned", int, 1),
     )
     if stage.args.scorer_cmd:
         scorer = SubprocessScorer(stage.args.scorer_cmd, tokenizer.vocab_size, shell=True)
@@ -513,7 +515,7 @@ def cmd_eval(stage: Stage) -> int:
         n_bootstrap=setting(stage.cfg, "metrics.n_bootstrap", int, 50),
         level=setting(stage.cfg, "metrics.level", float, 0.95),
         seed=stage.seed,
-        macro_f1_mode=str(mcfg.get("macro_f1_mode", "mean_of_f1")),
+        macro_f1_mode=setting(stage.cfg, "metrics.macro_f1_mode", str, "mean_of_f1"),
         train_counts=train_counts,
     )
     write_json(stage.output("eval_report.json"), report.to_json_dict())

@@ -2,8 +2,9 @@
 
 Two variants are supported: fully expanded (one ``[s] .. [r] .. [o] .. [e]``
 block per triplet) and subject-collapsed (the subject of a group of
-same-subject triplets is emitted once). Entity surface forms replace spaces
-with underscores; relation surface forms keep their label verbatim.
+same-subject triplets is emitted once). Both use the same four fixed markers.
+Entity surface forms replace spaces with underscores; relation surface forms
+keep their label verbatim.
 
 All functions here are pure and operate on label-level triples
 ``(subject, relation, object)``.
@@ -13,11 +14,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 from .pipeline import ValidationError
 
 LabelTriplet = tuple[str, str, str]
+
+START_SUBJECT, START_RELATION, START_OBJECT, END = "[s]", "[r]", "[o]", "[e]"
+_KIND = {START_SUBJECT: "s", START_RELATION: "r", START_OBJECT: "o", END: "e"}
+_DELIMITER = re.compile("(" + "|".join(map(re.escape, _KIND)) + ")")
 
 
 class Variant(str, Enum):
@@ -32,18 +37,6 @@ class CodecError(ValidationError):
 @dataclass(frozen=True)
 class LinearizationSchema:
     variant: Variant = Variant.FE
-    start_subject: str = "[s]"
-    start_relation: str = "[r]"
-    start_object: str = "[o]"
-    end: str = "[e]"
-
-    def __post_init__(self):
-        delims = self.delimiters()
-        if len(set(delims)) != 4 or any(not d for d in delims):
-            raise CodecError("delimiters must be non-empty and pairwise distinct")
-
-    def delimiters(self) -> tuple[str, str, str, str]:
-        return (self.start_subject, self.start_relation, self.start_object, self.end)
 
 
 def entity_surface(label: str) -> str:
@@ -98,15 +91,14 @@ def order_triplets(triplets: Iterable[LabelTriplet], source_text: str = "") -> l
     return sorted(triplets, key=lambda t: (pos(t[0]), pos(t[2]), t[0], t[1], t[2]))
 
 
-def linearizable(label: str, schema: LinearizationSchema, entity: bool) -> bool:
-    """Whether ``parse`` reads ``label`` back out of a linearization under
-    ``schema``: its surface form is non-empty, holds no delimiter and no
-    leading or trailing whitespace, and an entity's surface maps back to the
-    label: it does not when the label holds both a space and an underscore."""
+def linearizable(label: str, entity: bool) -> bool:
+    """Whether ``parse`` reads ``label`` back out of a linearization: its
+    surface form is non-empty, holds no delimiter and no leading or trailing
+    whitespace, and an entity's surface maps back to the label: it does not
+    when the label holds both a space and an underscore."""
     surface = entity_surface(label) if entity else label
-    s_, r_, o_, e_ = schema.delimiters()
     return (bool(surface) and surface == surface.strip() and not (entity and " " in label and "_" in label)
-            and not (s_ in surface or r_ in surface or o_ in surface or e_ in surface))
+            and not _DELIMITER.search(surface))
 
 
 def linearize(
@@ -125,21 +117,20 @@ def linearize(
         raise CodecError("cannot linearize an empty triplet set")
     for s, r, o in ordered:
         for label, entity in ((s, True), (r, False), (o, True)):
-            if not linearizable(label, schema, entity):
+            if not linearizable(label, entity):
                 raise CodecError(f"label {label!r} cannot be read back from a linearization")
-    s_, r_, o_, e_ = schema.delimiters()
     parts: list[str] = []
     if schema.variant is Variant.FE:
         for s, r, o in ordered:
-            parts.extend([s_, entity_surface(s), r_, r, o_, entity_surface(o), e_])
+            parts.extend([START_SUBJECT, entity_surface(s), START_RELATION, r, START_OBJECT, entity_surface(o), END])
     else:
         groups: dict[str, list[LabelTriplet]] = {}
         for t in ordered:
             groups.setdefault(t[0], []).append(t)
         for subject, group in groups.items():
-            parts.extend([s_, entity_surface(subject)])
+            parts.extend([START_SUBJECT, entity_surface(subject)])
             for _, r, o in group:
-                parts.extend([r_, r, o_, entity_surface(o), e_])
+                parts.extend([START_RELATION, r, START_OBJECT, entity_surface(o), END])
     return " ".join(parts)
 
 
@@ -151,14 +142,9 @@ class ParseResult:
     dropped_fragments: int = 0
     dropped_unresolvable: int = 0
     duplicates_removed: int = 0
-    notes: list[str] = field(default_factory=list)
 
     def as_set(self) -> set[LabelTriplet]:
         return set(self.triplets)
-
-
-def _catalog_members(catalog: Mapping[str, int] | Sequence[str] | set[str]) -> set[str]:
-    return set(catalog.keys()) if isinstance(catalog, Mapping) else set(catalog)
 
 
 def parse(
@@ -176,20 +162,7 @@ def parse(
     the whole triplet is dropped (tallied, never a hard error).
     """
     result = ParseResult()
-    if not text.strip():
-        result.notes.append("empty input")
-        return result
-
-    delims = sorted(schema.delimiters(), key=len, reverse=True)
-    pieces = re.split("(" + "|".join(re.escape(d) for d in delims) + ")", text)
-    if pieces[0].strip():
-        result.notes.append("leading text before first delimiter ignored")
-    kind_of = {
-        schema.start_subject: "s",
-        schema.start_relation: "r",
-        schema.start_object: "o",
-        schema.end: "e",
-    }
+    pieces = _DELIMITER.split(text)  # text before the first delimiter is ignored
 
     subject: str | None = None  # raw surface; persists across SC units
     relation: str | None = None
@@ -205,7 +178,7 @@ def parse(
 
     raw: list[tuple[str, str, str]] = []
     for i in range(1, len(pieces), 2):
-        kind = kind_of[pieces[i]]
+        kind = _KIND[pieces[i]]
         content = pieces[i + 1].strip() if i + 1 < len(pieces) else ""
         if kind == "s":
             abandon()
@@ -230,8 +203,8 @@ def parse(
                 abandon()
     abandon()
 
-    ents = _catalog_members(entity_catalog) if entity_catalog is not None else None
-    rels = _catalog_members(relation_catalog) if relation_catalog is not None else None
+    ents = set(entity_catalog) if entity_catalog is not None else None
+    rels = set(relation_catalog) if relation_catalog is not None else None
 
     def resolve_entity(surface: str) -> str | None:
         if ents is None:
@@ -255,6 +228,4 @@ def parse(
             continue
         seen.add(t)
         result.triplets.append(t)
-    if not raw:
-        result.notes.append("no parseable triplets")
     return result

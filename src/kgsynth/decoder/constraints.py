@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ..codec import LinearizationSchema, Variant
+from ..codec import END, START_OBJECT, START_RELATION, START_SUBJECT, LinearizationSchema, Variant
 from .tokenizers import Tokenizer
 from .trie import CatalogTrie
 
@@ -68,11 +68,11 @@ class ConstraintEngine:
             return tuple(ids)
 
         self._chains: dict[str, tuple[int, ...]] = {
-            "s_first": chain(schema.start_subject + " "),
-            "s_next": chain(" " + schema.start_subject + " "),
-            "r": chain(" " + schema.start_relation + " "),
-            "o": chain(" " + schema.start_object + " "),
-            "e": chain(" " + schema.end),
+            "s_first": chain(START_SUBJECT + " "),
+            "s_next": chain(" " + START_SUBJECT + " "),
+            "r": chain(" " + START_RELATION + " "),
+            "o": chain(" " + START_OBJECT + " "),
+            "e": chain(" " + END),
         }
         self._chain_target = {
             "s_first": "subject",

@@ -11,6 +11,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Sequence
 
+from ..pipeline import ValidationError
+
 
 class UnencodableText(ValueError):
     """The string requires tokens outside the vocabulary."""
@@ -63,11 +65,11 @@ class WordPieceTokenizer(Tokenizer):
 
     def __init__(self, pieces: Sequence[str]):
         if not pieces:
-            raise ValueError("piece list must be non-empty")
+            raise ValidationError("piece list must be non-empty")
         if len(set(pieces)) != len(pieces):
-            raise ValueError("duplicate pieces in vocabulary")
+            raise ValidationError("duplicate pieces in vocabulary")
         if any(not p for p in pieces):
-            raise ValueError("empty piece in vocabulary")
+            raise ValidationError("empty piece in vocabulary")
         self.pieces = list(pieces)
         self.piece_ids = {p: i for i, p in enumerate(self.pieces)}
         self.eos_id = len(self.pieces)

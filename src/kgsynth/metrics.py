@@ -77,7 +77,7 @@ def _sums(rows: Iterable[tuple[int, int, int]]) -> tuple[int, int, int]:
 
 def _macro(table: Mapping[Hashable, tuple[int, int, int]], f1_mode: str) -> tuple[float, float, float]:
     if f1_mode not in ("mean_of_f1", "harmonic_of_means"):
-        raise ValueError(f"unknown f1_mode {f1_mode!r}")
+        raise ValidationError(f"macro_f1_mode must be 'mean_of_f1' or 'harmonic_of_means', got {f1_mode!r}")
     if not table:
         return 1.0, 1.0, 1.0  # no facts anywhere: vacuously perfect, as in micro
     scores = [_prf(*row) for row in table.values()]
@@ -100,24 +100,14 @@ def per_relation_scores(pairs: Sequence[EvalPair]) -> dict[Hashable, tuple[float
     return {r: _prf(*row) for r, row in relation_counts(pairs).items()}
 
 
-def macro_scores(
-    pairs: Sequence[EvalPair],
-    relation_catalog: Iterable[Hashable] | None = None,
-    f1_mode: str = "mean_of_f1",
-) -> tuple[float, float, float]:
+def macro_scores(pairs: Sequence[EvalPair], f1_mode: str = "mean_of_f1") -> tuple[float, float, float]:
     """Relation-averaged precision/recall/F1.
 
-    Only relations occurring in gold or predictions enter the average (the
-    catalog argument is accepted for interface symmetry; catalog members that
-    never occur are excluded). ``f1_mode`` selects the mean of per-relation
-    F1 values (default) or the harmonic mean of macro-P and macro-R.
+    Only relations occurring in gold or predictions enter the average.
+    ``f1_mode`` selects the mean of per-relation F1 values (default) or the
+    harmonic mean of macro-P and macro-R.
     """
-    table = relation_counts(pairs)
-    if relation_catalog is not None:
-        unknown = set(table) - set(relation_catalog)
-        if unknown:
-            raise ValueError(f"relations outside the catalog: {sorted(map(str, unknown))[:5]}")
-    return _macro(table, f1_mode)
+    return _macro(relation_counts(pairs), f1_mode)
 
 
 def bootstrap_ci(
@@ -210,23 +200,16 @@ class RelationStats:
         return (self.minimum, self.q1, self.median, self.q3, self.maximum)
 
 
-def relation_stats(
-    triplet_sets: Iterable[Iterable[Fact]],
-    relation_catalog: Iterable[Hashable] | None = None,
-) -> RelationStats:
+def relation_stats(triplet_sets: Iterable[Iterable[Fact]]) -> RelationStats:
     """Occurrence counts per relation with a five-number summary and CDF points.
 
-    Counts cover every triplet of every set. With a catalog, relations that
-    never occur are included with count 0; otherwise only observed relations
-    enter the count vector.
+    Counts cover every triplet of every set; only observed relations enter
+    the count vector.
     """
     counts: Counter = Counter()
     for triplets in triplet_sets:
         for t in triplets:
             counts[_relation_of(t)] += 1
-    if relation_catalog is not None:
-        for r in relation_catalog:
-            counts.setdefault(r, 0)
     if not counts:
         raise ValueError("dataset contains no triplets")
     vec = np.sort(np.array(list(counts.values()), dtype=float))

@@ -26,6 +26,7 @@ ENTITY_CENTRIC = "entity_centric"
 RELATION_CENTRIC = "relation_centric"
 MIXED = "mixed"
 _STRATEGIES = (ENTITY_CENTRIC, RELATION_CENTRIC, MIXED)
+MAX_ATTEMPTS_FACTOR = 10  # failed extensions a walk may make per triplet of its target size
 
 
 class SamplingError(RuntimeError):
@@ -40,7 +41,6 @@ class SamplerConfig:
     reweight_interval: int = 20_000
     strategy: str = MIXED
     seed: int = 0
-    max_attempts_factor: int = 10
 
     def __post_init__(self):
         if self.poisson_mean <= 0:
@@ -53,8 +53,6 @@ class SamplerConfig:
             raise ValidationError("reweight_interval must be a positive integer")
         if self.strategy not in _STRATEGIES:
             raise ValidationError(f"strategy must be one of {_STRATEGIES}")
-        if self.max_attempts_factor < 1:
-            raise ValidationError("max_attempts_factor must be >= 1")
 
 
 @dataclass
@@ -130,11 +128,9 @@ def sample_set_size(state: SamplerState, config: SamplerConfig) -> int:
             return size
 
 
-def coherence_weight(entity: int, triplet_set, bias_factor: float) -> float:
-    """(N+1-r)^bf for the entity's 1-based first-appearance rank r among the
-    set's N distinct entities; 1 for entities outside the set. Accepts a
-    TripletSet or its distinct-entity list directly."""
-    distinct = triplet_set.distinct_entities if isinstance(triplet_set, TripletSet) else triplet_set
+def coherence_weight(entity: int, distinct: list[int], bias_factor: float) -> float:
+    """(N+1-r)^bf for the entity's 1-based first-appearance rank r among a
+    set's N ``distinct`` entities; 1 for entities outside the set."""
     try:
         rank = distinct.index(entity) + 1
     except ValueError:
@@ -217,7 +213,7 @@ def sample_triplet_set(
     incident edges, weighted by coherence * entity distribution over the
     opposite endpoints. Already-sampled triplets are skipped; a subject with
     no usable edges is a dead end and backtracks to a fresh subject draw.
-    After max_attempts_factor * target failed extensions a non-empty partial
+    After MAX_ATTEMPTS_FACTOR * target failed extensions a non-empty partial
     set is returned, flagged.
     """
     if target_size is None:
@@ -240,7 +236,7 @@ def sample_triplet_set(
     else:
         forced_subject = start  # graph.incident checks it on the first step
 
-    max_attempts = config.max_attempts_factor * target_size
+    max_attempts = MAX_ATTEMPTS_FACTOR * target_size
     failures = 0
     dead: set[int] = set()  # subjects with every incident edge already used
     while len(triplets) < target_size and failures < max_attempts:

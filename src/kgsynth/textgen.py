@@ -28,6 +28,9 @@ TRIPLETS_PLACEHOLDER = "{triplets}"
 TEXT_PLACEHOLDER = "{text}"
 
 DEFAULT_API_KEY_ENV = "KGSYNTH_API_KEY"
+RATE_WINDOW_S = 60.0  # the rate limits are per minute
+BACKOFF_CAP_S = 60.0  # longest backoff before jitter
+REQUEST_TIMEOUT_S = 60.0
 
 
 class TemplateError(ValidationError):
@@ -153,6 +156,8 @@ class CostLedger:
     """Thread-safe token and request accounting."""
 
     def __init__(self, price_per_1k_tokens: float = 0.0):
+        if price_per_1k_tokens < 0:
+            raise ValidationError("price_per_1k_tokens must be >= 0")
         self.price_per_1k_tokens = price_per_1k_tokens
         self.tokens_consumed = 0
         self.requests_sent = 0
@@ -181,13 +186,11 @@ class RateLimiter:
         tokens_per_minute: int,
         time_fn: Callable[[], float] = time.monotonic,
         sleep_fn: Callable[[float], None] = time.sleep,
-        window: float = 60.0,
     ):
         if requests_per_minute < 1 or tokens_per_minute < 1:
             raise ValidationError("requests_per_minute and tokens_per_minute must be positive")
         self.requests_per_minute = requests_per_minute
         self.tokens_per_minute = tokens_per_minute
-        self.window = window
         self._time_fn = time_fn
         self._sleep_fn = sleep_fn
         self._events: deque[tuple[float, int]] = deque()  # (grant time, tokens)
@@ -195,7 +198,7 @@ class RateLimiter:
         self._lock = threading.Lock()
 
     def _prune(self, now: float) -> None:
-        horizon = now - self.window
+        horizon = now - RATE_WINDOW_S
         while self._events and self._events[0][0] <= horizon:
             _, tokens = self._events.popleft()
             self._token_sum -= tokens
@@ -212,7 +215,7 @@ class RateLimiter:
                     self._events.append((now, tokens))
                     self._token_sum += tokens
                     return now
-                wait = self._events[0][0] + self.window - now if self._events else 0.001
+                wait = self._events[0][0] + RATE_WINDOW_S - now if self._events else 0.001
             self._sleep_fn(max(wait, 0.001))
 
 
@@ -247,7 +250,6 @@ class EndpointConfig:
     url: str
     model: str
     api_key_env: str = DEFAULT_API_KEY_ENV
-    timeout: float = 60.0
 
     def headers(self) -> dict:
         key = os.environ.get(self.api_key_env, "")
@@ -270,12 +272,17 @@ class CompletionClient:
         transport: Callable[[str, dict, dict, float], tuple[int, dict]] = _default_transport,
         max_attempts: int = 5,
         backoff_base: float = 2.0,
-        backoff_cap: float = 60.0,
         concurrency: int = 4,
         time_fn: Callable[[], float] = time.time,
         sleep_fn: Callable[[float], None] = time.sleep,
         jitter_rng: random.Random | None = None,
     ):
+        if max_attempts < 1:
+            raise ValidationError("max_attempts must be >= 1")
+        if backoff_base < 0:
+            raise ValidationError("backoff_base must be >= 0")
+        if concurrency < 1:
+            raise ValidationError("concurrency must be >= 1")
         self.endpoint = endpoint
         self.params = params
         self.rate_limiter = rate_limiter
@@ -283,14 +290,13 @@ class CompletionClient:
         self.transport = transport
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.concurrency = concurrency
         self.time_fn = time_fn
         self.sleep_fn = sleep_fn
         self.jitter_rng = jitter_rng if jitter_rng is not None else random.Random()
 
     def _backoff(self, attempt: int) -> float:
-        base = min(self.backoff_base * (2**attempt), self.backoff_cap)
+        base = min(self.backoff_base * (2**attempt), BACKOFF_CAP_S)
         return base * (1.0 + 0.25 * self.jitter_rng.random())
 
     def _strip_stop(self, text: str) -> str:
@@ -303,23 +309,21 @@ class CompletionClient:
         body = {"model": self.endpoint.model, "prompt": prompt, **self.params.to_request_fields()}
         estimate = estimate_tokens(prompt) + self.params.max_tokens * self.params.best_of
         last_error = ""
-        attempt = 0
-        while attempt < self.max_attempts:
-            attempt += 1
+        for attempt in range(1, self.max_attempts + 1):
+            if attempt > 1:  # back off between attempts, never after the last
+                self.sleep_fn(self._backoff(attempt - 2))
             try:
                 self.rate_limiter.acquire(estimate)
             except ValueError as exc:
                 return self._failed(set_id, prompt, str(exc), attempt)
             try:
-                status, payload = self.transport(self.endpoint.url, body, self.endpoint.headers(), self.endpoint.timeout)
+                status, payload = self.transport(self.endpoint.url, body, self.endpoint.headers(), REQUEST_TIMEOUT_S)
             except Exception as exc:  # network-level failure: retry
                 last_error = f"transport error: {exc}"
-                self.sleep_fn(self._backoff(attempt - 1))
                 continue
             self.ledger.add(0, requests=1)
             if status == 429 or status >= 500:
                 last_error = f"HTTP {status}"
-                self.sleep_fn(self._backoff(attempt - 1))
                 continue
             if status != 200:
                 return self._failed(set_id, prompt, f"HTTP {status}", attempt)
@@ -346,7 +350,7 @@ class CompletionClient:
                 attempts=attempt,
                 timestamp=self.time_fn(),
             )
-        return self._failed(set_id, prompt, last_error or "retries exhausted", attempt)
+        return self._failed(set_id, prompt, last_error, self.max_attempts)
 
     def _failed(self, set_id, prompt, error, attempts) -> GenerationRecord:
         return GenerationRecord(

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 import requests
@@ -48,7 +49,7 @@ def workspace(tmp_path):
         "sampler": {"poisson_mean": 2.0, "bias_factor": 7.0, "dampening": 1.0, "reweight_interval": 10, "strategy": "mixed"},
         "prepare": {"max_input_tokens": 256, "max_target_tokens": 256},
         "metrics": {"n_bootstrap": 10},
-        "decode": {"num_beams": 2, "max_length": 120, "top_k_returned": 1},
+        "decode": {"num_beams": 2, "max_length": 120},
     }
     config_path = tmp_path / "config.yaml"
     config_path.write_text(yaml.safe_dump(config), encoding="utf-8")
@@ -348,22 +349,36 @@ def test_decode_tokenizes_each_catalog_label_once(workspace, tmp_path, monkeypat
 @pytest.mark.parametrize("key, value", [
     ("sampler.poisson_mean", -1), ("decode.num_beams", 0), ("decode.num_beams", "ten"), ("decode.length_penalty", "abc"),
     ("metrics.level", 2), ("metrics.n_bootstrap", 0), ("metrics.n_bootstrap", -3), ("decode", 5),
+    ("generation.concurrency", 0), ("generation.price_per_1k_tokens", -1), ("generation.backoff_base", -1),
+    ("generation.max_attempts", 0), ("metrics.macro_f1_mode", "nope"), ("paths.edges", 5),
 ])
-def test_config_value_a_layer_rejects_exits_1(key, value, workspace, tmp_path, capsys):
+def test_config_value_a_layer_rejects_exits_1(key, value, workspace, tmp_path, monkeypatch, capsys):
+    post = CountingPost()
+    monkeypatch.setattr(requests, "post", post)
     run_cli("ingest", "--config", workspace["config"])
+    raw = yaml.safe_load(generation_config(workspace, tmp_path, "http://127.0.0.1:9/v1/completions").read_text(encoding="utf-8"))
     section, _, name = key.partition(".")
-    cfg = dict(workspace["raw"], **{section: dict(workspace["raw"][section], **{name: value}) if name else value})
+    cfg = dict(raw, **{section: dict(raw[section], **{name: value}) if name else value})
     config = tmp_path / "bad.yaml"
     config.write_text(yaml.safe_dump(cfg), encoding="utf-8")
     inputs = tmp_path / "inputs.jsonl"
     row = {"id": "q1", "text": "some context", "triplets": [{"s": "Alpha", "r": "linked to", "o": "Beta"}]}
     inputs.write_text(json.dumps(row) + "\n", encoding="utf-8")
-    argv = {"sampler": ["sample", "--n", 5], "metrics": ["eval", "--predictions", inputs, "--gold", inputs]}.get(
-        section, ["decode", "--inputs", inputs])
+    argv = {"sampler": ["sample", "--n", 5], "metrics": ["eval", "--predictions", inputs, "--gold", inputs],
+            "generation": ["generate", "--sets", inputs], "paths": ["ingest"]}.get(section, ["decode", "--inputs", inputs])
     capsys.readouterr()
     assert run_cli(argv[0], "--config", config, *argv[1:], "--out", tmp_path / "o") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and (name or section) in err and "runtime error" not in err
+    assert post.bodies == []
+
+
+def test_sample_with_n_0_exits_1_and_writes_nothing(workspace, tmp_path, capsys):
+    run_cli("ingest", "--config", workspace["config"])
+    capsys.readouterr()
+    assert run_cli("sample", "--config", workspace["config"], "--n", 0, "--out", tmp_path / "o") == 1
+    assert capsys.readouterr().err == "error: --n must be >= 1, got 0\n"
+    assert not (tmp_path / "o").exists()
 
 
 class MockCompletionsHandler(BaseHTTPRequestHandler):
@@ -460,6 +475,46 @@ def test_unknown_tokenizer_is_validation_error(workspace, tmp_path):
     dp = tmp_path / "dp.jsonl"
     write_datapoints(dp, [{"id": "a", "text": "t", "triplets": [("Alpha", "linked to", "Beta")]}])
     assert run_cli("prepare", "--config", path, "--datapoints", dp) == 1
+
+
+def wordpiece_config(workspace, tmp_path, vocab: str):
+    """A config whose tokenizer reads its pieces from a file holding ``vocab``."""
+    vocab_path = tmp_path / "vocab.txt"
+    vocab_path.write_text(vocab, encoding="utf-8")
+    config = tmp_path / "wordpiece.yaml"
+    config.write_text(yaml.safe_dump(dict(workspace["raw"], tokenizer=f"wordpiece:{vocab_path}")), encoding="utf-8")
+    return config, vocab_path
+
+
+def test_prepare_and_decode_under_a_wordpiece_vocab(workspace, tmp_path):
+    # one piece per printable ASCII character: "é" is the one character it cannot encode
+    config, _ = wordpiece_config(workspace, tmp_path, "".join(chr(c) + "\n" for c in range(32, 127)))
+    dp = tmp_path / "dp.jsonl"
+    write_datapoints(dp, [
+        {"id": "a", "text": "Alpha is linked to Beta.", "triplets": [("Alpha", "linked to", "Beta")]},
+        {"id": "b", "text": "Beta is part of Gamma, café.", "triplets": [("Beta", "part of", "Gamma")]},
+    ])
+    out = workspace["out"]
+    assert run_cli("prepare", "--config", config, "--datapoints", dp) == 0
+    assert [json.loads(line)["id"] for line in (out / "prepared_fe.jsonl").read_text().splitlines()] == ["a"]
+    assert json.loads((out / "prepare.manifest.json").read_text())["config"]["drops"]["unencodable"] == 1
+
+    assert run_cli("ingest", "--config", config) == 0
+    inputs = tmp_path / "inputs.jsonl"
+    inputs.write_text(json.dumps({"id": "q1", "text": "some context"}) + "\n", encoding="utf-8")
+    assert run_cli("decode", "--config", config, "--inputs", inputs) == 0
+    [prediction] = [json.loads(line) for line in (out / "predictions.jsonl").read_text().splitlines()]
+    assert prediction["triplets"] and not prediction["truncated"]
+
+
+@pytest.mark.parametrize("vocab, message", [("a\nb\na\n", "duplicate pieces in vocabulary"),
+                                            ("\n\n", "piece list must be non-empty")])
+def test_bad_wordpiece_vocab_is_validation_error_naming_the_file(vocab, message, workspace, tmp_path, capsys):
+    config, vocab_path = wordpiece_config(workspace, tmp_path, vocab)
+    dp = tmp_path / "dp.jsonl"
+    write_datapoints(dp, [{"id": "a", "text": "t", "triplets": [("Alpha", "linked to", "Beta")]}])
+    assert run_cli("prepare", "--config", config, "--datapoints", dp) == 1
+    assert capsys.readouterr().err == f"error: tokenizer: {vocab_path}: {message}\n"
 
 
 class ReverseOrderPost:
@@ -687,6 +742,7 @@ BAD_UTF8_LINE = {
     "edges": b"Q1\tP1\tQ\xff\n",
     "entity_labels": b"Q9\tcaf\xff\n",
     "relation_labels": b"P9\tcaf\xff\n",
+    "vocab": b"caf\xff\n",
 }
 
 
@@ -696,7 +752,10 @@ def test_input_that_is_not_utf8_is_validation_error(bad_file, workspace, tmp_pat
     preds, gold = eval_files(tmp_path, [row], [row])
     train_counts = tmp_path / "train_counts.tsv"
     train_counts.write_text("linked to\t40\n", encoding="utf-8")
-    path = {"datapoints": gold, "train_counts": train_counts, "config": workspace["config"],
+    config, vocab = workspace["config"], None
+    if bad_file == "vocab":
+        config, vocab = wordpiece_config(workspace, tmp_path, "a\nb\n")
+    path = {"datapoints": gold, "train_counts": train_counts, "config": config, "vocab": vocab,
             **{name: workspace["raw"]["paths"][name] for name in ("edges", "entity_labels", "relation_labels")}}[bad_file]
     with open(path, "rb+") as fh:
         number = len(fh.read().splitlines()) + 1
@@ -707,7 +766,7 @@ def test_input_that_is_not_utf8_is_validation_error(bad_file, workspace, tmp_pat
         argv = ["ingest"]
     else:
         argv = ["prepare", "--datapoints", gold]
-    assert run_cli(*argv, "--config", workspace["config"]) == 1
+    assert run_cli(*argv, "--config", config) == 1
     err = capsys.readouterr().err
     where = str(path) if bad_file == "config" else f"{path}:{number}"
     assert f"{where}: not UTF-8" in err
@@ -874,3 +933,28 @@ def test_every_layer_error_is_a_validation_error():
     for error in (cli.ConfigError, pipeline.InputError, kgstore.KgError, textgen.TemplateError, codec.CodecError):
         assert issubclass(error, pipeline.ValidationError)
     assert issubclass(pipeline.ValidationError, ValueError)
+
+
+def test_readme_config_example_lists_every_key_the_cli_reads(workspace, tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = yaml.safe_load(readme.split("```yaml\n# pipeline.yaml\n", 1)[1].split("```", 1)[0])
+    documented = {f"{name}.{key}" for name, section in example.items() if isinstance(section, dict) for key in section}
+    documented |= {name for name, value in example.items() if not isinstance(value, dict)}
+
+    read = set()
+    setting = cli.setting
+    monkeypatch.setattr(cli, "setting", lambda cfg, key, *rest: (read.add(key), setting(cfg, key, *rest))[1])
+    monkeypatch.setattr(requests, "post", ConstantPost())
+    demonstrations = tmp_path / "demonstrations.jsonl"
+    write_datapoints(demonstrations, [{"id": "d", "text": "Alpha is linked to Beta.", "triplets": [("Alpha", "linked to", "Beta")]}] * 3)
+    config = generation_config(workspace, tmp_path, "http://127.0.0.1:9/v1/completions",
+                               preset="code", demonstrations=str(demonstrations))
+    out = workspace["out"]
+    inputs = tmp_path / "inputs.jsonl"
+    inputs.write_text(json.dumps({"id": "q1", "text": "some context"}) + "\n", encoding="utf-8")
+    for argv in (["ingest"], ["sample", "--n", 6], ["generate", "--sets", out / "triplet_sets.jsonl"],
+                 ["prepare", "--datapoints", out / "datapoints.jsonl"], ["encode", "--datapoints", out / "datapoints.jsonl"],
+                 ["decode", "--inputs", inputs], ["eval", "--predictions", out / "predictions.jsonl", "--gold", inputs],
+                 ["stats", "--dataset", out / "datapoints.jsonl"]):
+        assert run_cli(argv[0], "--config", config, *argv[1:]) == 0
+    assert read == documented

@@ -93,7 +93,7 @@ def test_linearize_rejects_delimiter_in_label():
     ("Beta [o] Gamma", True, False),
 ])
 def test_linearizable_holds_exactly_when_parse_reads_the_label_back(label, entity, readable):
-    assert codec.linearizable(label, FE, entity) is readable
+    assert codec.linearizable(label, entity) is readable
     triplet = (label, "r", "Alpha") if entity else ("Alpha", label, "Alpha")
     if readable:
         parsed = codec.parse(codec.linearize([triplet], FE), FE, {label, "Alpha"}, {triplet[1]})
@@ -101,11 +101,6 @@ def test_linearizable_holds_exactly_when_parse_reads_the_label_back(label, entit
     else:
         with pytest.raises(codec.CodecError):
             codec.linearize([triplet], FE)
-
-
-def test_schema_rejects_duplicate_delimiters():
-    with pytest.raises(codec.CodecError):
-        LinearizationSchema(variant=Variant.FE, start_subject="[x]", start_relation="[x]")
 
 
 def test_parse_truncated_sc_drops_fragment():
@@ -116,8 +111,7 @@ def test_parse_truncated_sc_drops_fragment():
 
 def test_parse_empty_string():
     result = codec.parse("", SC)
-    assert result.triplets == []
-    assert result.notes
+    assert result == codec.ParseResult()
 
 
 def test_parse_deduplicates():

@@ -425,8 +425,8 @@ TOKENIZERS = [ByteTokenizer(), WordPieceTokenizer(DELIM_PIECES + ["a", "b", "o",
 )
 @settings(max_examples=300, deadline=None)
 def test_every_walk_to_eos_parses_into_catalog_triplets(entities, relations, schema, tokenizer, rng):
-    entity_trie, _ = cli.catalog_trie(entities, schema, tokenizer, entity=True)
-    relation_trie, _ = cli.catalog_trie(relations, schema, tokenizer, entity=False)
+    entity_trie, _ = cli.catalog_trie(entities, tokenizer, entity=True)
+    relation_trie, _ = cli.catalog_trie(relations, tokenizer, entity=False)
     engine = ConstraintEngine(schema, tokenizer, entity_trie, relation_trie)
     state, tokens = engine.initial_state(), []
     while True:

@@ -120,12 +120,6 @@ def test_macro_single_relation_perfect():
     assert metrics.macro_scores(pairs) == (1.0, 1.0, 1.0)
 
 
-def test_macro_excludes_absent_relations():
-    pairs = [pair("d1", {T("a", "r1", "b")}, {T("a", "r1", "b")})]
-    with_catalog = metrics.macro_scores(pairs, relation_catalog=["r1", "never used"])
-    assert with_catalog == (1.0, 1.0, 1.0)
-
-
 def test_macro_predicted_only_relation_counts_as_zero_precision():
     pairs = [
         pair("d1", {T("a", "r1", "b"), T("a", "r2", "b")}, {T("a", "r1", "b")}),
@@ -322,13 +316,6 @@ def test_relation_stats_cdf():
     flattened = [[("e", "r1", "e")], [("e", "r1", "e")], [("e", "r2", "e")]]
     stats = metrics.relation_stats(flattened)
     assert stats.cdf == [(1, 0.5), (2, 1.0)]
-
-
-def test_relation_stats_with_catalog_includes_zeros():
-    flattened = [[("e", "r1", "e")]]
-    stats = metrics.relation_stats(flattened, relation_catalog=["r1", "r2"])
-    assert stats.counts["r2"] == 0
-    assert stats.minimum == 0
 
 
 def test_relation_stats_empty_dataset():

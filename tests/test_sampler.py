@@ -83,11 +83,6 @@ def test_coherence_weight_formula():
     assert sampler.coherence_weight(99, distinct, 7.0) == 1.0
 
 
-def test_coherence_weight_accepts_triplet_set():
-    ts = sampler.TripletSet([Triplet(0, 0, 1)], [0, 1])
-    assert sampler.coherence_weight(0, ts, 2.0) == 4.0
-
-
 def test_coherence_weight_unbiased():
     distinct = [1, 2, 3, 4]
     assert all(sampler.coherence_weight(e, distinct, 0.0) == 1.0 for e in distinct)

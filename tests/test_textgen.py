@@ -273,6 +273,14 @@ def test_retries_exhausted_marks_failed():
     assert "429" in record.error
 
 
+def test_a_doomed_prompt_sleeps_only_between_attempts():
+    sleeps = []
+    transport = lambda url, body, headers, timeout: (500, {})
+    record = make_client(transport, max_attempts=3, sleep_fn=sleeps.append).generate_one("s", "p")
+    assert record.status == "failed" and record.attempts == 3
+    assert len(sleeps) == 2  # none after the last attempt
+
+
 def test_usage_falls_back_to_char_estimate():
     def transport(url, body, headers, timeout):
         return 200, {"choices": [{"text": "ok then", "finish_reason": "stop"}]}
