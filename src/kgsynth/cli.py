@@ -11,7 +11,7 @@ The endpoint credential is only ever read from an environment variable.
 from __future__ import annotations
 
 import argparse
-import functools
+import difflib
 import json
 import logging
 import sys
@@ -61,9 +61,53 @@ def constrained_beam_search(scorer, input_context, engine, params):
     return search(scorer, input_context, engine, params)
 
 
+# Every config key the CLI reads, dotted as ``section.key``, with its kind and
+# its default: the one place either is written. A default of None means the
+# key must be given, except for ``generation.template`` and
+# ``decode.length_penalty``, where the layer picks one.
+SETTINGS = {
+    "seed": (int, 0),
+    "schema": (str, "fe"),
+    "tokenizer": (str, "byte"),
+    "paths.edges": (str, None),
+    "paths.entity_labels": (str, None),
+    "paths.relation_labels": (str, None),
+    "paths.graph": (str, None),
+    "paths.workdir": (str, "out"),
+    "sampler.poisson_mean": (float, 3.0),
+    "sampler.bias_factor": (float, 7.0),
+    "sampler.dampening": (float, 0.01),
+    "sampler.reweight_interval": (int, 20_000),
+    "sampler.strategy": (str, "mixed"),
+    "generation.endpoint": (str, None),
+    "generation.model": (str, ""),
+    "generation.preset": (str, "code"),
+    "generation.template": (str, None),
+    "generation.demonstrations": (str, None),
+    "generation.api_key_env": (str, "KGSYNTH_API_KEY"),
+    "generation.requests_per_minute": (int, 20),
+    "generation.tokens_per_minute": (int, 150_000),
+    "generation.price_per_1k_tokens": (float, 0.0),
+    "generation.concurrency": (int, 4),
+    "generation.max_attempts": (int, 5),
+    "generation.backoff_base": (float, 2.0),
+    "prepare.max_input_tokens": (int, 256),
+    "prepare.max_target_tokens": (int, 256),
+    "decode.num_beams": (int, 10),
+    "decode.length_penalty": (float, None),
+    "decode.max_length": (int, 256),
+    "metrics.n_bootstrap": (int, 50),
+    "metrics.level": (float, 0.95),
+    "metrics.macro_f1_mode": (str, "mean_of_f1"),
+}
+SECTIONS = {key.partition(".")[0] for key in SETTINGS if "." in key}
+
+
 def load_config(path) -> dict:
-    if path is None:
-        raise ConfigError("--config is required")
+    """The config file at ``path``, checked against ``SETTINGS``: a value of
+    the wrong kind (no bool is a number; a float key takes an int) or a
+    section that is not a mapping is a ConfigError naming it, and a key not
+    in the table is logged with the closest known key."""
     try:
         with open(existing(path, "--config"), encoding="utf-8") as fh:
             cfg = yaml.safe_load(fh) or {}
@@ -75,53 +119,51 @@ def load_config(path) -> dict:
         raise ConfigError(f"{where}: not valid YAML ({getattr(exc, 'problem', None) or exc})") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config root must be a mapping")
+    values = []  # (dotted key, value, whether a dotted key sits in its section)
+    for name, value in cfg.items():
+        if name not in SECTIONS:
+            values.append((str(name), value, "." not in str(name)))
+        elif isinstance(value, (dict, type(None))):
+            values += [(f"{name}.{key}", item, True) for key, item in (value or {}).items()]
+        else:
+            raise ConfigError(f"config section {name!r} must be a mapping, got {value!r}")
+    for key, value, placed in values:
+        kind = SETTINGS.get(key, (None,))[0] if placed else None
+        if kind is None:
+            close = difflib.get_close_matches(key, [*SETTINGS, *SECTIONS], n=1)
+            log.warning("config key %r is unknown and ignored%s", key, f"; the closest known key is {close[0]!r}" if close else "")
+        elif value is not None and (isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind)):
+            raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
     return cfg
 
 
-def config_section(cfg: dict, name: str) -> dict:
-    """The config section ``name``, empty when it is absent or null; any
-    other value than a mapping is a ConfigError naming the section."""
-    value = cfg.get(name)
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"config section {name!r} must be a mapping, got {value!r}")
-    return value
-
-
-def setting(cfg: dict, key: str, kind, default):
-    """The config value at the dotted ``key`` as ``kind``, ``default`` when
-    it is absent or null; a value ``kind`` rejects is a ConfigError naming
-    the key."""
+def setting(cfg: dict, key: str):
+    """The value of the dotted config ``key`` in a config ``load_config``
+    checked, a float for a float key; its ``SETTINGS`` default when it is
+    absent or null."""
+    kind, default = SETTINGS[key]
     section, _, name = key.rpartition(".")
-    value = (config_section(cfg, section) if section else cfg).get(name)
+    value = ((cfg.get(section) or {}) if section else cfg).get(name)
     if value is None:
         return default
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {value!r}") from None
+    return float(value) if kind is float else value
 
 
 def existing(path, what: str) -> Path:
-    """``path``, which ``what`` (a flag or a config key) names, if it exists."""
+    """``path``, which ``what`` (a flag or a config key) names, if it is
+    given and exists."""
+    if path is None:
+        raise ConfigError(f"{what} is required")
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"{what}: file not found: {path}")
     return path
 
 
-def require_path(cfg: dict, key: str) -> Path:
-    path = setting(cfg, key, str, None)
-    if path is None:
-        raise ConfigError(f"config key {key!r} is required")
-    return existing(path, key)
-
-
 def make_schema(cfg: dict):
     from . import codec
 
-    variant = setting(cfg, "schema", str, "fe").lower()
+    variant = setting(cfg, "schema").lower()
     if variant not in ("fe", "sc"):
         raise ConfigError(f"schema must be 'fe' or 'sc', got {variant!r}")
     return codec.LinearizationSchema(variant=codec.Variant(variant))
@@ -130,7 +172,7 @@ def make_schema(cfg: dict):
 def make_tokenizer(cfg: dict):
     from .decoder import ByteTokenizer, WordPieceTokenizer
 
-    spec = setting(cfg, "tokenizer", str, "byte")
+    spec = setting(cfg, "tokenizer")
     if spec == "byte":
         return ByteTokenizer()
     if spec.startswith("wordpiece:"):
@@ -154,6 +196,7 @@ class Stage:
       part.
     - ``output(name)``: a file in the output directory (``--out``, else
       ``paths.workdir``), created on the first request; the manifest lists it.
+      ``main`` removes the command's old manifest there before the body runs.
     - ``seed``: ``--seed``, else the config's; once read, the manifest
       records it.
     - ``snapshot``: the config snapshot the body sets for the manifest.
@@ -162,6 +205,7 @@ class Stage:
     def __init__(self, args):
         self.args = args
         self.cfg = load_config(args.config)
+        self.out_dir = Path(args.out or setting(self.cfg, "paths.workdir"))
         self.snapshot: dict = {}
         self.inputs: dict[str, Path] = {}
         self.outputs: list[Path] = []
@@ -169,26 +213,21 @@ class Stage:
 
     def input(self, name: str) -> Path:
         if "." in name:
-            path = require_path(self.cfg, name)
+            path = existing(setting(self.cfg, name), name)
         else:
             path = existing(getattr(self.args, name), "--" + name.replace("_", "-"))
         self.inputs[name.rpartition(".")[2]] = path
         return path
 
-    @functools.cached_property
-    def out_dir(self) -> Path:
-        path = Path(self.args.out or setting(self.cfg, "paths.workdir", str, "out"))
-        path.mkdir(parents=True, exist_ok=True)
-        return path
-
     def output(self, name: str) -> Path:
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         path = self.out_dir / name
         self.outputs.append(path)
         return path
 
     @property
     def seed(self) -> int:
-        self.seed_read = self.args.seed if self.args.seed is not None else setting(self.cfg, "seed", int, 0)
+        self.seed_read = self.args.seed if self.args.seed is not None else setting(self.cfg, "seed")
         return self.seed_read
 
 
@@ -220,18 +259,17 @@ def cmd_sample(stage: Stage) -> int:
     if n < 1:
         raise ConfigError(f"--n must be >= 1, got {n}")
     graph = load_graph(stage.input("paths.graph"))
-    scfg_raw = dict(config_section(stage.cfg, "sampler"))
     scfg = sampler.SamplerConfig(
-        poisson_mean=setting(stage.cfg, "sampler.poisson_mean", float, 3.0),
-        bias_factor=setting(stage.cfg, "sampler.bias_factor", float, 7.0),
-        dampening=setting(stage.cfg, "sampler.dampening", float, 0.01),
-        reweight_interval=setting(stage.cfg, "sampler.reweight_interval", int, 20_000),
-        strategy=setting(stage.cfg, "sampler.strategy", str, sampler.MIXED),
+        poisson_mean=setting(stage.cfg, "sampler.poisson_mean"),
+        bias_factor=setting(stage.cfg, "sampler.bias_factor"),
+        dampening=setting(stage.cfg, "sampler.dampening"),
+        reweight_interval=setting(stage.cfg, "sampler.reweight_interval"),
+        strategy=setting(stage.cfg, "sampler.strategy"),
         seed=stage.seed,
     )
     with open(stage.output("triplet_sets.jsonl"), "w", encoding="utf-8") as fh:
         summary = sampler.write_dataset_jsonl(graph, scfg, n, fh)
-    stage.snapshot = {"sampler": scfg_raw, "n": n, "summary": summary}
+    stage.snapshot = {"sampler": stage.cfg.get("sampler") or {}, "n": n, "summary": summary}
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 
@@ -250,13 +288,13 @@ def _load_demonstrations(path, count: int) -> list:
 def cmd_generate(stage: Stage) -> int:
     from . import textgen
 
-    gen_cfg = dict(config_section(stage.cfg, "generation"))
+    gen_cfg = stage.cfg.get("generation") or {}
     sets_path = stage.input("sets")
-    preset = setting(stage.cfg, "generation.preset", str, "code")
+    preset = setting(stage.cfg, "generation.preset")
     if preset not in textgen.PRESETS:
         raise ConfigError(f"unknown generation preset {preset!r}")
     params = textgen.PRESETS[preset]
-    template_path = setting(stage.cfg, "generation.template", str, None)
+    template_path = setting(stage.cfg, "generation.template")
     if template_path:
         template = textgen.PromptTemplate.from_file(existing(template_path, "generation.template"))
     else:
@@ -267,36 +305,37 @@ def cmd_generate(stage: Stage) -> int:
         template = textgen.PromptTemplate.from_file(files("kgsynth") / "templates" / name)
     demos = []
     if template.num_demonstrations:
-        demos = _load_demonstrations(require_path(stage.cfg, "generation.demonstrations"), template.num_demonstrations)
+        path = existing(setting(stage.cfg, "generation.demonstrations"), "generation.demonstrations")
+        demos = _load_demonstrations(path, template.num_demonstrations)
 
     prompts = []
     sets_by_id = {}
     for raw in read_jsonl(sets_path):
-        set_id = str(raw["id"])
+        set_id = _row_id(raw, sets_by_id)
         triplets = triplets_from_row(raw)
         sets_by_id[set_id] = raw
         prompts.append((set_id, textgen.build_prompt(triplets, template, demos)))
 
     endpoint = textgen.EndpointConfig(
-        url=setting(stage.cfg, "generation.endpoint", str, ""),
-        model=setting(stage.cfg, "generation.model", str, ""),
-        api_key_env=setting(stage.cfg, "generation.api_key_env", str, textgen.DEFAULT_API_KEY_ENV),
+        url=setting(stage.cfg, "generation.endpoint"),
+        model=setting(stage.cfg, "generation.model"),
+        api_key_env=setting(stage.cfg, "generation.api_key_env"),
     )
     if not endpoint.url:
         raise ConfigError("generation.endpoint is required")
     limiter = textgen.RateLimiter(
-        setting(stage.cfg, "generation.requests_per_minute", int, 20),
-        setting(stage.cfg, "generation.tokens_per_minute", int, 150_000),
+        setting(stage.cfg, "generation.requests_per_minute"),
+        setting(stage.cfg, "generation.tokens_per_minute"),
     )
-    ledger = textgen.CostLedger(setting(stage.cfg, "generation.price_per_1k_tokens", float, 0.0))
+    ledger = textgen.CostLedger(setting(stage.cfg, "generation.price_per_1k_tokens"))
     client = textgen.CompletionClient(
         endpoint,
         params,
         limiter,
         ledger=ledger,
-        concurrency=setting(stage.cfg, "generation.concurrency", int, 4),
-        max_attempts=setting(stage.cfg, "generation.max_attempts", int, 5),
-        backoff_base=setting(stage.cfg, "generation.backoff_base", float, 2.0),
+        concurrency=setting(stage.cfg, "generation.concurrency"),
+        max_attempts=setting(stage.cfg, "generation.max_attempts"),
+        backoff_base=setting(stage.cfg, "generation.backoff_base"),
     )
     records_path = stage.output("generation_records.jsonl")
     counts = client.generate(prompts, records_path)
@@ -324,6 +363,14 @@ def cmd_generate(stage: Stage) -> int:
     return EXIT_PARTIAL if counts["failed"] else EXIT_OK
 
 
+def _row_id(raw, seen) -> str:
+    """The id of ``raw``; one already in ``seen`` is an InputError naming ``path:line``."""
+    row_id = str(raw["id"])
+    if row_id in seen:
+        raise InputError(f"{raw.where}: id {row_id!r} appears more than once")
+    return row_id
+
+
 def _datapoints(path):
     """(id, text, triplets) of each datapoint row."""
     for raw in read_jsonl(path):
@@ -335,8 +382,8 @@ def cmd_prepare(stage: Stage) -> int:
 
     datapoints_path = stage.input("datapoints")
     tokenizer = make_tokenizer(stage.cfg)
-    max_input = setting(stage.cfg, "prepare.max_input_tokens", int, 256)
-    max_target = setting(stage.cfg, "prepare.max_target_tokens", int, 256)
+    max_input = setting(stage.cfg, "prepare.max_input_tokens")
+    max_target = setting(stage.cfg, "prepare.max_target_tokens")
 
     fe_schema = codec.LinearizationSchema(variant=codec.Variant.FE)
     sc_schema = codec.LinearizationSchema(variant=codec.Variant.SC)
@@ -423,11 +470,10 @@ def cmd_decode(stage: Stage) -> int:
     if dropped:
         log.warning("decode left catalog labels out: %s", json.dumps(dropped, sort_keys=True))
     engine = ConstraintEngine(schema, tokenizer, entity_trie, relation_trie)
-    decode_cfg = dict(config_section(stage.cfg, "decode"))
     params = DecodeParams(
-        num_beams=setting(stage.cfg, "decode.num_beams", int, 10),
-        length_penalty=setting(stage.cfg, "decode.length_penalty", float, None),  # None: per variant
-        max_length=setting(stage.cfg, "decode.max_length", int, 256),
+        num_beams=setting(stage.cfg, "decode.num_beams"),
+        length_penalty=setting(stage.cfg, "decode.length_penalty"),  # None: per variant
+        max_length=setting(stage.cfg, "decode.max_length"),
     )
     if stage.args.scorer_cmd:
         scorer = SubprocessScorer(stage.args.scorer_cmd, tokenizer.vocab_size, shell=True)
@@ -438,10 +484,11 @@ def cmd_decode(stage: Stage) -> int:
     relation_labels = set(graph.relations.labels)
     decoded = 0
     with JsonlSink(stage.output("predictions.jsonl")) as sink:
-        done = {str(row["id"]) for row in sink.rows}
+        done, seen = {str(row["id"]) for row in sink.rows}, set()
         try:
             for raw in read_jsonl(inputs_path):
-                doc_id = str(raw["id"])
+                doc_id = _row_id(raw, seen)
+                seen.add(doc_id)
                 if doc_id in done:
                     continue
                 context = str(raw.get("text", raw.get("context", "")))
@@ -462,7 +509,7 @@ def cmd_decode(stage: Stage) -> int:
         finally:
             if isinstance(scorer, SubprocessScorer):
                 scorer.close()
-    stage.snapshot = {"schema": schema.variant.value, "decode": decode_cfg, "catalog": catalog}
+    stage.snapshot = {"schema": schema.variant.value, "decode": stage.cfg.get("decode") or {}, "catalog": catalog}
     print(f"decoded {decoded} inputs ({len(done)} predictions kept from an earlier run)")
     return EXIT_OK
 
@@ -470,10 +517,7 @@ def cmd_decode(stage: Stage) -> int:
 def _triplets_by_id(path) -> dict[str, set]:
     rows = {}
     for raw in read_jsonl(path):
-        doc_id = str(raw["id"])
-        if doc_id in rows:
-            raise InputError(f"{path}: id {doc_id!r} appears more than once")
-        rows[doc_id] = set(triplets_from_row(raw))
+        rows[_row_id(raw, rows)] = set(triplets_from_row(raw))
     return rows
 
 
@@ -495,9 +539,14 @@ def _read_train_counts(path) -> dict:
             continue
         try:
             relation, count = line.split("\t")
-            counts[relation] = int(count)
+            count = int(count)
         except ValueError:
             raise InputError(f"{path}:{number}: expected relation<TAB>count") from None
+        if count < 0:
+            raise InputError(f"{path}:{number}: count must be >= 0, got {count}")
+        if relation in counts:
+            raise InputError(f"{path}:{number}: relation {relation!r} appears more than once")
+        counts[relation] = count
     return counts
 
 
@@ -505,17 +554,16 @@ def cmd_eval(stage: Stage) -> int:
     from . import metrics
 
     predictions, gold = stage.input("predictions"), stage.input("gold")
-    mcfg = dict(config_section(stage.cfg, "metrics"))
     pairs = _pairs_from_files(predictions, gold)
     if not pairs:
         raise ConfigError("no evaluation pairs found")
     train_counts = _read_train_counts(stage.input("train_counts")) if stage.args.train_counts else None
     report = metrics.evaluate(
         pairs,
-        n_bootstrap=setting(stage.cfg, "metrics.n_bootstrap", int, 50),
-        level=setting(stage.cfg, "metrics.level", float, 0.95),
+        n_bootstrap=setting(stage.cfg, "metrics.n_bootstrap"),
+        level=setting(stage.cfg, "metrics.level"),
         seed=stage.seed,
-        macro_f1_mode=setting(stage.cfg, "metrics.macro_f1_mode", str, "mean_of_f1"),
+        macro_f1_mode=setting(stage.cfg, "metrics.macro_f1_mode"),
         train_counts=train_counts,
     )
     write_json(stage.output("eval_report.json"), report.to_json_dict())
@@ -524,7 +572,7 @@ def cmd_eval(stage: Stage) -> int:
             fh.write("bucket\tn_gold\tn_predicted\tf1\tlower\tupper\n")
             for row in report.per_bucket:
                 fh.write(f"{row.bucket}\t{row.n_gold}\t{row.n_predicted}\t{row.f1_point:.6f}\t{row.f1_lower:.6f}\t{row.f1_upper:.6f}\n")
-    stage.snapshot = {"metrics": mcfg}
+    stage.snapshot = {"metrics": stage.cfg.get("metrics") or {}}
     micro = report.micro["f1"]
     print(f"micro-F1 {micro['point']:.4f} [{micro['lower']:.4f}, {micro['upper']:.4f}]")
     return EXIT_OK
@@ -609,8 +657,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         stage = Stage(args)
+        manifest = stage.out_dir / f"{args.command}.manifest.json"
+        manifest.unlink(missing_ok=True)  # a failed rerun leaves no manifest of an earlier run
         code = args.func(stage)
-        write_manifest(stage.out_dir / f"{args.command}.manifest.json", args.command, stage.snapshot,
+        write_manifest(manifest, args.command, stage.snapshot,
                        stage.inputs, stage.outputs, seed=stage.seed_read)
         return code
     except ValidationError as exc:

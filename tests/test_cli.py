@@ -346,11 +346,15 @@ def test_decode_tokenizes_each_catalog_label_once(workspace, tmp_path, monkeypat
     assert encoded[-5:] == ["[s] ", " [s] ", " [r] ", " [o] ", " [e]"]
 
 
+# values of a kind their key does not take, which load_config rejects itself
+WRONG_KIND = [("decode.num_beams", "ten"), ("decode.length_penalty", "abc"), ("paths.edges", 5),
+              ("decode.num_beams", 2.7), ("metrics.level", True), ("paths.edges", [1]), ("seed", False)]
+
+
 @pytest.mark.parametrize("key, value", [
-    ("sampler.poisson_mean", -1), ("decode.num_beams", 0), ("decode.num_beams", "ten"), ("decode.length_penalty", "abc"),
-    ("metrics.level", 2), ("metrics.n_bootstrap", 0), ("metrics.n_bootstrap", -3), ("decode", 5),
-    ("generation.concurrency", 0), ("generation.price_per_1k_tokens", -1), ("generation.backoff_base", -1),
-    ("generation.max_attempts", 0), ("metrics.macro_f1_mode", "nope"), ("paths.edges", 5),
+    ("sampler.poisson_mean", -1), ("decode.num_beams", 0), ("metrics.level", 2), ("metrics.n_bootstrap", 0),
+    ("metrics.n_bootstrap", -3), ("decode", 5), ("generation.concurrency", 0), ("generation.price_per_1k_tokens", -1),
+    ("generation.backoff_base", -1), ("generation.max_attempts", 0), ("metrics.macro_f1_mode", "nope"), *WRONG_KIND,
 ])
 def test_config_value_a_layer_rejects_exits_1(key, value, workspace, tmp_path, monkeypatch, capsys):
     post = CountingPost()
@@ -370,7 +374,22 @@ def test_config_value_a_layer_rejects_exits_1(key, value, workspace, tmp_path, m
     assert run_cli(argv[0], "--config", config, *argv[1:], "--out", tmp_path / "o") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and (name or section) in err and "runtime error" not in err
+    if (key, value) in WRONG_KIND:
+        assert f"config key {key!r} must be " in err
     assert post.bodies == []
+
+
+def test_misspelt_config_key_warns_naming_the_closest_known_key(workspace, tmp_path, caplog):
+    run_cli("ingest", "--config", workspace["config"])
+    config = tmp_path / "misspelt.yaml"
+    raw = workspace["raw"]
+    config.write_text(yaml.safe_dump(dict(raw, decode=dict(raw["decode"], num_beam=3))), encoding="utf-8")
+    inputs = tmp_path / "inputs.jsonl"
+    inputs.write_text(json.dumps({"id": "q1", "text": "some context"}) + "\n", encoding="utf-8")
+    caplog.clear()
+    assert run_cli("decode", "--config", config, "--inputs", inputs, "--out", tmp_path / "o") == 0
+    warnings = [r.getMessage() for r in caplog.records if "num_beam" in r.getMessage()]
+    assert len(warnings) == 1 and "'decode.num_beam'" in warnings[0] and "'decode.num_beams'" in warnings[0]
 
 
 def test_sample_with_n_0_exits_1_and_writes_nothing(workspace, tmp_path, capsys):
@@ -638,6 +657,7 @@ def test_every_stage_checks_its_inputs_and_reruns_to_the_same_manifest(command, 
     assert run_cli(command, "--config", config, *argv) == 1
     err = capsys.readouterr().err
     assert f"{missing_input}: file not found: {missing}" in err
+    assert not (out / f"{command}.manifest.json").exists()  # no manifest of the earlier run is left
 
 
 @pytest.mark.parametrize("bad_line", ['{"id": "b", "text": "torn', "[1, 2]"])
@@ -657,7 +677,7 @@ def eval_files(tmp_path, pred_rows, gold_rows):
     return preds, gold
 
 
-@pytest.mark.parametrize("bad_line", ["linked to 40", "linked to\t40\tmore", "linked to\tmany"])
+@pytest.mark.parametrize("bad_line", ["linked to 40", "linked to\t40\tmore", "linked to\tmany", "linked to\t-1", "part of\t3"])
 def test_malformed_train_counts_line_is_validation_error(workspace, tmp_path, capsys, bad_line):
     row = {"id": "1", "text": "", "triplets": [("Alpha", "linked to", "Beta")]}
     preds, gold = eval_files(tmp_path, [row], [row])
@@ -721,6 +741,17 @@ def test_row_without_a_key_is_validation_error(command, bad_row, key, workspace,
     assert code == 1
     assert f"{rows}:2: missing key '{key}'" in err
     assert searched == ([GOOD_ROW["text"]] if command == "decode" else [])  # the bad row is never searched
+
+
+@pytest.mark.parametrize("command", ["decode", "generate"])
+def test_repeated_input_id_is_validation_error(command, workspace, tmp_path, monkeypatch, capsys):
+    post = CountingPost()
+    monkeypatch.setattr(requests, "post", post)
+    repeated = {**GOOD_ROW, "triplets": [{"s": "Beta", "r": "linked to", "o": "Gamma"}]}
+    code, rows, err = run_on_bad_row(command, repeated, workspace, tmp_path, capsys)
+    assert code == 1
+    assert f"{rows}:2: id '0' appears more than once" in err
+    assert post.bodies == []
 
 
 @pytest.mark.parametrize("label", [1, ["Alpha"], None], ids=["int", "list", "null"])
@@ -935,26 +966,17 @@ def test_every_layer_error_is_a_validation_error():
     assert issubclass(pipeline.ValidationError, ValueError)
 
 
-def test_readme_config_example_lists_every_key_the_cli_reads(workspace, tmp_path, monkeypatch):
+def test_readme_config_example_lists_every_key_the_cli_reads(tmp_path, caplog):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    example = yaml.safe_load(readme.split("```yaml\n# pipeline.yaml\n", 1)[1].split("```", 1)[0])
-    documented = {f"{name}.{key}" for name, section in example.items() if isinstance(section, dict) for key in section}
-    documented |= {name for name, value in example.items() if not isinstance(value, dict)}
-
-    read = set()
-    setting = cli.setting
-    monkeypatch.setattr(cli, "setting", lambda cfg, key, *rest: (read.add(key), setting(cfg, key, *rest))[1])
-    monkeypatch.setattr(requests, "post", ConstantPost())
-    demonstrations = tmp_path / "demonstrations.jsonl"
-    write_datapoints(demonstrations, [{"id": "d", "text": "Alpha is linked to Beta.", "triplets": [("Alpha", "linked to", "Beta")]}] * 3)
-    config = generation_config(workspace, tmp_path, "http://127.0.0.1:9/v1/completions",
-                               preset="code", demonstrations=str(demonstrations))
-    out = workspace["out"]
-    inputs = tmp_path / "inputs.jsonl"
-    inputs.write_text(json.dumps({"id": "q1", "text": "some context"}) + "\n", encoding="utf-8")
-    for argv in (["ingest"], ["sample", "--n", 6], ["generate", "--sets", out / "triplet_sets.jsonl"],
-                 ["prepare", "--datapoints", out / "datapoints.jsonl"], ["encode", "--datapoints", out / "datapoints.jsonl"],
-                 ["decode", "--inputs", inputs], ["eval", "--predictions", out / "predictions.jsonl", "--gold", inputs],
-                 ["stats", "--dataset", out / "datapoints.jsonl"]):
-        assert run_cli(argv[0], "--config", config, *argv[1:]) == 0
-    assert read == documented
+    example = tmp_path / "pipeline.yaml"
+    example.write_text(readme.split("```yaml\n# pipeline.yaml\n", 1)[1].split("```", 1)[0], encoding="utf-8")
+    cfg = cli.load_config(example)  # every value of its key's kind
+    assert not caplog.records  # and no key the table lacks
+    documented = {f"{name}.{key}": value for name, section in cfg.items() if isinstance(section, dict) for key, value in section.items()}
+    documented |= {name: value for name, value in cfg.items() if not isinstance(value, dict)}
+    assert set(documented) == set(cli.SETTINGS)
+    # every key is set to its default but those without one, which the example fills in
+    given = {key for key, (_, default) in cli.SETTINGS.items() if documented[key] != default}
+    assert given == {"paths.edges", "paths.entity_labels", "paths.relation_labels", "paths.graph",
+                     "generation.endpoint", "generation.demonstrations"}
+    assert all(cli.SETTINGS[key][1] is None for key in given)
