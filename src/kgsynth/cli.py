@@ -372,9 +372,12 @@ def _row_id(raw, seen) -> str:
 
 
 def _datapoints(path):
-    """(id, text, triplets) of each datapoint row."""
+    """(id, text, triplets) of each datapoint row; a repeated id is an InputError."""
+    seen = set()
     for raw in read_jsonl(path):
-        yield str(raw["id"]), str(raw.get("text", "")), triplets_from_row(raw)
+        point_id = _row_id(raw, seen)
+        seen.add(point_id)
+        yield point_id, str(raw.get("text", "")), triplets_from_row(raw)
 
 
 def cmd_prepare(stage: Stage) -> int:

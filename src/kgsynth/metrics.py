@@ -58,16 +58,42 @@ def _relation_of(fact) -> Hashable:
     return fact[1]
 
 
+class CountIndex:
+    """Every predicted and gold fact of a list of pairs, counted once.
+
+    Two flat int arrays hold one entry per fact and column: the document
+    index, and the key ``3 * relation position + column``, where the column
+    is 0 for correct, 1 for predicted and 2 for gold. Relations are in sorted
+    order, so that sums over a table do not follow the string hash seed. The
+    index is O(facts) in memory; no document x relation matrix is built."""
+
+    def __init__(self, pairs: Sequence[EvalPair]):
+        facts = [
+            (d, _relation_of(t), column)
+            for d, p in enumerate(pairs)
+            for column, side in enumerate((p.predicted & p.gold, p.predicted, p.gold))
+            for t in side
+        ]
+        self.n_docs = len(pairs)
+        self.relations = sorted({r for _, r, _ in facts})
+        position = {r: i for i, r in enumerate(self.relations)}
+        self.docs = np.array([d for d, _, _ in facts], dtype=np.intp)
+        self.keys = np.array([3 * position[r] + column for _, r, column in facts], dtype=np.intp)
+
+    def table(self, docs: Iterable[int]) -> dict[Hashable, tuple[int, int, int]]:
+        """``relation -> (correct, predicted, gold)`` over the multiset of
+        document indices ``docs``, in O(facts + relations). Relations with no
+        predicted and no gold fact in those documents do not appear."""
+        weights = np.bincount(docs, minlength=self.n_docs)[self.docs]
+        counts = np.bincount(self.keys, weights, minlength=3 * len(self.relations))
+        rows = counts.astype(np.int64).reshape(-1, 3).tolist()
+        return {r: tuple(row) for r, row in zip(self.relations, rows) if row[1] or row[2]}
+
+
 def relation_counts(pairs: Sequence[EvalPair]) -> dict[Hashable, tuple[int, int, int]]:
-    """``relation -> (correct, predicted, gold)`` fact counts, keyed in sorted
-    order so that sums over the table do not follow the string hash seed.
-    Relations with no predicted and no gold fact do not appear."""
-    counts: dict = {}
-    for p in pairs:
-        for column, facts in enumerate((p.predicted & p.gold, p.predicted, p.gold)):
-            for t in facts:
-                counts.setdefault(_relation_of(t), [0, 0, 0])[column] += 1
-    return {r: tuple(counts[r]) for r in sorted(counts)}
+    """``relation -> (correct, predicted, gold)`` fact counts over all pairs,
+    in the order and with the omissions of ``CountIndex.table``."""
+    return CountIndex(pairs).table(range(len(pairs)))
 
 
 def _sums(rows: Iterable[tuple[int, int, int]]) -> tuple[int, int, int]:
@@ -95,11 +121,6 @@ def micro_scores(pairs: Sequence[EvalPair]) -> tuple[float, float, float]:
     return _prf(*_sums(relation_counts(pairs).values()))
 
 
-def per_relation_scores(pairs: Sequence[EvalPair]) -> dict[Hashable, tuple[float, float, float]]:
-    """P/R/F1 per relation, in the order of ``relation_counts``."""
-    return {r: _prf(*row) for r, row in relation_counts(pairs).items()}
-
-
 def macro_scores(pairs: Sequence[EvalPair], f1_mode: str = "mean_of_f1") -> tuple[float, float, float]:
     """Relation-averaged precision/recall/F1.
 
@@ -111,15 +132,17 @@ def macro_scores(pairs: Sequence[EvalPair], f1_mode: str = "mean_of_f1") -> tupl
 
 
 def bootstrap_ci(
-    pairs: Sequence[EvalPair],
-    metric_fn: Callable[[Sequence[EvalPair]], float | Sequence[float]],
+    pairs: Sequence,
+    metric_fn: Callable[[Sequence], float | Sequence[float]],
     n: int = 50,
     level: float = 0.95,
     seed: int = 0,
 ) -> tuple[float, float, float] | list[tuple[float, float, float]]:
-    """Point estimate plus a percentile interval from ``n`` document-level
-    resamples. Bounds use outward order statistics, so both are values the
-    metric actually took on some resample.
+    """Point estimate plus a percentile interval from ``n`` resamples of
+    ``pairs``, which may be any sequence of items: the metric gets the whole
+    sequence, then a list of ``len(pairs)`` items drawn with replacement for
+    each resample. Bounds use outward order statistics, so both are values
+    the metric actually took on some resample.
 
     A metric that returns a tuple or list gets one ``(point, lower, upper)``
     per component, all from the same resamples."""
@@ -127,9 +150,8 @@ def bootstrap_ci(
         raise ValueError("bootstrap requires at least one pair")
     point = metric_fn(pairs)
     rng = np.random.default_rng(seed)
-    values = np.array(
-        [metric_fn([pairs[j] for j in rng.integers(0, len(pairs), size=len(pairs))]) for _ in range(n)], dtype=float
-    )
+    draws = (rng.integers(0, len(pairs), size=len(pairs)).tolist() for _ in range(n))
+    values = np.array([metric_fn([pairs[j] for j in drawn]) for drawn in draws], dtype=float)
     alpha = (1.0 - level) / 2.0
     lower = np.quantile(values, alpha, axis=0, method="lower")
     upper = np.quantile(values, 1.0 - alpha, axis=0, method="higher")
@@ -170,7 +192,8 @@ def per_bucket_f1(
     unseen bucket."""
     if not pairs:
         return []
-    table = relation_counts(pairs)
+    index = CountIndex(pairs)
+    table = index.table(range(len(pairs)))
     members: dict[int, list] = {}
     for r in table:
         members.setdefault(bucketize(train_counts.get(r, 0)), []).append(r)
@@ -180,7 +203,7 @@ def per_bucket_f1(
         return [_sums(counts[r] for r in members[b] if r in counts) for b in buckets]
 
     cis = bootstrap_ci(
-        pairs, lambda ps: tuple(_prf(*sums)[2] for sums in bucket_sums(relation_counts(ps))),
+        range(len(pairs)), lambda docs: tuple(_prf(*sums)[2] for sums in bucket_sums(index.table(docs))),
         n=n_bootstrap, level=level, seed=seed,
     )
     return [BucketRow(b, gold, predicted, *ci) for b, (_, predicted, gold), ci in zip(buckets, bucket_sums(table), cis)]
@@ -263,15 +286,17 @@ def evaluate(
         raise ValidationError("level must lie in (0, 1)")
     report = MetricsReport(n_bootstrap=n_bootstrap, level=level, seed=seed, macro_f1_mode=macro_f1_mode)
 
-    def scores(ps):
-        table = relation_counts(ps)
+    index = CountIndex(pairs)
+
+    def scores(docs):
+        table = index.table(docs)
         return (*_prf(*_sums(table.values())), *_macro(table, macro_f1_mode))
 
-    cis = bootstrap_ci(pairs, scores, n=n_bootstrap, level=level, seed=seed)
+    cis = bootstrap_ci(range(len(pairs)), scores, n=n_bootstrap, level=level, seed=seed)
     names = ("precision", "recall", "f1")
     report.micro = {name: dict(zip(("point", "lower", "upper"), ci)) for name, ci in zip(names, cis[:3])}
     report.macro = {name: dict(zip(("point", "lower", "upper"), ci)) for name, ci in zip(names, cis[3:])}
-    report.per_relation = per_relation_scores(pairs)
+    report.per_relation = {r: _prf(*row) for r, row in index.table(range(len(pairs))).items()}
     if train_counts is not None:
         report.per_bucket = per_bucket_f1(pairs, train_counts, n_bootstrap=n_bootstrap, level=level, seed=seed)
     return report

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -194,31 +195,42 @@ def test_stats_and_eval(workspace, tmp_path):
     assert (workspace["out"] / "eval_report.json").read_bytes() == first
 
 
+EVAL_OUTPUT_SHA256 = {
+    "eval_report.json": "70296938fafb6d46c84df41a966db4770d1e9534c34edcf56c4b71167956db63",
+    "buckets.tsv": "85768c1fc288e87a3d5948dbd737585df4498438d59eb4577f5671df9ec3085d",
+}
+
+
 def test_eval_report_is_byte_identical_across_hash_seeds(workspace, tmp_path):
     # many relations with uneven scores, so the macro sums depend on their order
     rng = random.Random(4)
     gold_rows, pred_rows = [], []
     for d in range(60):
         gold_t = {(f"e{rng.randrange(9)}", f"relation {rng.randrange(25)}", f"e{rng.randrange(9)}") for _ in range(4)}
-        pred_t = {t for t in gold_t if rng.random() < 0.7}
+        pred_t = {t for t in sorted(gold_t) if rng.random() < 0.7}
         pred_t |= {(f"e{rng.randrange(9)}", f"relation {rng.randrange(25)}", f"e{rng.randrange(9)}") for _ in range(2)}
         gold_rows.append({"id": str(d), "text": "", "triplets": sorted(gold_t)})
         pred_rows.append({"id": str(d), "text": "", "triplets": sorted(pred_t)})
     gold, preds = tmp_path / "gold.jsonl", tmp_path / "preds.jsonl"
     write_datapoints(gold, gold_rows)
     write_datapoints(preds, pred_rows)
+    # every fourth relation stays unseen; the rest spread over several buckets
+    train_counts = tmp_path / "train_counts.tsv"
+    train_counts.write_text("".join(f"relation {r}\t{3 * r * r}\n" for r in range(25) if r % 4), encoding="utf-8")
     src = os.path.dirname(os.path.dirname(kgsynth.__file__))
-    reports = []
+    outputs = []
     for hash_seed in ("1", "2"):
         out = tmp_path / f"hash{hash_seed}"
         env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         subprocess.run(
             [sys.executable, "-m", "kgsynth.cli", "eval", "--config", str(workspace["config"]),
-             "--predictions", str(preds), "--gold", str(gold), "--out", str(out)],
+             "--predictions", str(preds), "--gold", str(gold), "--train-counts", str(train_counts), "--out", str(out)],
             env=env, check=True, capture_output=True,
         )
-        reports.append((out / "eval_report.json").read_bytes())
-    assert reports[0] == reports[1]
+        outputs.append({name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in EVAL_OUTPUT_SHA256})
+    assert outputs[0] == outputs[1]
+    # the bytes themselves are pinned, so a change to the counting or the bootstrap shows
+    assert outputs[0] == EVAL_OUTPUT_SHA256
 
 
 def test_decode_with_builtin_and_subprocess_scorers(workspace, tmp_path):
@@ -743,7 +755,7 @@ def test_row_without_a_key_is_validation_error(command, bad_row, key, workspace,
     assert searched == ([GOOD_ROW["text"]] if command == "decode" else [])  # the bad row is never searched
 
 
-@pytest.mark.parametrize("command", ["decode", "generate"])
+@pytest.mark.parametrize("command", ["decode", "encode", "generate", "prepare"])
 def test_repeated_input_id_is_validation_error(command, workspace, tmp_path, monkeypatch, capsys):
     post = CountingPost()
     monkeypatch.setattr(requests, "post", post)

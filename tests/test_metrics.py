@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import numpy as np
@@ -50,7 +51,7 @@ def brute_force_macro(pairs):
     if not relations:
         return 1.0, 1.0, 1.0
     precisions, recalls, f1s = [], [], []
-    for r in sorted(relations):  # the summation order of metrics.per_relation_scores
+    for r in sorted(relations):  # the summation order of metrics.relation_counts
         restricted = [
             EvalPair.make(
                 p.doc_id,
@@ -67,6 +68,17 @@ def brute_force_macro(pairs):
     return sum(precisions) / n, sum(recalls) / n, sum(f1s) / n
 
 
+def recount_relations(pairs):
+    """The loop ``relation_counts`` ran before ``CountIndex``: every drawn
+    pair recounted in Python, relations in sorted order, absent ones left out."""
+    counts = {}
+    for p in pairs:
+        for column, facts in enumerate((p.predicted & p.gold, p.predicted, p.gold)):
+            for t in facts:
+                counts.setdefault(t[1], [0, 0, 0])[column] += 1
+    return {r: tuple(counts[r]) for r in sorted(counts)}
+
+
 def random_instance(rng, max_docs=8, max_triplets=6, n_entities=6, n_relations=4):
     pairs = []
     for d in range(rng.randint(1, max_docs)):
@@ -76,6 +88,27 @@ def random_instance(rng, max_docs=8, max_triplets=6, n_entities=6, n_relations=4
         }
         pairs.append(pair(f"d{d}", make(), make()))
     return pairs
+
+
+# --- count index ---
+
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_count_index_table_equals_a_recount_of_the_drawn_pairs(seed, data):
+    pairs = random_instance(random.Random(seed))
+    # repeats and omitted documents included, and the empty multiset
+    docs = data.draw(st.lists(st.integers(0, len(pairs) - 1), max_size=2 * len(pairs)))
+    table = metrics.CountIndex(pairs).table(docs)
+    expected = recount_relations([pairs[j] for j in docs])
+    assert table == expected
+    assert list(table) == list(expected)
+    assert all(type(count) is int for row in table.values() for count in row)
+
+
+def test_count_index_of_pairs_without_facts_is_empty():
+    pairs = [pair("d0", set(), set()), pair("d1", set(), set())]
+    assert metrics.CountIndex(pairs).table([0, 1, 1]) == {}
+    assert metrics.relation_counts([]) == {}
 
 
 # --- micro ---
@@ -421,3 +454,46 @@ def test_evaluate_bootstraps_once_per_report_section(monkeypatch):
     calls.clear()
     metrics.evaluate(pairs, n_bootstrap=10)
     assert len(calls) == 1
+
+
+def reference_report(pairs, n, seed, mode, train_counts):
+    """``evaluate`` as it was before ``CountIndex``: each bootstrap resample
+    is a list of pairs, recounted by ``recount_relations``."""
+    def scores(ps):
+        table = recount_relations(ps)
+        return (*metrics._prf(*metrics._sums(table.values())), *metrics._macro(table, mode))
+
+    report = metrics.MetricsReport(n_bootstrap=n, seed=seed, macro_f1_mode=mode)
+    cis = metrics.bootstrap_ci(pairs, scores, n=n, seed=seed)
+    names = ("precision", "recall", "f1")
+    report.micro = {name: dict(zip(("point", "lower", "upper"), ci)) for name, ci in zip(names, cis[:3])}
+    report.macro = {name: dict(zip(("point", "lower", "upper"), ci)) for name, ci in zip(names, cis[3:])}
+    table = recount_relations(pairs)
+    report.per_relation = {r: metrics._prf(*row) for r, row in table.items()}
+    if train_counts is not None:
+        members = {}
+        for r in table:
+            members.setdefault(metrics.bucketize(train_counts.get(r, 0)), []).append(r)
+        buckets = sorted(members)
+
+        def bucket_sums(counts):
+            return [metrics._sums(counts[r] for r in members[b] if r in counts) for b in buckets]
+
+        bucket_cis = metrics.bootstrap_ci(
+            pairs, lambda ps: tuple(metrics._prf(*sums)[2] for sums in bucket_sums(recount_relations(ps))), n=n, seed=seed)
+        report.per_bucket = [metrics.BucketRow(b, gold, predicted, *ci)
+                             for b, (_, predicted, gold), ci in zip(buckets, bucket_sums(table), bucket_cis)]
+    return report
+
+
+@pytest.mark.parametrize("with_train_counts", [False, True], ids=["no-buckets", "buckets"])
+@pytest.mark.parametrize("seed", range(5))
+def test_evaluate_equals_the_pair_list_bootstrap(seed, with_train_counts):
+    rng = random.Random(100 + seed)
+    pairs = random_instance(rng, max_docs=40, n_relations=9)
+    train_counts = {f"r{r}": rng.randint(0, 300) for r in range(8)} if with_train_counts else None
+    for mode in ("mean_of_f1", "harmonic_of_means"):
+        report = metrics.evaluate(pairs, n_bootstrap=30, seed=seed, macro_f1_mode=mode, train_counts=train_counts)
+        expected = reference_report(pairs, 30, seed, mode, train_counts)
+        assert report.to_json_dict() == expected.to_json_dict()
+        assert json.dumps(report.to_json_dict()) == json.dumps(expected.to_json_dict())
