@@ -21,7 +21,7 @@ import yaml
 
 # Each command imports the layers it runs inside its cmd_* body, so a stage
 # process loads only those: prepare and generate, for one, never load numpy.
-from .pipeline import InputError, JsonlSink, ValidationError, read_jsonl, read_lines, triplet_rows, triplets_from_row, write_json, write_jsonl, write_manifest
+from .pipeline import InputError, JsonlSink, ValidationError, jsonl_line, read_jsonl, read_lines, triplet_rows, triplets_from_row, write_json, write_jsonl, write_manifest
 
 log = logging.getLogger("kgsynth")
 
@@ -371,13 +371,27 @@ def _row_id(raw, seen) -> str:
     return row_id
 
 
-def _datapoints(path):
-    """(id, text, triplets) of each datapoint row; a repeated id is an InputError."""
+def _linearized_datapoints(path, schema, drops: dict):
+    """(id, text, triplets, linearization under ``schema``) of each datapoint
+    row of ``path``, read once. A row without triplets, or with a label
+    ``parse`` cannot read back, is left out and counted in ``drops`` under
+    ``empty`` or ``unlinearizable``; a repeated id is an InputError."""
+    from . import codec
+
     seen = set()
     for raw in read_jsonl(path):
         point_id = _row_id(raw, seen)
         seen.add(point_id)
-        yield point_id, str(raw.get("text", "")), triplets_from_row(raw)
+        text, triplets = str(raw.get("text", "")), triplets_from_row(raw)
+        if not triplets:
+            drops["empty"] += 1
+            continue
+        try:
+            linearized = codec.linearize(triplets, schema, text)
+        except codec.CodecError:  # parse could not read a label back
+            drops["unlinearizable"] += 1
+            continue
+        yield point_id, text, triplets, linearized
 
 
 def cmd_prepare(stage: Stage) -> int:
@@ -390,59 +404,40 @@ def cmd_prepare(stage: Stage) -> int:
 
     fe_schema = codec.LinearizationSchema(variant=codec.Variant.FE)
     sc_schema = codec.LinearizationSchema(variant=codec.Variant.SC)
-    fe_rows, sc_rows = [], []
     drops = {"empty": 0, "input_too_long": 0, "target_too_long": 0, "unencodable": 0, "unlinearizable": 0}
-    for point_id, text, triplets in _datapoints(datapoints_path):
-        if not triplets:
-            drops["empty"] += 1
-            continue
-        input_ids = tokenizer.try_encode(text)
-        try:
-            fe_target = codec.linearize(triplets, fe_schema, text)
-        except codec.CodecError:  # parse could not read a label back
-            drops["unlinearizable"] += 1
-            continue
-        fe_ids = tokenizer.try_encode(fe_target)
-        if input_ids is None or fe_ids is None:
-            drops["unencodable"] += 1
-            continue
-        if len(input_ids) > max_input:
-            drops["input_too_long"] += 1
-            continue
-        # the longer fully-expanded target governs, keeping the same
-        # surviving datapoints for both linearizations
-        if len(fe_ids) > max_target:
-            drops["target_too_long"] += 1
-            continue
-        sc_target = codec.linearize(triplets, sc_schema, text)
-        fe_rows.append({"id": point_id, "input": text, "target": fe_target})
-        sc_rows.append({"id": point_id, "input": text, "target": sc_target})
-
-    write_jsonl(stage.output("prepared_fe.jsonl"), fe_rows)
-    write_jsonl(stage.output("prepared_sc.jsonl"), sc_rows)
-    stage.snapshot = {"kept": len(fe_rows), "drops": drops, "max_input_tokens": max_input, "max_target_tokens": max_target}
+    kept = 0
+    with open(stage.output("prepared_fe.jsonl"), "w", encoding="utf-8") as fe_file, \
+            open(stage.output("prepared_sc.jsonl"), "w", encoding="utf-8") as sc_file:
+        for point_id, text, triplets, fe_target in _linearized_datapoints(datapoints_path, fe_schema, drops):
+            input_ids, fe_ids = tokenizer.try_encode(text), tokenizer.try_encode(fe_target)
+            if input_ids is None or fe_ids is None:
+                drops["unencodable"] += 1
+            elif len(input_ids) > max_input:
+                drops["input_too_long"] += 1
+            # the longer fully-expanded target governs, keeping the same
+            # surviving datapoints for both linearizations
+            elif len(fe_ids) > max_target:
+                drops["target_too_long"] += 1
+            else:
+                sc_target = codec.linearize(triplets, sc_schema, text)
+                fe_file.write(jsonl_line({"id": point_id, "input": text, "target": fe_target}))
+                sc_file.write(jsonl_line({"id": point_id, "input": text, "target": sc_target}))
+                kept += 1
+    stage.snapshot = {"kept": kept, "drops": drops, "max_input_tokens": max_input, "max_target_tokens": max_target}
     print(json.dumps(stage.snapshot, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_encode(stage: Stage) -> int:
-    from . import codec
-
     datapoints_path = stage.input("datapoints")
     schema = make_schema(stage.cfg)
-    rows, unlinearizable = [], 0
-    for point_id, text, triplets in _datapoints(datapoints_path):
-        if not triplets:
-            continue
-        try:
-            linearized = codec.linearize(triplets, schema, text)
-        except codec.CodecError:  # parse could not read a label back
-            unlinearizable += 1
-            continue
-        rows.append({"id": point_id, "text": text, "linearization": schema.variant.value, "linearized": linearized})
-    write_jsonl(stage.output(f"encoded_{schema.variant.value}.jsonl"), rows)
-    stage.snapshot = {"schema": schema.variant.value, "rows": len(rows), "unlinearizable": unlinearizable}
-    print(f"encoded {len(rows)} datapoints ({schema.variant.value})")
+    variant, drops = schema.variant.value, {"empty": 0, "unlinearizable": 0}
+    rows = write_jsonl(stage.output(f"encoded_{variant}.jsonl"), (
+        {"id": point_id, "text": text, "linearization": variant, "linearized": linearized}
+        for point_id, text, _, linearized in _linearized_datapoints(datapoints_path, schema, drops)
+    ))
+    stage.snapshot = {"schema": variant, "rows": rows, "unlinearizable": drops["unlinearizable"]}
+    print(f"encoded {rows} datapoints ({variant})")
     return EXIT_OK
 
 
@@ -584,10 +579,7 @@ def cmd_eval(stage: Stage) -> int:
 def cmd_stats(stage: Stage) -> int:
     from . import metrics
 
-    sets = [triplets_from_row(raw) for raw in read_jsonl(stage.input("dataset"))]
-    if not any(sets):
-        raise ConfigError("dataset contains no triplets")
-    stats = metrics.relation_stats(sets)
+    stats = metrics.relation_stats(triplets_from_row(raw) for raw in read_jsonl(stage.input("dataset")))
     write_json(stage.output("relation_stats.json"), {
         "summary": {"min": stats.minimum, "q1": stats.q1, "median": stats.median, "q3": stats.q3, "max": stats.maximum},
         "n_relations": len(stats.counts),

@@ -47,28 +47,24 @@ def entity_from_surface(surface: str) -> str:
     return surface.replace("_", " ")
 
 
-def _word_spans(text: str) -> list[tuple[int, str]]:
-    return [(m.start(), m.group()) for m in re.finditer(r"\S+", text)]
-
-
-def _entity_position(label: str, text: str, spans: list[tuple[int, str]]) -> int:
+def _entity_position(label: str, text: str) -> int:
     """Character position anchoring an entity in the source text.
 
     Exact label match wins; otherwise the start of the longest run of
-    consecutive source words contained in the label; otherwise position 0.
+    consecutive source words contained in the label, the earliest on a tie;
+    otherwise position 0. A run inside the label stays inside when it loses
+    a word at either end, so one window slid over the words finds it.
     """
     pos = text.find(label)
     if pos >= 0:
         return pos
-    best_pos, best_len = 0, 0
-    for i in range(len(spans)):
-        for j in range(len(spans), i, -1):
-            if j - i <= best_len:
-                break
-            candidate = text[spans[i][0] : spans[j - 1][0] + len(spans[j - 1][1])]
-            if candidate in label:
-                best_pos, best_len = spans[i][0], j - i
-                break
+    words = [m.span() for m in re.finditer(r"\S+", text)]
+    best_pos, best_len, i = 0, 0, 0
+    for j, (_, end) in enumerate(words):
+        while i <= j and text[words[i][0] : end] not in label:
+            i += 1
+        if j + 1 - i > best_len:
+            best_pos, best_len = words[i][0], j + 1 - i
     return best_pos
 
 
@@ -79,13 +75,11 @@ def order_triplets(triplets: Iterable[LabelTriplet], source_text: str = "") -> l
     With empty text all positions collapse to 0 and the order is purely
     lexicographic on (subject, relation, object).
     """
-    triplets = list(triplets)
-    spans = _word_spans(source_text)
     pos_cache: dict[str, int] = {}
 
     def pos(label: str) -> int:
         if label not in pos_cache:
-            pos_cache[label] = _entity_position(label, source_text, spans) if source_text else 0
+            pos_cache[label] = _entity_position(label, source_text) if source_text else 0
         return pos_cache[label]
 
     return sorted(triplets, key=lambda t: (pos(t[0]), pos(t[2]), t[0], t[1], t[2]))
@@ -159,7 +153,8 @@ def parse(
     subject across relation-object units until the next subject marker.
     Incomplete trailing fragments are dropped and counted; duplicates are
     removed. With catalogs, every surface form must resolve to a member or
-    the whole triplet is dropped (tallied, never a hard error).
+    the whole triplet is dropped (tallied, never a hard error). A catalog is
+    used as given and only needs ``in``, so one built once serves every call.
     """
     result = ParseResult()
     pieces = _DELIMITER.split(text)  # text before the first delimiter is ignored
@@ -203,14 +198,11 @@ def parse(
                 abandon()
     abandon()
 
-    ents = set(entity_catalog) if entity_catalog is not None else None
-    rels = set(relation_catalog) if relation_catalog is not None else None
-
     def resolve_entity(surface: str) -> str | None:
-        if ents is None:
+        if entity_catalog is None:
             return entity_from_surface(surface)
         for cand in (entity_from_surface(surface), surface):
-            if cand in ents:
+            if cand in entity_catalog:
                 return cand
         return None
 
@@ -218,7 +210,7 @@ def parse(
     for s_surf, rel, o_surf in raw:
         s = resolve_entity(s_surf)
         o = resolve_entity(o_surf)
-        r = rel if rels is None else (rel if rel in rels else None)
+        r = rel if relation_catalog is None or rel in relation_catalog else None
         if s is None or r is None or o is None:
             result.dropped_unresolvable += 1
             continue

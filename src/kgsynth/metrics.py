@@ -234,7 +234,7 @@ def relation_stats(triplet_sets: Iterable[Iterable[Fact]]) -> RelationStats:
         for t in triplets:
             counts[_relation_of(t)] += 1
     if not counts:
-        raise ValueError("dataset contains no triplets")
+        raise ValidationError("dataset contains no triplets")
     vec = np.sort(np.array(list(counts.values()), dtype=float))
     q = np.quantile(vec, [0.0, 0.25, 0.5, 0.75, 1.0])
     total = len(vec)

@@ -95,10 +95,18 @@ class SamplerState:
         return ENTITY_CENTRIC if phase == 0 else RELATION_CENTRIC
 
     def draw_entity(self) -> int:
-        return int(np.searchsorted(self._entity_cum, self.rng.random(), side="right"))
+        return _draw_index(self._entity_cum, self.rng.random())
 
     def draw_relation(self) -> int:
-        return int(np.searchsorted(self._relation_cum, self.rng.random(), side="right"))
+        return _draw_index(self._relation_cum, self.rng.random())
+
+
+def _draw_index(cum: np.ndarray, u: float) -> int:
+    """The index whose interval of the cumulative weights ``cum`` holds the
+    draw ``u``. Summed in floating point, ``cum`` can end just below the
+    total the draw was scaled to, and a draw above its end takes the last
+    index."""
+    return min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
 
 
 def reweight_distribution(counts: np.ndarray, dampening: float) -> np.ndarray:
@@ -163,8 +171,7 @@ def sample_start(state: SamplerState, graph: KnowledgeGraph, config: SamplerConf
     if total <= 0:
         idx = int(state.rng.integers(len(edges)))
     else:
-        idx = int(np.searchsorted(np.cumsum(weights / total), state.rng.random(), side="right"))
-        idx = min(idx, len(edges) - 1)
+        idx = _draw_index(np.cumsum(weights / total), state.rng.random())
     return graph.triplet(edges[idx])
 
 
@@ -189,7 +196,7 @@ def _draw_biased_subject(
                 return entity
             continue
         pick = state.rng.random() * extra_total
-        return candidates[int(np.searchsorted(np.cumsum(extra), pick, side="right"))]
+        return candidates[_draw_index(np.cumsum(extra), pick)]
     return None
 
 
@@ -271,8 +278,7 @@ def sample_triplet_set(
         if total <= 0:
             failures += 1
             continue
-        pick = int(np.searchsorted(np.cumsum(weights), state.rng.random() * total, side="right"))
-        pick = min(pick, len(edge_ids) - 1)
+        pick = _draw_index(np.cumsum(weights), state.rng.random() * total)
         t = graph.triplet(edge_ids[pick])
         triplets.append(t)
         chosen_edges.append(int(edge_ids[pick]))

@@ -56,18 +56,6 @@ class GenerationParams:
         if not (self.best_of >= self.n >= 1):
             raise ValueError("best_of >= n >= 1 required")
 
-    def to_request_fields(self) -> dict:
-        return {
-            "max_tokens": self.max_tokens,
-            "temperature": self.temperature,
-            "top_p": self.top_p,
-            "frequency_penalty": self.frequency_penalty,
-            "presence_penalty": self.presence_penalty,
-            "stop": self.stop,
-            "n": self.n,
-            "best_of": self.best_of,
-        }
-
 
 # Decoding knobs tuned for the two completion models driving the pipeline.
 PRESETS = {
@@ -306,7 +294,7 @@ class CompletionClient:
         return text
 
     def generate_one(self, set_id: str, prompt: str) -> GenerationRecord:
-        body = {"model": self.endpoint.model, "prompt": prompt, **self.params.to_request_fields()}
+        body = {"model": self.endpoint.model, "prompt": prompt, **asdict(self.params)}
         estimate = estimate_tokens(prompt) + self.params.max_tokens * self.params.best_of
         last_error = ""
         for attempt in range(1, self.max_attempts + 1):

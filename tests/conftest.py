@@ -1,7 +1,11 @@
+import functools
+import random
+
 import numpy as np
 import pytest
 
-from kgsynth import kgstore
+from kgsynth import kgstore, sampler
+from kgsynth.pipeline import triplet_rows
 
 
 @pytest.fixture
@@ -75,6 +79,31 @@ def make_zipf_kg(
     return kgstore.filter_zero_degree(graph)
 
 
+@functools.cache
+def default_zipf_kg() -> kgstore.KnowledgeGraph:
+    return make_zipf_kg()
+
+
 @pytest.fixture(scope="session")
 def zipf_kg():
-    return make_zipf_kg()
+    return default_zipf_kg()
+
+
+PARAPHRASE_SHARE = 0.15  # bench/stub.py's share of paraphrased entity mentions
+
+
+def make_datapoints(n: int, seed: int):
+    """``n`` datapoint rows (``id``, ``text``, ``triplets``) for sets sampled
+    from the Zipf KG, each set stated one sentence per triplet as the bench's
+    stub endpoint states it: a paraphrased mention keeps only the label's last
+    word, so about one label in eight is not found verbatim in its text."""
+    rng = random.Random(seed)
+
+    def mention(label: str) -> str:
+        return f"that {label.split()[-1]}" if rng.random() < PARAPHRASE_SHARE else label
+
+    graph = default_zipf_kg()
+    for i, ts in enumerate(sampler.sample_dataset(graph, sampler.SamplerConfig(seed=seed), n)):
+        triplets = [graph.triplet_labels(t) for t in ts.triplets]
+        text = " ".join(f"{mention(s)} {r} {mention(o)}." for s, r, o in triplets)
+        yield {"id": str(i), "text": text, "triplets": triplet_rows(triplets)}

@@ -13,6 +13,7 @@ import requests
 import yaml
 
 import kgsynth
+from conftest import make_datapoints
 from kgsynth import cli, codec
 from kgsynth.cli import main
 
@@ -155,6 +156,34 @@ def test_encode_and_prepare(workspace, tmp_path):
                                           "unlinearizable": 0}
 
 
+TEXT_STAGE_OUTPUT_SHA256 = {
+    "prepared_fe.jsonl": "060ac37fb6555b94756d8232b8e82b0bf8379735efbfbb2aed0cfea2581a7137",
+    "prepared_sc.jsonl": "ca528cd74db29680f2fdee42485b00a25cf69ede93557f8f4c7e68e686fedb0c",
+    "encoded_fe.jsonl": "a1510d8439ecadee8cb61e983e5e8a0940420668a5dfbd3a3ee9a7c1aabb2633",
+}
+
+
+def test_text_stage_outputs_are_pinned(workspace, tmp_path):
+    # sampled sets stated with paraphrased mentions, so the position rule
+    # takes its word-run branch; plus one row for each drop the sets miss
+    dp = tmp_path / "datapoints.jsonl"
+    rows = [*make_datapoints(400, 3),
+            {"id": "empty", "text": "nothing", "triplets": []},
+            {"id": "unlinearizable", "text": "Alpha [e] is linked to Beta.",
+             "triplets": [{"s": "Alpha [e]", "r": "linked to", "o": "Beta"}]}]
+    dp.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    out = workspace["out"]
+    assert run_cli("prepare", "--config", workspace["config"], "--datapoints", dp) == 0
+    assert run_cli("encode", "--config", workspace["config"], "--datapoints", dp) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in TEXT_STAGE_OUTPUT_SHA256}
+    assert digests == TEXT_STAGE_OUTPUT_SHA256
+    prepared = json.loads((out / "prepare.manifest.json").read_text())["config"]
+    assert (prepared["kept"], prepared["drops"]) == (345, {"empty": 1, "input_too_long": 7, "target_too_long": 48,
+                                                           "unencodable": 0, "unlinearizable": 1})
+    encoded = json.loads((out / "encode.manifest.json").read_text())["config"]
+    assert (encoded["rows"], encoded["unlinearizable"]) == (400, 1)
+
+
 def test_stats_and_eval(workspace, tmp_path):
     gold = tmp_path / "gold.jsonl"
     preds = tmp_path / "preds.jsonl"
@@ -193,6 +222,14 @@ def test_stats_and_eval(workspace, tmp_path):
     run_cli("eval", "--config", workspace["config"], "--predictions", preds, "--gold", gold,
             "--train-counts", train_counts)
     assert (workspace["out"] / "eval_report.json").read_bytes() == first
+
+
+def test_stats_on_a_dataset_without_triplets_exits_1(workspace, tmp_path, capsys):
+    dataset = tmp_path / "dataset.jsonl"
+    write_datapoints(dataset, [{"id": "1", "text": "", "triplets": []}, {"id": "2", "text": "", "triplets": []}])
+    assert run_cli("stats", "--config", workspace["config"], "--dataset", dataset) == 1
+    assert "error: dataset contains no triplets" in capsys.readouterr().err
+    assert not (workspace["out"] / "stats.manifest.json").exists()
 
 
 EVAL_OUTPUT_SHA256 = {

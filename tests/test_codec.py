@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -71,6 +72,60 @@ def test_order_word_overlap_fallback():
     assert ordered[0][0] == "Sentinel Range summit"
 
 
+def quadratic_entity_position(label: str, text: str) -> int:
+    """The position rule as a scan of every word run from every start: the
+    oracle for ``codec._entity_position``'s one sliding window."""
+    pos = text.find(label)
+    if pos >= 0:
+        return pos
+    spans = [(m.start(), m.group()) for m in re.finditer(r"\S+", text)]
+    best_pos, best_len = 0, 0
+    for i in range(len(spans)):
+        for j in range(len(spans), i, -1):
+            if j - i <= best_len:
+                break
+            candidate = text[spans[i][0] : spans[j - 1][0] + len(spans[j - 1][1])]
+            if candidate in label:
+                best_pos, best_len = spans[i][0], j - i
+                break
+    return best_pos
+
+
+@pytest.mark.parametrize("label, text, position", [
+    ("Sentinel Range summit", "The Sentinel Range mountains", 4),  # longest run
+    ("bar qux", "foo bar baz bar", 4),  # a tie goes to the earliest run
+    ("a b c", "x a  b c", 5),  # a run keeps the text's whitespace: "a  b" is not inside
+    ("Entity 12", "that 12 and Entity 1 too", 12),  # "Entity 1" is inside "Entity 12"
+    ("Zeta", "Alpha and Beta", 0),  # no word inside the label
+    ("Zeta", "  \t ", 0),
+])
+def test_entity_position_cases(label, text, position):
+    assert codec._entity_position(label, text) == position == quadratic_entity_position(label, text)
+
+
+WORDS = st.sampled_from(["a", "ab", "b", "ba", "Entity", "12", "1", "that", "Range"])
+SPACE = st.sampled_from([" ", "  ", "\t", " \n "])
+
+
+@st.composite
+def text_and_label(draw):
+    text = draw(st.sampled_from(["", " "])) + "".join(draw(WORDS) + draw(SPACE) for _ in range(draw(st.integers(0, 12))))
+    start, stop = sorted(draw(st.integers(0, len(text))) for _ in range(2))
+    label = draw(st.one_of(
+        st.lists(WORDS, min_size=1, max_size=5).map(" ".join),  # words that may or may not be in the text
+        st.just(text[start:stop]),  # a piece of the text, often cut inside a word
+        st.tuples(st.just(text[start:stop]), WORDS).map(" ".join),
+    ))
+    return label, text
+
+
+@given(text_and_label())
+@settings(max_examples=500, deadline=None)
+def test_entity_position_equals_the_quadratic_scan(label_text):
+    label, text = label_text
+    assert codec._entity_position(label, text) == quadratic_entity_position(label, text)
+
+
 def test_linearize_rejects_empty_set():
     with pytest.raises(codec.CodecError):
         codec.linearize([], FE)
@@ -125,6 +180,24 @@ def test_parse_with_catalogs_drops_unresolvable():
     text = "[s] A [r] rel [o] Z [e] [s] A [r] rel [o] B [e]"
     result = codec.parse(text, FE, entity_catalog={"A", "B"}, relation_catalog={"rel"})
     assert result.triplets == [("A", "rel", "B")]
+    assert result.dropped_unresolvable == 1
+
+
+class MembershipOnly:
+    def __init__(self, labels):
+        self.labels = frozenset(labels)
+
+    def __contains__(self, label):
+        return label in self.labels
+
+    def __iter__(self):
+        raise AssertionError("parse iterated a catalog")
+
+
+def test_parse_uses_catalogs_through_membership_only():
+    text = "[s] A [r] rel [o] Z [e] [s] A [r] rel [o] B_C [e]"
+    result = codec.parse(text, FE, entity_catalog=MembershipOnly({"A", "B C"}), relation_catalog=MembershipOnly({"rel"}))
+    assert result.triplets == [("A", "rel", "B C")]
     assert result.dropped_unresolvable == 1
 
 

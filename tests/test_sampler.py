@@ -169,6 +169,43 @@ def test_mixed_strategy_alternates_every_interval(tiny_graph):
     ]
 
 
+class TopRng:
+    """An rng whose every uniform draw is the largest that ``random`` returns."""
+
+    def random(self):
+        return 1.0 - 2.0 ** -53
+
+
+def ring_graph(n_entities, n_relations):
+    return kgstore.KnowledgeGraph.from_triples(
+        [f"E{i}" for i in range(n_entities)],
+        [f"r{j}" for j in range(n_relations)],
+        [(i, i % n_relations, (i + 1) % n_entities) for i in range(n_entities)],
+    )
+
+
+@pytest.mark.parametrize("strategy", [sampler.ENTITY_CENTRIC, sampler.RELATION_CENTRIC])
+def test_top_draw_takes_the_last_index(strategy):
+    # the uniform cumulative sum over 7 items ends at 0.9999999999999998,
+    # below the top draw
+    graph = ring_graph(7, 7)
+    state, cfg = make_state(graph, strategy=strategy)
+    assert state._entity_cum[-1] < TopRng().random() and state._relation_cum[-1] < TopRng().random()
+    state.rng = TopRng()
+    assert (state.draw_entity(), state.draw_relation()) == (6, 6)
+    last = 6 if strategy == sampler.ENTITY_CENTRIC else graph.triplet(int(graph.relation_edges(6)[0]))
+    assert sampler.sample_start(state, graph, cfg) == last
+
+
+def test_top_draw_picks_the_last_biased_candidate():
+    # over 25 uniform entities with bias 1 the candidates' cumulative extra
+    # weight ends below the top draw's share of their total
+    graph = ring_graph(25, 1)
+    state, _ = make_state(graph, bias_factor=1.0)
+    state.rng = TopRng()
+    assert sampler._draw_biased_subject(state, list(range(25)), 1.0, set()) == 24
+
+
 # --- walks ---
 
 def test_edge_start_target_one(tiny_graph):

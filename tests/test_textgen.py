@@ -187,6 +187,25 @@ def test_rate_limiter_token_budget_simulated_clock():
     assert sliding_window_ok(events, 60.0, 1000, 150_000)
 
 
+@pytest.mark.parametrize("preset, fields", [
+    ("code", '"max_tokens": 100, "temperature": 0.7, "top_p": 1.0, "frequency_penalty": 0.2, '
+             '"presence_penalty": 0.0, "stop": "\\n", "n": 1, "best_of": 5'),
+    ("text", '"max_tokens": 50, "temperature": 0.7, "top_p": 1.0, "frequency_penalty": 0.2, '
+             '"presence_penalty": 0.0, "stop": "\\n", "n": 1, "best_of": 1'),
+])
+def test_request_body_carries_every_preset_field_in_order(preset, fields):
+    bodies = []
+
+    def transport(url, body, headers, timeout):
+        bodies.append(body)
+        return 200, ok_payload("A fine sentence.")
+
+    client = make_client(transport)
+    client.params = textgen.PRESETS[preset]
+    client.generate_one("set-1", "some prompt")
+    assert json.dumps(bodies[0]) == '{"model": "mock-model", "prompt": "some prompt", ' + fields + "}"
+
+
 def test_rate_limiter_rejects_oversized_request():
     limiter = RateLimiter(10, 1000, time_fn=lambda: 0.0, sleep_fn=lambda s: None)
     with pytest.raises(ValueError):
