@@ -579,7 +579,13 @@ def cmd_eval(stage: Stage) -> int:
 def cmd_stats(stage: Stage) -> int:
     from . import metrics
 
-    stats = metrics.relation_stats(triplets_from_row(raw) for raw in read_jsonl(stage.input("dataset")))
+    def dataset_triplets():
+        seen = set()
+        for raw in read_jsonl(stage.input("dataset")):
+            seen.add(_row_id(raw, seen))
+            yield triplets_from_row(raw)
+
+    stats = metrics.relation_stats(dataset_triplets())
     write_json(stage.output("relation_stats.json"), {
         "summary": {"min": stats.minimum, "q1": stats.q1, "median": stats.median, "q3": stats.q3, "max": stats.maximum},
         "n_relations": len(stats.counts),

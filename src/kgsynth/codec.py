@@ -109,10 +109,10 @@ def linearize(
     ordered = order_triplets(triplets, source_text)
     if not ordered:
         raise CodecError("cannot linearize an empty triplet set")
-    for s, r, o in ordered:
-        for label, entity in ((s, True), (r, False), (o, True)):
-            if not linearizable(label, entity):
-                raise CodecError(f"label {label!r} cannot be read back from a linearization")
+    labels = dict.fromkeys(pair for s, r, o in ordered for pair in ((s, True), (r, False), (o, True)))
+    for label, entity in labels:  # each distinct label once, in triplet order
+        if not linearizable(label, entity):
+            raise CodecError(f"label {label!r} cannot be read back from a linearization")
     parts: list[str] = []
     if schema.variant is Variant.FE:
         for s, r, o in ordered:

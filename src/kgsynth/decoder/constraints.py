@@ -1,14 +1,21 @@
 """Structural constraint automaton for linearized triplet sequences.
 
-The automaton tracks where a token prefix sits inside the linearization
-grammar: delimiter chains (delimiters are tokenized like ordinary text, so a
-delimiter may span several tokens) alternate with catalog-trie walks for the
-subject, relation, and object. Because a trie continuation token can coincide
-with the first token of the next delimiter, the state is a small *set* of
-interpretations advanced in lockstep; a token is allowed if any interpretation
+The linearization grammar is a cycle of eight phases, each a prefix trie:
+the delimiters ``s_first`` ("[s] "), ``s_next`` (" [s] "), ``r`` (" [r] "),
+``o`` (" [o] ") and ``e`` (" [e]") are one-entry tries over their tokens
+(a delimiter may span several tokens), and ``subject``, ``relation`` and
+``object`` are the catalog tries. A complete entry of a phase opens the next
+phase in grammar order; a complete ``e`` opens ``s_next``, and also ``r``
+under SC, where a subject's next relation-object unit follows directly.
+
+A config is one interpretation of the prefix, ``(phase, trie node)``, and
+one rule advances it: step to a child of the node, and at a terminal node
+also take the first step of each phase it opens. Because a catalog label can
+continue with the same token that starts the next delimiter, the state is a
+small *set* of configs advanced in lockstep; a token is allowed if any config
 admits it, which keeps every reachable state free of dead ends.
 
-End-of-sequence is permitted exactly after a completed end delimiter, i.e.
+End-of-sequence is permitted exactly at a terminal node of ``e``, i.e.
 after at least one full triplet.
 """
 from __future__ import annotations
@@ -18,9 +25,9 @@ from typing import Iterable, Sequence
 
 from ..codec import END, START_OBJECT, START_RELATION, START_SUBJECT, LinearizationSchema, Variant
 from .tokenizers import Tokenizer
-from .trie import CatalogTrie
+from .trie import CatalogTrie, TrieNode
 
-Config = tuple  # ("delim", chain_name, pos) | ("trie", phase, node) | ("after_e",)
+Config = tuple[str, TrieNode]  # (phase, node of the phase's trie)
 
 
 class ConstraintError(RuntimeError):
@@ -34,15 +41,7 @@ class ConstraintState:
     @property
     def structural_phase(self) -> str:
         """Human-readable summary of the live interpretations."""
-        names = []
-        for cfg in sorted(self.configs, key=repr):
-            if cfg[0] == "trie":
-                names.append(f"in-{cfg[1]}")
-            elif cfg[0] == "delim":
-                names.append(f"expect-{cfg[1]}[{cfg[2]}]")
-            else:
-                names.append("after-end")
-        return "|".join(names)
+        return "|".join(sorted({phase for phase, _ in self.configs}))
 
 
 class ConstraintEngine:
@@ -57,78 +56,44 @@ class ConstraintEngine:
     ):
         self.schema = schema
         self.tokenizer = tokenizer
-        self.entity_trie = entity_trie
-        self.relation_trie = relation_trie
         self.eos_id = tokenizer.eos_id
 
-        def chain(text: str) -> tuple[int, ...]:
+        def delimiter(text: str) -> CatalogTrie:
             ids = tokenizer.try_encode(text)
             if not ids:
                 raise ConstraintError(f"delimiter segment {text!r} is not tokenizable")
-            return tuple(ids)
+            trie = CatalogTrie()
+            trie.insert(ids, text)
+            return trie
 
-        self._chains: dict[str, tuple[int, ...]] = {
-            "s_first": chain(START_SUBJECT + " "),
-            "s_next": chain(" " + START_SUBJECT + " "),
-            "r": chain(" " + START_RELATION + " "),
-            "o": chain(" " + START_OBJECT + " "),
-            "e": chain(" " + END),
-        }
-        self._chain_target = {
-            "s_first": "subject",
-            "s_next": "subject",
-            "r": "relation",
-            "o": "object",
-            "e": "after_e",
-        }
-        self._next_chain = {"subject": "r", "relation": "o", "object": "e"}
-        self._tries = {
-            "subject": entity_trie,
-            "relation": relation_trie,
-            "object": entity_trie,
+        after_e = ("s_next", "r") if schema.variant is Variant.SC else ("s_next",)
+        # phase -> (its trie, the phases a complete entry opens)
+        self._phases: dict[str, tuple[CatalogTrie, tuple[str, ...]]] = {
+            "s_first": (delimiter(START_SUBJECT + " "), ("subject",)),
+            "s_next": (delimiter(" " + START_SUBJECT + " "), ("subject",)),
+            "subject": (entity_trie, ("r",)),
+            "r": (delimiter(" " + START_RELATION + " "), ("relation",)),
+            "relation": (relation_trie, ("o",)),
+            "o": (delimiter(" " + START_OBJECT + " "), ("object",)),
+            "object": (entity_trie, ("e",)),
+            "e": (delimiter(" " + END), after_e),
         }
         # reachable state spaces are small; cache transition tables per state
         self._allowed_cache: dict[frozenset, tuple[set[int], bool]] = {}
         self._advance_cache: dict[tuple[frozenset, int], ConstraintState] = {}
 
     def initial_state(self) -> ConstraintState:
-        return ConstraintState(frozenset({("delim", "s_first", 0)}))
-
-    def _chain_entry(self, name: str, pos: int) -> Config:
-        """Config after consuming chain[pos]; the chain end opens its target."""
-        if pos + 1 < len(self._chains[name]):
-            return ("delim", name, pos + 1)
-        target = self._chain_target[name]
-        if target == "after_e":
-            return ("after_e",)
-        return ("trie", target, self._tries[target].root)
-
-    def _after_e_chains(self) -> list[str]:
-        chains = ["s_next"]
-        if self.schema.variant is Variant.SC:
-            chains.append("r")
-        return chains
+        return ConstraintState(frozenset({("s_first", self._phases["s_first"][0].root)}))
 
     def _config_moves(self, cfg: Config) -> dict[int, list[Config]]:
+        phase, node = cfg
+        walks = [cfg]
+        if node.terminal:
+            walks.extend((opened, self._phases[opened][0].root) for opened in self._phases[phase][1])
         moves: dict[int, list[Config]] = {}
-
-        def add(token: int, successor: Config) -> None:
-            moves.setdefault(token, []).append(successor)
-
-        kind = cfg[0]
-        if kind == "delim":
-            _, name, pos = cfg
-            add(self._chains[name][pos], self._chain_entry(name, pos))
-        elif kind == "trie":
-            _, phase, node = cfg
-            for token, child in node.children.items():
-                add(token, ("trie", phase, child))
-            if node.terminal:
-                name = self._next_chain[phase]
-                add(self._chains[name][0], self._chain_entry(name, 0))
-        else:  # after_e
-            for name in self._after_e_chains():
-                add(self._chains[name][0], self._chain_entry(name, 0))
+        for walk_phase, walk_node in walks:
+            for token, child in walk_node.children.items():
+                moves.setdefault(token, []).append((walk_phase, child))
         return moves
 
     def allowed_next(self, state: ConstraintState) -> tuple[set[int], bool]:
@@ -137,13 +102,10 @@ class ConstraintEngine:
         if cached is not None:
             return cached
         allowed: set[int] = set()
-        eos = False
         for cfg in state.configs:
-            if cfg[0] == "after_e":
-                eos = True
             allowed.update(self._config_moves(cfg).keys())
-        self._allowed_cache[state.configs] = (allowed, eos)
-        return allowed, eos
+        result = self._allowed_cache[state.configs] = (allowed, self.is_accepting(state))
+        return result
 
     def advance(self, state: ConstraintState, token: int) -> ConstraintState:
         key = (state.configs, token)
@@ -160,7 +122,7 @@ class ConstraintEngine:
         return new_state
 
     def is_accepting(self, state: ConstraintState) -> bool:
-        return any(cfg[0] == "after_e" for cfg in state.configs)
+        return any(phase == "e" and node.terminal for phase, node in state.configs)
 
     def replay(self, tokens: Iterable[int]) -> ConstraintState:
         """Advance through a full token sequence (testing helper)."""

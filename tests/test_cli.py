@@ -777,8 +777,8 @@ def run_on_bad_row(command, bad_row, workspace, tmp_path, capsys):
     pytest.param(command, bad_row, key, id=f"{command}-{key}")
     for command in sorted(ROW_INPUT)
     for bad_row, key in (({"text": "Gamma is part of Delta."}, "id"), ({"id": "a", "triplets": [{"s": "Alpha"}]}, "r"))
-    # decode reads no triplets, stats no ids
-    if (command, key) not in (("decode", "r"), ("stats", "id"))
+    # decode reads no triplets
+    if (command, key) != ("decode", "r")
 ])
 def test_row_without_a_key_is_validation_error(command, bad_row, key, workspace, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(requests, "post", ConstantPost())
@@ -792,7 +792,7 @@ def test_row_without_a_key_is_validation_error(command, bad_row, key, workspace,
     assert searched == ([GOOD_ROW["text"]] if command == "decode" else [])  # the bad row is never searched
 
 
-@pytest.mark.parametrize("command", ["decode", "encode", "generate", "prepare"])
+@pytest.mark.parametrize("command", ["decode", "encode", "generate", "prepare", "stats"])
 def test_repeated_input_id_is_validation_error(command, workspace, tmp_path, monkeypatch, capsys):
     post = CountingPost()
     monkeypatch.setattr(requests, "post", post)

@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 import pytest
@@ -11,16 +13,18 @@ from hypothesis import strategies as st
 
 import kgsynth
 from kgsynth import cli, codec
-from kgsynth.codec import LinearizationSchema, Variant
+from kgsynth.codec import END, START_OBJECT, START_RELATION, START_SUBJECT, LinearizationSchema, Variant
 from kgsynth.decoder import (
     AdversarialScorer,
     ByteTokenizer,
+    CatalogTrie,
     ConstraintEngine,
     ConstraintError,
     DecodeParams,
     DEFAULT_LENGTH_PENALTY,
     OracleScorer,
     SubprocessScorer,
+    Tokenizer,
     UniformScorer,
     WordPieceTokenizer,
     build_trie,
@@ -443,6 +447,209 @@ def test_every_walk_to_eos_parses_into_catalog_triplets(entities, relations, sch
     for s, r, o in parsed.triplets:
         for surface in (codec.entity_surface(s), r, codec.entity_surface(o)):
             assert surface in text
+
+
+# --- the automaton of delimiter chains and catalog tries, as the reference ---
+
+# the engine as it was before every phase became a trie: three kinds of
+# config, each with its own transition code
+Config = tuple  # ("delim", chain_name, pos) | ("trie", phase, node) | ("after_e",)
+
+
+
+
+@dataclass(frozen=True)
+class ReferenceState:
+    configs: frozenset
+
+    @property
+    def structural_phase(self) -> str:
+        """Human-readable summary of the live interpretations."""
+        names = []
+        for cfg in sorted(self.configs, key=repr):
+            if cfg[0] == "trie":
+                names.append(f"in-{cfg[1]}")
+            elif cfg[0] == "delim":
+                names.append(f"expect-{cfg[1]}[{cfg[2]}]")
+            else:
+                names.append("after-end")
+        return "|".join(names)
+
+
+class ReferenceEngine:
+    """Allowed-token oracle for one schema, tokenizer, and catalog trie pair."""
+
+    def __init__(
+        self,
+        schema: LinearizationSchema,
+        tokenizer: Tokenizer,
+        entity_trie: CatalogTrie,
+        relation_trie: CatalogTrie,
+    ):
+        self.schema = schema
+        self.tokenizer = tokenizer
+        self.entity_trie = entity_trie
+        self.relation_trie = relation_trie
+        self.eos_id = tokenizer.eos_id
+
+        def chain(text: str) -> tuple[int, ...]:
+            ids = tokenizer.try_encode(text)
+            if not ids:
+                raise ConstraintError(f"delimiter segment {text!r} is not tokenizable")
+            return tuple(ids)
+
+        self._chains: dict[str, tuple[int, ...]] = {
+            "s_first": chain(START_SUBJECT + " "),
+            "s_next": chain(" " + START_SUBJECT + " "),
+            "r": chain(" " + START_RELATION + " "),
+            "o": chain(" " + START_OBJECT + " "),
+            "e": chain(" " + END),
+        }
+        self._chain_target = {
+            "s_first": "subject",
+            "s_next": "subject",
+            "r": "relation",
+            "o": "object",
+            "e": "after_e",
+        }
+        self._next_chain = {"subject": "r", "relation": "o", "object": "e"}
+        self._tries = {
+            "subject": entity_trie,
+            "relation": relation_trie,
+            "object": entity_trie,
+        }
+        # reachable state spaces are small; cache transition tables per state
+        self._allowed_cache: dict[frozenset, tuple[set[int], bool]] = {}
+        self._advance_cache: dict[tuple[frozenset, int], ReferenceState] = {}
+
+    def initial_state(self) -> ReferenceState:
+        return ReferenceState(frozenset({("delim", "s_first", 0)}))
+
+    def _chain_entry(self, name: str, pos: int) -> Config:
+        """Config after consuming chain[pos]; the chain end opens its target."""
+        if pos + 1 < len(self._chains[name]):
+            return ("delim", name, pos + 1)
+        target = self._chain_target[name]
+        if target == "after_e":
+            return ("after_e",)
+        return ("trie", target, self._tries[target].root)
+
+    def _after_e_chains(self) -> list[str]:
+        chains = ["s_next"]
+        if self.schema.variant is Variant.SC:
+            chains.append("r")
+        return chains
+
+    def _config_moves(self, cfg: Config) -> dict[int, list[Config]]:
+        moves: dict[int, list[Config]] = {}
+
+        def add(token: int, successor: Config) -> None:
+            moves.setdefault(token, []).append(successor)
+
+        kind = cfg[0]
+        if kind == "delim":
+            _, name, pos = cfg
+            add(self._chains[name][pos], self._chain_entry(name, pos))
+        elif kind == "trie":
+            _, phase, node = cfg
+            for token, child in node.children.items():
+                add(token, ("trie", phase, child))
+            if node.terminal:
+                name = self._next_chain[phase]
+                add(self._chains[name][0], self._chain_entry(name, 0))
+        else:  # after_e
+            for name in self._after_e_chains():
+                add(self._chains[name][0], self._chain_entry(name, 0))
+        return moves
+
+    def allowed_next(self, state: ReferenceState) -> tuple[set[int], bool]:
+        """Tokens admissible from ``state`` plus whether end-of-sequence is."""
+        cached = self._allowed_cache.get(state.configs)
+        if cached is not None:
+            return cached
+        allowed: set[int] = set()
+        eos = False
+        for cfg in state.configs:
+            if cfg[0] == "after_e":
+                eos = True
+            allowed.update(self._config_moves(cfg).keys())
+        self._allowed_cache[state.configs] = (allowed, eos)
+        return allowed, eos
+
+    def advance(self, state: ReferenceState, token: int) -> ReferenceState:
+        key = (state.configs, token)
+        cached = self._advance_cache.get(key)
+        if cached is not None:
+            return cached
+        successors: set[Config] = set()
+        for cfg in state.configs:
+            successors.update(self._config_moves(cfg).get(token, ()))
+        if not successors:
+            raise ConstraintError(f"token {token} not allowed in phase {state.structural_phase}")
+        new_state = ReferenceState(frozenset(successors))
+        self._advance_cache[key] = new_state
+        return new_state
+
+    def is_accepting(self, state: ReferenceState) -> bool:
+        return any(cfg[0] == "after_e" for cfg in state.configs)
+
+    def replay(self, tokens: Iterable[int]) -> ReferenceState:
+        """Advance through a full token sequence (testing helper)."""
+        state = self.initial_state()
+        for token in tokens:
+            state = self.advance(state, token)
+        return state
+
+    def accepts(self, tokens: Sequence[int]) -> bool:
+        try:
+            return self.is_accepting(self.replay(tokens))
+        except ConstraintError:
+            return False
+
+
+def prefix_closed(word_lists):
+    """Each label's word-prefixes as labels too, so a catalog holds pairs
+    such as "born" and "born in": after "born" the token " " both continues
+    a label and starts " [o] ", and a state holds more than one config."""
+    return list(dict.fromkeys(" ".join(words[:k]) for words in word_lists for k in range(1, len(words) + 1)))
+
+
+ORACLE_WORDS = ["born", "in", "a", "o", "_", "[o]", "[e]", "[s]", "[r]", "["]
+ORACLE_CATALOGS = st.lists(st.lists(st.sampled_from(ORACLE_WORDS), min_size=1, max_size=3), max_size=4).map(
+    lambda word_lists: prefix_closed([["born", "in"], *word_lists]))
+ORACLE_TOKENIZERS = [
+    ByteTokenizer(),
+    WordPieceTokenizer(DELIM_PIECES + ["born", "in", " in", "a", "o", "_", " ", "[", "]", "s", "r", "e"]),
+]
+
+
+@given(
+    entities=ORACLE_CATALOGS,
+    relations=ORACLE_CATALOGS,
+    schema=st.sampled_from([FE, SC]),
+    tokenizer=st.sampled_from(ORACLE_TOKENIZERS),
+    rng=st.randoms(use_true_random=False),
+)
+@settings(max_examples=300, deadline=None)
+def test_engine_matches_reference_on_random_walks(entities, relations, schema, tokenizer, rng):
+    entity_trie, relation_trie = build_trie(entities, tokenizer), build_trie(relations, tokenizer)
+    engine = ConstraintEngine(schema, tokenizer, entity_trie, relation_trie)
+    reference = ReferenceEngine(schema, tokenizer, entity_trie, relation_trie)
+    state, expected = engine.initial_state(), reference.initial_state()
+    for _ in range(60):
+        allowed, eos_ok = engine.allowed_next(state)
+        assert (allowed, eos_ok) == reference.allowed_next(expected)
+        assert engine.is_accepting(state) == reference.is_accepting(expected)
+        refused = sorted(set(range(tokenizer.vocab_size)) - allowed)  # holds the end-of-sequence id
+        token = rng.choice(refused)
+        with pytest.raises(ConstraintError):
+            engine.advance(state, token)
+        with pytest.raises(ConstraintError):
+            reference.advance(expected, token)
+        if eos_ok and rng.random() < 0.1:
+            break
+        token = rng.choice(sorted(allowed))
+        state, expected = engine.advance(state, token), reference.advance(expected, token)
 
 
 # --- scorer subprocess protocol ---
