@@ -310,11 +310,9 @@ def cmd_generate(stage: Stage) -> int:
 
     prompts = []
     sets_by_id = {}
-    for raw in read_jsonl(sets_path):
-        set_id = _row_id(raw, sets_by_id)
-        triplets = triplets_from_row(raw)
+    for set_id, raw in _id_rows(sets_path):
         sets_by_id[set_id] = raw
-        prompts.append((set_id, textgen.build_prompt(triplets, template, demos)))
+        prompts.append((set_id, textgen.build_prompt(triplets_from_row(raw), template, demos)))
 
     endpoint = textgen.EndpointConfig(
         url=setting(stage.cfg, "generation.endpoint"),
@@ -363,12 +361,16 @@ def cmd_generate(stage: Stage) -> int:
     return EXIT_PARTIAL if counts["failed"] else EXIT_OK
 
 
-def _row_id(raw, seen) -> str:
-    """The id of ``raw``; one already in ``seen`` is an InputError naming ``path:line``."""
-    row_id = str(raw["id"])
-    if row_id in seen:
-        raise InputError(f"{raw.where}: id {row_id!r} appears more than once")
-    return row_id
+def _id_rows(path):
+    """``(id, row)`` for each row of ``path``; an id seen before is an
+    InputError naming ``path:line``."""
+    seen = set()
+    for raw in read_jsonl(path):
+        row_id = str(raw["id"])
+        if row_id in seen:
+            raise InputError(f"{raw.where}: id {row_id!r} appears more than once")
+        seen.add(row_id)
+        yield row_id, raw
 
 
 def _linearized_datapoints(path, schema, drops: dict):
@@ -378,10 +380,7 @@ def _linearized_datapoints(path, schema, drops: dict):
     ``empty`` or ``unlinearizable``; a repeated id is an InputError."""
     from . import codec
 
-    seen = set()
-    for raw in read_jsonl(path):
-        point_id = _row_id(raw, seen)
-        seen.add(point_id)
+    for point_id, raw in _id_rows(path):
         text, triplets = str(raw.get("text", "")), triplets_from_row(raw)
         if not triplets:
             drops["empty"] += 1
@@ -482,11 +481,9 @@ def cmd_decode(stage: Stage) -> int:
     relation_labels = set(graph.relations.labels)
     decoded = 0
     with JsonlSink(stage.output("predictions.jsonl")) as sink:
-        done, seen = {str(row["id"]) for row in sink.rows}, set()
+        done = {str(row["id"]) for row in sink.rows}
         try:
-            for raw in read_jsonl(inputs_path):
-                doc_id = _row_id(raw, seen)
-                seen.add(doc_id)
+            for doc_id, raw in _id_rows(inputs_path):
                 if doc_id in done:
                     continue
                 context = str(raw.get("text", raw.get("context", "")))
@@ -513,10 +510,7 @@ def cmd_decode(stage: Stage) -> int:
 
 
 def _triplets_by_id(path) -> dict[str, set]:
-    rows = {}
-    for raw in read_jsonl(path):
-        rows[_row_id(raw, rows)] = set(triplets_from_row(raw))
-    return rows
+    return {row_id: set(triplets_from_row(raw)) for row_id, raw in _id_rows(path)}
 
 
 def _pairs_from_files(predictions_path, gold_path) -> list:
@@ -579,13 +573,7 @@ def cmd_eval(stage: Stage) -> int:
 def cmd_stats(stage: Stage) -> int:
     from . import metrics
 
-    def dataset_triplets():
-        seen = set()
-        for raw in read_jsonl(stage.input("dataset")):
-            seen.add(_row_id(raw, seen))
-            yield triplets_from_row(raw)
-
-    stats = metrics.relation_stats(dataset_triplets())
+    stats = metrics.relation_stats(triplets_from_row(raw) for _, raw in _id_rows(stage.input("dataset")))
     write_json(stage.output("relation_stats.json"), {
         "summary": {"min": stats.minimum, "q1": stats.q1, "median": stats.median, "q3": stats.q3, "max": stats.maximum},
         "n_relations": len(stats.counts),

@@ -17,13 +17,18 @@ admits it, which keeps every reachable state free of dead ends.
 
 End-of-sequence is permitted exactly at a terminal node of ``e``, i.e.
 after at least one full triplet.
+
+Each state's table is built once, on its first visit: the allowed tokens,
+the end-of-sequence flag, and the successor state of every allowed token.
+Reachable state spaces are small, and every later query is one lookup.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, KeysView, Sequence
 
 from ..codec import END, START_OBJECT, START_RELATION, START_SUBJECT, LinearizationSchema, Variant
+from ..pipeline import ValidationError
 from .tokenizers import Tokenizer
 from .trie import CatalogTrie, TrieNode
 
@@ -38,10 +43,9 @@ class ConstraintError(RuntimeError):
 class ConstraintState:
     configs: frozenset
 
-    @property
-    def structural_phase(self) -> str:
-        """Human-readable summary of the live interpretations."""
-        return "|".join(sorted({phase for phase, _ in self.configs}))
+
+# a state's table: ((allowed tokens, EOS flag), successor state per token)
+Table = tuple[tuple[KeysView[int], bool], dict[int, ConstraintState]]
 
 
 class ConstraintEngine:
@@ -61,9 +65,9 @@ class ConstraintEngine:
         def delimiter(text: str) -> CatalogTrie:
             ids = tokenizer.try_encode(text)
             if not ids:
-                raise ConstraintError(f"delimiter segment {text!r} is not tokenizable")
+                raise ValidationError(f"delimiter segment {text!r} is not tokenizable")
             trie = CatalogTrie()
-            trie.insert(ids, text)
+            trie.insert(ids)
             return trie
 
         after_e = ("s_next", "r") if schema.variant is Variant.SC else ("s_next",)
@@ -78,51 +82,41 @@ class ConstraintEngine:
             "object": (entity_trie, ("e",)),
             "e": (delimiter(" " + END), after_e),
         }
-        # reachable state spaces are small; cache transition tables per state
-        self._allowed_cache: dict[frozenset, tuple[set[int], bool]] = {}
-        self._advance_cache: dict[tuple[frozenset, int], ConstraintState] = {}
+        self._tables: dict[frozenset, Table] = {}  # configs -> that state's table
 
     def initial_state(self) -> ConstraintState:
         return ConstraintState(frozenset({("s_first", self._phases["s_first"][0].root)}))
 
-    def _config_moves(self, cfg: Config) -> dict[int, list[Config]]:
-        phase, node = cfg
-        walks = [cfg]
-        if node.terminal:
-            walks.extend((opened, self._phases[opened][0].root) for opened in self._phases[phase][1])
-        moves: dict[int, list[Config]] = {}
-        for walk_phase, walk_node in walks:
-            for token, child in walk_node.children.items():
-                moves.setdefault(token, []).append((walk_phase, child))
-        return moves
+    def _table(self, configs: frozenset) -> Table:
+        """Build and keep the table of the state ``configs``: every config
+        steps to a child of its node, and at a terminal node also takes the
+        first step of each phase it opens."""
+        moves: dict[int, set[Config]] = {}
+        for phase, node in configs:
+            walks = [(phase, node)]
+            if node.terminal:
+                walks.extend((opened, self._phases[opened][0].root) for opened in self._phases[phase][1])
+            for walk_phase, walk_node in walks:
+                for token, child in walk_node.children.items():
+                    moves.setdefault(token, set()).add((walk_phase, child))
+        successors = {token: ConstraintState(frozenset(cfgs)) for token, cfgs in moves.items()}
+        eos = any(phase == "e" and node.terminal for phase, node in configs)
+        table = self._tables[configs] = ((successors.keys(), eos), successors)
+        return table
 
-    def allowed_next(self, state: ConstraintState) -> tuple[set[int], bool]:
+    def allowed_next(self, state: ConstraintState) -> tuple[KeysView[int], bool]:
         """Tokens admissible from ``state`` plus whether end-of-sequence is."""
-        cached = self._allowed_cache.get(state.configs)
-        if cached is not None:
-            return cached
-        allowed: set[int] = set()
-        for cfg in state.configs:
-            allowed.update(self._config_moves(cfg).keys())
-        result = self._allowed_cache[state.configs] = (allowed, self.is_accepting(state))
-        return result
+        return (self._tables.get(state.configs) or self._table(state.configs))[0]
 
     def advance(self, state: ConstraintState, token: int) -> ConstraintState:
-        key = (state.configs, token)
-        cached = self._advance_cache.get(key)
-        if cached is not None:
-            return cached
-        successors: set[Config] = set()
-        for cfg in state.configs:
-            successors.update(self._config_moves(cfg).get(token, ()))
-        if not successors:
-            raise ConstraintError(f"token {token} not allowed in phase {state.structural_phase}")
-        new_state = ConstraintState(frozenset(successors))
-        self._advance_cache[key] = new_state
-        return new_state
+        successor = (self._tables.get(state.configs) or self._table(state.configs))[1].get(token)
+        if successor is None:
+            phases = "|".join(sorted({phase for phase, _ in state.configs}))
+            raise ConstraintError(f"token {token} not allowed in phase {phases}")
+        return successor
 
     def is_accepting(self, state: ConstraintState) -> bool:
-        return any(phase == "e" and node.terminal for phase, node in state.configs)
+        return self.allowed_next(state)[1]
 
     def replay(self, tokens: Iterable[int]) -> ConstraintState:
         """Advance through a full token sequence (testing helper)."""

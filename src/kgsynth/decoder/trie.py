@@ -12,12 +12,11 @@ from .tokenizers import Tokenizer
 
 
 class TrieNode:
-    __slots__ = ("children", "terminal", "entry")
+    __slots__ = ("children", "terminal")
 
     def __init__(self):
         self.children: dict[int, TrieNode] = {}
         self.terminal = False
-        self.entry: str | None = None  # catalog entry completed at this node
 
 
 class CatalogTrie:
@@ -26,34 +25,15 @@ class CatalogTrie:
         self.n_entries = 0
         self.dropped = {"duplicate": 0, "not_tokenizable": 0}  # labels build_trie left out
 
-    def insert(self, token_ids: Iterable[int], entry: str) -> bool:
+    def insert(self, token_ids: Iterable[int]) -> bool:
         node = self.root
         for tok in token_ids:
             node = node.children.setdefault(tok, TrieNode())
         if node.terminal:
             return False
         node.terminal = True
-        node.entry = entry
         self.n_entries += 1
         return True
-
-    def walk(self, token_ids: Iterable[int]) -> TrieNode | None:
-        node = self.root
-        for tok in token_ids:
-            node = node.children.get(tok)
-            if node is None:
-                return None
-        return node
-
-    def entries(self) -> list[str]:
-        out: list[str] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.terminal:
-                out.append(node.entry)
-            stack.extend(node.children.values())
-        return sorted(out)
 
 
 def build_trie(catalog: Iterable[str], tokenizer: Tokenizer) -> CatalogTrie:
@@ -67,7 +47,7 @@ def build_trie(catalog: Iterable[str], tokenizer: Tokenizer) -> CatalogTrie:
         ids = tokenizer.try_encode(label)
         if not ids:
             trie.dropped["not_tokenizable"] += 1
-        elif not trie.insert(ids, label):
+        elif not trie.insert(ids):
             trie.dropped["duplicate"] += 1
     if trie.n_entries == 0:
         raise ValidationError("cannot build a trie over an empty catalog")

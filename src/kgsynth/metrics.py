@@ -181,19 +181,18 @@ class BucketRow:
 
 
 def per_bucket_f1(
-    pairs: Sequence[EvalPair],
+    index: CountIndex,
     train_counts: Mapping[Hashable, int],
     n_bootstrap: int = 50,
     level: float = 0.95,
     seed: int = 0,
 ) -> list[BucketRow]:
     """Micro-F1 within relation-frequency buckets derived from training-set
-    occurrence counts; relations missing from ``train_counts`` fall into the
-    unseen bucket."""
-    if not pairs:
+    occurrence counts, over the pairs ``index`` holds; relations missing
+    from ``train_counts`` fall into the unseen bucket."""
+    if not index.n_docs:
         return []
-    index = CountIndex(pairs)
-    table = index.table(range(len(pairs)))
+    table = index.table(range(index.n_docs))
     members: dict[int, list] = {}
     for r in table:
         members.setdefault(bucketize(train_counts.get(r, 0)), []).append(r)
@@ -203,7 +202,7 @@ def per_bucket_f1(
         return [_sums(counts[r] for r in members[b] if r in counts) for b in buckets]
 
     cis = bootstrap_ci(
-        range(len(pairs)), lambda docs: tuple(_prf(*sums)[2] for sums in bucket_sums(index.table(docs))),
+        range(index.n_docs), lambda docs: tuple(_prf(*sums)[2] for sums in bucket_sums(index.table(docs))),
         n=n_bootstrap, level=level, seed=seed,
     )
     return [BucketRow(b, gold, predicted, *ci) for b, (_, predicted, gold), ci in zip(buckets, bucket_sums(table), cis)]
@@ -298,5 +297,5 @@ def evaluate(
     report.macro = {name: dict(zip(("point", "lower", "upper"), ci)) for name, ci in zip(names, cis[3:])}
     report.per_relation = {r: _prf(*row) for r, row in index.table(range(len(pairs))).items()}
     if train_counts is not None:
-        report.per_bucket = per_bucket_f1(pairs, train_counts, n_bootstrap=n_bootstrap, level=level, seed=seed)
+        report.per_bucket = per_bucket_f1(index, train_counts, n_bootstrap=n_bootstrap, level=level, seed=seed)
     return report

@@ -90,15 +90,26 @@ class PromptTemplate:
 
     @classmethod
     def from_file(cls, path) -> "PromptTemplate":
-        # accepts filesystem paths and importlib.resources traversables
+        """The template in the YAML file ``path``, a filesystem path or an
+        importlib.resources traversable. A file that is not UTF-8 or not
+        YAML, has no ``instruction``, or has a ``num_demonstrations`` that
+        is not an int is a TemplateError naming ``path``."""
         source = path if hasattr(path, "read_text") else Path(path)
-        raw = yaml.safe_load(source.read_text(encoding="utf-8"))
+        try:
+            raw = yaml.safe_load(source.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise TemplateError(f"{path}: not UTF-8 ({exc})") from None
+        except yaml.YAMLError as exc:
+            raise TemplateError(f"{path}: not valid YAML ({exc})") from None
         if not isinstance(raw, dict) or "instruction" not in raw:
             raise TemplateError(f"{path}: expected a mapping with an 'instruction' key")
+        count = raw.get("num_demonstrations", 0)
+        if isinstance(count, bool) or not isinstance(count, int):
+            raise TemplateError(f"{path}: num_demonstrations must be an int, got {count!r}")
         return cls(
             instruction=str(raw["instruction"]),
             demonstration_format=str(raw.get("demonstration_format", cls.demonstration_format)),
-            num_demonstrations=int(raw.get("num_demonstrations", 0)),
+            num_demonstrations=count,
         )
 
     def render_demo(self, triplets: Iterable[tuple[str, str, str]], text: str) -> str:

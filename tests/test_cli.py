@@ -585,6 +585,35 @@ def test_bad_wordpiece_vocab_is_validation_error_naming_the_file(vocab, message,
     assert capsys.readouterr().err == f"error: tokenizer: {vocab_path}: {message}\n"
 
 
+def test_delimiter_the_tokenizer_cannot_encode_is_validation_error(workspace, tmp_path, capsys):
+    # every delimiter piece but " [r] ", and no "[" or "]" to spell it from
+    letters = [chr(c) for c in range(32, 127) if chr(c) not in "[]"]
+    config, _ = wordpiece_config(workspace, tmp_path, "".join(f"{p}\n" for p in ["[s] ", " [s] ", " [o] ", " [e]", *letters]))
+    assert run_cli("ingest", "--config", config) == 0
+    inputs = tmp_path / "inputs.jsonl"
+    inputs.write_text(json.dumps({"id": "q1", "text": "some context"}) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("decode", "--config", config, "--inputs", inputs) == 1
+    assert capsys.readouterr().err == "error: delimiter segment ' [r] ' is not tokenizable\n"
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"instruction: caf\xff\n", "not UTF-8"),
+    (b"instruction: [x\n", "not valid YAML"),
+    (b"instruction: x\nnum_demonstrations: two\n", "num_demonstrations must be an int, got 'two'"),
+    (b"instruction: x\nnum_demonstrations: true\n", "num_demonstrations must be an int, got True"),
+], ids=["not-utf8", "not-yaml", "count-not-int", "count-bool"])
+def test_malformed_template_is_validation_error_naming_the_file(content, message, workspace, tmp_path, capsys):
+    template = tmp_path / "template.yaml"
+    template.write_bytes(content)
+    config = generation_config(workspace, tmp_path, "http://127.0.0.1:9/v1/completions", template=str(template))
+    sets = tmp_path / "sets.jsonl"
+    sets.write_text(json.dumps(GOOD_ROW) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("generate", "--config", config, "--sets", sets) == 1
+    assert capsys.readouterr().err.startswith(f"error: {template}: {message}")
+
+
 class ReverseOrderPost:
     """``requests.post`` stand-in that holds every request until all are in
     flight, then answers them in reverse order of arrival."""

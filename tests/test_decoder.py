@@ -20,6 +20,7 @@ from kgsynth.decoder import (
     CatalogTrie,
     ConstraintEngine,
     ConstraintError,
+    ConstraintState,
     DecodeParams,
     DEFAULT_LENGTH_PENALTY,
     OracleScorer,
@@ -92,13 +93,24 @@ def test_wordpiece_rejects_bad_vocab():
         WordPieceTokenizer(["a", "a"])
 
 
+def trie_labels(trie, tokenizer):
+    """Every root-to-terminal path of ``trie``, decoded by ``tokenizer``, sorted."""
+    labels, stack = [], [(trie.root, ())]
+    while stack:
+        node, path = stack.pop()
+        if node.terminal:
+            labels.append(tokenizer.decode(path))
+        stack.extend((child, path + (token,)) for token, child in node.children.items())
+    return sorted(labels)
+
+
 # build_trie leaves out, and counts, the labels the tokenizer cannot encode
 
 def test_filter_tokenizable_drops_unencodable():
     ascii_pieces = [chr(c) for c in range(32, 127)]
     tok = WordPieceTokenizer(ascii_pieces)
     trie = build_trie(["Zurich", "Zürich", ""], tok)  # the empty label tokenizes to nothing
-    assert trie.entries() == ["Zurich"]
+    assert trie_labels(trie, tok) == ["Zurich"]
     assert trie.dropped == {"duplicate": 0, "not_tokenizable": 2}
 
 
@@ -106,7 +118,7 @@ def test_filter_tokenizable_identity_when_all_encodable():
     tok = ByteTokenizer()
     labels = ["anything", "Zürich", "日本語"]
     trie = build_trie(labels, tok)
-    assert trie.entries() == sorted(labels)
+    assert trie_labels(trie, tok) == sorted(labels)
     assert trie.dropped == {"duplicate": 0, "not_tokenizable": 0}
 
 
@@ -129,7 +141,7 @@ def test_trie_shares_prefix_nodes():
     assert set(node.children) == {tok.piece_ids[" York"], tok.piece_ids["ark"]}
     assert all(child.terminal for child in node.children.values())
     assert trie.n_entries == 2
-    assert sorted(trie.entries()) == ["New York", "Newark"]
+    assert trie_labels(trie, tok) == ["New York", "Newark"]
 
 
 def test_trie_empty_catalog_is_error():
@@ -140,9 +152,7 @@ def test_trie_empty_catalog_is_error():
 def test_trie_singleton_path():
     tok = ByteTokenizer()
     trie = build_trie(["solo"], tok)
-    node = trie.walk(tok.encode("solo"))
-    assert node is not None and node.terminal
-    assert trie.walk(tok.encode("sol")).terminal is False
+    assert trie_labels(trie, tok) == ["solo"]
 
 
 def test_trie_duplicate_keeps_first_and_counts():
@@ -150,7 +160,7 @@ def test_trie_duplicate_keeps_first_and_counts():
     trie = build_trie(["ab", "b", "ab"], tok)
     assert trie.n_entries == 2
     assert trie.dropped == {"duplicate": 1, "not_tokenizable": 0}
-    assert trie.entries() == ["ab", "b"]
+    assert trie_labels(trie, tok) == ["ab", "b"]
 
 
 # --- constraint automaton ---
@@ -193,6 +203,16 @@ def test_allowed_next_after_end_sc(sc_engine):
     state = sc_engine.advance(state, tok.piece_ids[" [r] "])
     allowed, _ = sc_engine.allowed_next(state)
     assert allowed == {tok.piece_ids[r] for r in RELATIONS}
+
+
+def test_each_state_table_is_built_once(fe_engine):
+    tok = fe_engine.tokenizer
+    state = fe_engine.replay([tok.piece_ids["[s] "]])
+    equal = ConstraintState(frozenset(set(state.configs)))
+    assert equal == state and equal.configs is not state.configs
+    assert fe_engine.allowed_next(equal) is fe_engine.allowed_next(state)
+    ada = tok.piece_ids["Ada"]
+    assert fe_engine.advance(state, ada) is fe_engine.advance(equal, ada)
 
 
 def test_advance_rejects_disallowed_token(fe_engine):

@@ -279,7 +279,7 @@ def test_per_bucket_single_bucket_equals_global():
         pair("d2", {T("x", "r1", "y")}, {T("x", "r1", "y"), T("x", "r2", "z")}),
     ]
     train_counts = {"r1": 40, "r2": 40}  # both bucket 5
-    rows = metrics.per_bucket_f1(pairs, train_counts, n_bootstrap=10, seed=3)
+    rows = metrics.per_bucket_f1(metrics.CountIndex(pairs), train_counts, n_bootstrap=10, seed=3)
     assert len(rows) == 1
     assert rows[0].bucket == 5
     assert rows[0].f1_point == metrics.micro_scores(pairs)[2]
@@ -290,7 +290,7 @@ def test_per_bucket_two_buckets():
         pair("d1", {T("a", "rare", "b")}, {T("a", "rare", "b")}),
         pair("d2", set(), {T("x", "common", "y")}),
     ]
-    rows = metrics.per_bucket_f1(pairs, {"rare": 1, "common": 1000}, n_bootstrap=10, seed=0)
+    rows = metrics.per_bucket_f1(metrics.CountIndex(pairs), {"rare": 1, "common": 1000}, n_bootstrap=10, seed=0)
     by_bucket = {row.bucket: row.f1_point for row in rows}
     assert by_bucket[metrics.bucketize(1)] == 1.0
     assert by_bucket[metrics.bucketize(1000)] == 0.0
@@ -298,12 +298,12 @@ def test_per_bucket_two_buckets():
 
 def test_per_bucket_missing_relation_goes_unseen():
     pairs = [pair("d1", {T("a", "novel", "b")}, {T("a", "novel", "b")})]
-    rows = metrics.per_bucket_f1(pairs, {}, n_bootstrap=5, seed=0)
+    rows = metrics.per_bucket_f1(metrics.CountIndex(pairs), {}, n_bootstrap=5, seed=0)
     assert rows[0].bucket == metrics.UNSEEN_BUCKET
 
 
 def test_per_bucket_empty_pairs():
-    assert metrics.per_bucket_f1([], {"r": 1}) == []
+    assert metrics.per_bucket_f1(metrics.CountIndex([]), {"r": 1}) == []
 
 
 # --- relation stats ---
