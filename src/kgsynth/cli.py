@@ -486,7 +486,9 @@ def cmd_decode(stage: Stage) -> int:
             for doc_id, raw in _id_rows(inputs_path):
                 if doc_id in done:
                     continue
-                context = str(raw.get("text", raw.get("context", "")))
+                context = raw.get("text", raw.get("context"))
+                if not isinstance(context, str):
+                    raise InputError(f"{raw.where}: input {doc_id!r} has no string 'text' or 'context'")
                 try:
                     results = constrained_beam_search(scorer, context, engine, params)
                 except ScorerError as exc:

@@ -66,9 +66,7 @@ class ConstraintEngine:
             ids = tokenizer.try_encode(text)
             if not ids:
                 raise ValidationError(f"delimiter segment {text!r} is not tokenizable")
-            trie = CatalogTrie()
-            trie.insert(ids)
-            return trie
+            return CatalogTrie([tuple(ids)])
 
         after_e = ("s_next", "r") if schema.variant is Variant.SC else ("s_next",)
         # phase -> (its trie, the phases a complete entry opens)

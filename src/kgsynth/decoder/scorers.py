@@ -19,6 +19,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+READ_TIMEOUT_S = 600.0  # a scorer that sends nothing for this long has hung
+
 
 class ScorerError(RuntimeError):
     """The scorer died or answered outside the protocol."""
@@ -95,7 +97,8 @@ class SubprocessScorer(Scorer):
     vocab_size finite values, in request order. A step writes the requests
     of all its prefixes before it reads the first reply; while the scorer's
     input pipe is full, replies are read as they come, so neither side
-    blocks on the other.
+    blocks on the other. A scorer that sends nothing for ``READ_TIMEOUT_S``
+    has hung, which is a ``ScorerError``.
     """
 
     def __init__(self, command: Sequence[str] | str, vocab_size: int, shell: bool = False):
@@ -104,9 +107,11 @@ class SubprocessScorer(Scorer):
         self._in = self._proc.stdin.fileno()
         self._out = self._proc.stdout.fileno()
         os.set_blocking(self._in, False)
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(self._in, selectors.EVENT_WRITE)
-        self._selector.register(self._out, selectors.EVENT_READ)
+        self._sending = selectors.DefaultSelector()  # room in the input pipe, or a reply
+        self._sending.register(self._in, selectors.EVENT_WRITE)
+        self._sending.register(self._out, selectors.EVENT_READ)
+        self._receiving = selectors.DefaultSelector()  # a reply
+        self._receiving.register(self._out, selectors.EVENT_READ)
         self._pending = b""  # bytes read past the last reply taken
         self._rendered: dict[tuple, str] = {}  # last step's prefixes -> their "1, 2, 3"
 
@@ -162,8 +167,11 @@ class SubprocessScorer(Scorer):
             n_replies -= len(lines)
             if not n_replies:
                 break
-            # with the input pipe full, wait for room in it or for a reply
-            if unsent and not any(key.fd == self._out for key, _ in self._selector.select()):
+            # wait for a reply, and while the input pipe is full, for room in it
+            ready = (self._sending if unsent else self._receiving).select(READ_TIMEOUT_S)
+            if not ready:
+                raise ScorerError(f"scorer process sent nothing for {READ_TIMEOUT_S:g} s")
+            if unsent and not any(key.fd == self._out for key, _ in ready):
                 continue
             chunk = os.read(self._out, 1 << 16)
             if not chunk:
@@ -179,11 +187,16 @@ class SubprocessScorer(Scorer):
         return ScorerError(f"scorer process {what} and exited with status {status}")
 
     def close(self):
-        self._selector.close()
+        self._sending.close()
+        self._receiving.close()
         self._proc.stdin.close()
         if self._proc.poll() is None:
             self._proc.terminate()
-            self._proc.wait(timeout=5)
+            try:
+                self._proc.wait(timeout=5)
+            except subprocess.TimeoutExpired:
+                self._proc.kill()
+                self._proc.wait()
         self._proc.stdout.close()
 
     def __enter__(self):

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import kgsynth
 from conftest import make_datapoints
 from kgsynth import cli, codec
 from kgsynth.cli import main
+from kgsynth.decoder import scorers
 
 ENTITIES = [("Q1", "Alpha"), ("Q2", "Beta"), ("Q3", "Gamma"), ("Q4", "Delta"), ("Q5", "Orphan")]
 RELATIONS = [("P1", "linked to"), ("P2", "part of"), ("P3", "population", "literal")]
@@ -821,6 +823,19 @@ def test_row_without_a_key_is_validation_error(command, bad_row, key, workspace,
     assert searched == ([GOOD_ROW["text"]] if command == "decode" else [])  # the bad row is never searched
 
 
+@pytest.mark.parametrize("bad_row", [{"id": "x"}, {"id": "y", "text": None}, {"id": "z", "context": 5}],
+                         ids=["no-text", "null-text", "int-context"])
+def test_decode_row_without_text_is_validation_error(bad_row, workspace, tmp_path, monkeypatch, capsys):
+    searched = []
+    search = cli.constrained_beam_search
+    monkeypatch.setattr(cli, "constrained_beam_search", lambda scorer, context, *args: (
+        searched.append(context), search(scorer, context, *args))[1])
+    code, rows, err = run_on_bad_row("decode", bad_row, workspace, tmp_path, capsys)
+    assert code == 1
+    assert f"{rows}:2: input {bad_row['id']!r} has no string 'text' or 'context'" in err
+    assert searched == [GOOD_ROW["text"]]  # the bad row is never searched
+
+
 @pytest.mark.parametrize("command", ["decode", "encode", "generate", "prepare", "stats"])
 def test_repeated_input_id_is_validation_error(command, workspace, tmp_path, monkeypatch, capsys):
     post = CountingPost()
@@ -942,6 +957,20 @@ def test_failing_scorer_is_runtime_error_naming_the_input(failure, message, work
     assert run_cli("decode", "--config", workspace["config"], "--inputs", inputs,
                    "--scorer-cmd", f"{sys.executable} {scorer}") == cli.EXIT_RUNTIME
     assert f"runtime error: {inputs}:1: input 'q1': {message}" in capsys.readouterr().err
+    assert not (workspace["out"] / "predictions.jsonl").exists()
+
+
+def test_silent_scorer_is_runtime_error_naming_the_input(workspace, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(scorers, "READ_TIMEOUT_S", 1.0)
+    run_cli("ingest", "--config", workspace["config"])
+    inputs = tmp_path / "inputs.jsonl"
+    inputs.write_text(json.dumps({"id": "q1", "text": "some context"}) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    started = time.monotonic()
+    assert run_cli("decode", "--config", workspace["config"], "--inputs", inputs,
+                   "--scorer-cmd", "exec sleep 30") == cli.EXIT_RUNTIME
+    assert time.monotonic() - started < 15  # the time limit, and the scorer terminated, not waited for
+    assert f"runtime error: {inputs}:1: input 'q1': scorer process sent nothing for 1 s" in capsys.readouterr().err
     assert not (workspace["out"] / "predictions.jsonl").exists()
 
 

@@ -24,6 +24,7 @@ from kgsynth.decoder import (
     DecodeParams,
     DEFAULT_LENGTH_PENALTY,
     OracleScorer,
+    ScorerError,
     SubprocessScorer,
     Tokenizer,
     UniformScorer,
@@ -31,6 +32,8 @@ from kgsynth.decoder import (
     build_trie,
     constrained_beam_search,
 )
+from kgsynth.decoder import scorers
+from kgsynth.pipeline import ValidationError
 
 FE = LinearizationSchema(variant=Variant.FE)
 SC = LinearizationSchema(variant=Variant.SC)
@@ -161,6 +164,93 @@ def test_trie_duplicate_keeps_first_and_counts():
     assert trie.n_entries == 2
     assert trie.dropped == {"duplicate": 1, "not_tokenizable": 0}
     assert trie_labels(trie, tok) == ["ab", "b"]
+
+
+def test_trie_nodes_are_expanded_once():
+    tok = ByteTokenizer()
+    trie = build_trie(["ab", "abc", "b"], tok)
+    assert trie.root.children is trie.root.children
+
+    def walk(text):
+        node, nodes = trie.root, []
+        for token in tok.encode(text):
+            node = node.children[token]
+            nodes.append(node)
+        return nodes
+
+    first = walk("abc")
+    assert [node.terminal for node in first] == [False, True, True]
+    assert all(again is node for again, node in zip(walk("abc"), first, strict=True))
+
+
+# --- the dict trie, as the reference ---
+
+# the trie as it was before it became a sorted entry list: one node, with a
+# dict, per token position of every entry, all built up front
+
+class ReferenceTrieNode:
+    __slots__ = ("children", "terminal")
+
+    def __init__(self):
+        self.children: dict[int, ReferenceTrieNode] = {}
+        self.terminal = False
+
+
+class ReferenceTrie:
+    def __init__(self):
+        self.root = ReferenceTrieNode()
+        self.n_entries = 0
+        self.dropped = {"duplicate": 0, "not_tokenizable": 0}  # labels build_trie left out
+
+    def insert(self, token_ids: Iterable[int]) -> bool:
+        node = self.root
+        for tok in token_ids:
+            node = node.children.setdefault(tok, ReferenceTrieNode())
+        if node.terminal:
+            return False
+        node.terminal = True
+        self.n_entries += 1
+        return True
+
+
+def build_reference_trie(catalog: Iterable[str], tokenizer: Tokenizer) -> ReferenceTrie:
+    trie = ReferenceTrie()
+    for label in catalog:
+        ids = tokenizer.try_encode(label)
+        if not ids:
+            trie.dropped["not_tokenizable"] += 1
+        elif not trie.insert(ids):
+            trie.dropped["duplicate"] += 1
+    if trie.n_entries == 0:
+        raise ValidationError("cannot build a trie over an empty catalog")
+    return trie
+
+
+# labels from pieces the word-piece vocabulary below lacks ("é", a tab) or
+# holds, then each of the first labels' prefixes (the empty one included)
+# and a repeat of the first two
+TRIE_LABELS = st.lists(st.lists(st.sampled_from(["a", "b", "ab", " ", "é", "\t"]), max_size=4).map("".join), max_size=12)
+TRIE_CATALOGS = TRIE_LABELS.map(
+    lambda labels: labels + [label[:k] for label in labels[:3] for k in range(len(label))] + labels[:2])
+
+
+@given(catalog=TRIE_CATALOGS, tokenizer=st.sampled_from([ByteTokenizer(), WordPieceTokenizer(["a", "b", "ab", " ", "ba"])]))
+@settings(max_examples=300, deadline=None)
+def test_trie_matches_reference_node_by_node(catalog, tokenizer):
+    try:
+        expected = build_reference_trie(catalog, tokenizer)
+    except ValidationError:
+        with pytest.raises(ValidationError):
+            build_trie(catalog, tokenizer)
+        return
+    trie = build_trie(catalog, tokenizer)
+    assert (trie.n_entries, trie.dropped) == (expected.n_entries, expected.dropped)
+    stack = [(trie.root, expected.root)]
+    while stack:
+        node, reference = stack.pop()
+        assert node.terminal == reference.terminal
+        assert set(node.children) == set(reference.children)
+        stack.extend((node.children[token], child) for token, child in reference.children.items())
 
 
 # --- constraint automaton ---
@@ -714,6 +804,19 @@ def test_subprocess_scorer_rejects_bad_row(tmp_path):
     with SubprocessScorer([sys.executable, str(script)], vocab_size=5) as scorer:
         with pytest.raises(RuntimeError, match="expected 5"):
             scorer.score_many("", [[]])[0]
+
+
+@pytest.mark.parametrize("command, context_bytes", [
+    ("exec sleep 30", 10),
+    ("exec sleep 30", 1 << 17),  # sleep reads no request: this one fills its input pipe
+    ("trap '' TERM; exec sleep 30", 10),  # killed once terminating it fails
+], ids=["replies", "input-pipe-room", "ignores-sigterm"])
+def test_silent_scorer_times_out_and_is_reaped(command, context_bytes, monkeypatch):
+    monkeypatch.setattr(scorers, "READ_TIMEOUT_S", 1.0)
+    with SubprocessScorer(command, vocab_size=5, shell=True) as scorer:
+        with pytest.raises(ScorerError, match="scorer process sent nothing for 1 s"):
+            scorer.score_many("x" * context_bytes, [[]])
+    assert scorer._proc.returncode is not None
 
 
 # --- pipelined scorer steps ---
