@@ -11,6 +11,7 @@ names.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import groupby
 from operator import itemgetter
 from typing import Iterable
 
@@ -49,11 +50,12 @@ class TrieNode:
 
 
 class CatalogTrie:
+    """The trie over non-empty token sequences; a repeated one is counted
+    under ``dropped["duplicate"]``. A trie with no entries is a validation
+    error: a constraint level with no options is unusable."""
+
     def __init__(self, entries: list[tuple[int, ...]]):
-        """The trie over non-empty token sequences; a repeated one is
-        counted under ``dropped["duplicate"]``. A trie with no entries is a
-        validation error: a constraint level with no options is unusable."""
-        self.entries = sorted(set(entries))
+        self.entries = [entry for entry, _ in groupby(sorted(entries))]
         self.n_entries = len(self.entries)
         if not self.n_entries:
             raise ValidationError("cannot build a trie over an empty catalog")
