@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -309,3 +310,23 @@ def test_dataset_record_format(tiny_graph):
             assert set(t) == {"s", "r", "o"}
     assert summary["sets"] == 5
     assert summary["mean_set_size"] >= 1
+
+
+# sha256 of write_dataset_jsonl's stream on the Zipf KG: 1000 sets, seed 1,
+# reweighting every 100 sets (so mixed switches strategy five times)
+DATASET_SHA256 = {
+    (sampler.ENTITY_CENTRIC, 7.0): "54881b3b2203cc20dae9ac94130fcc8996480a3d5cd888b1a33a787696c07d4d",
+    (sampler.ENTITY_CENTRIC, 0.0): "016b7ff63d071cc348923abbe1903e4369eb25c4237f7b8cca60321e8f0863ac",
+    (sampler.RELATION_CENTRIC, 7.0): "c74373bd01e9adce78beca15529706cf311e19f9752be8f97054b271ebaee198",
+    (sampler.RELATION_CENTRIC, 0.0): "14e32b465c41a17868fe7e1301947fc6134d00ce0f95c0c164734c1a878820c2",
+    (sampler.MIXED, 7.0): "ea86e62edf58dde08526e1d592b449643b047db3dced7b3731daace06cca65fa",
+    (sampler.MIXED, 0.0): "98afacc3766bcd1d43062c0fe893f183d881bd1fb4a0c37fdf9ded37ad2ba0c3",
+}
+
+
+@pytest.mark.parametrize(("strategy", "bias_factor"), list(DATASET_SHA256))
+def test_dataset_bytes_are_pinned(zipf_kg, strategy, bias_factor):
+    out = io.StringIO()
+    cfg = SamplerConfig(seed=1, bias_factor=bias_factor, strategy=strategy, reweight_interval=100)
+    sampler.write_dataset_jsonl(zipf_kg, cfg, 1000, out)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == DATASET_SHA256[strategy, bias_factor]
