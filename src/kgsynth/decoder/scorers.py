@@ -13,6 +13,7 @@ import json
 import math
 import os
 import selectors
+import signal
 import subprocess
 from abc import ABC, abstractmethod
 from typing import Iterator, Sequence
@@ -98,12 +99,16 @@ class SubprocessScorer(Scorer):
     of all its prefixes before it reads the first reply; while the scorer's
     input pipe is full, replies are read as they come, so neither side
     blocks on the other. A scorer that sends nothing for ``READ_TIMEOUT_S``
-    has hung, which is a ``ScorerError``.
+    has hung, which is a ``ScorerError``. The scorer runs in a process
+    group of its own, which ``close`` ends as a whole, so a scorer that a
+    shell started does not outlive its shell.
     """
 
     def __init__(self, command: Sequence[str] | str, vocab_size: int, shell: bool = False):
         self.vocab_size = vocab_size
-        self._proc = subprocess.Popen(command, shell=shell, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0)
+        self._proc = subprocess.Popen(
+            command, shell=shell, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0, start_new_session=True
+        )
         self._in = self._proc.stdin.fileno()
         self._out = self._proc.stdout.fileno()
         os.set_blocking(self._in, False)
@@ -190,13 +195,17 @@ class SubprocessScorer(Scorer):
         self._sending.close()
         self._receiving.close()
         self._proc.stdin.close()
-        if self._proc.poll() is None:
-            self._proc.terminate()
+        # the whole group: a shell that ran the scorer may die before its child
+        try:
+            os.killpg(self._proc.pid, signal.SIGTERM)
             try:
                 self._proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
+                pass
+            os.killpg(self._proc.pid, signal.SIGKILL)  # what is left of it
+        except ProcessLookupError:
+            pass  # the group has ended
+        self._proc.wait()
         self._proc.stdout.close()
 
     def __enter__(self):

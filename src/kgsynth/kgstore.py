@@ -81,6 +81,33 @@ def _offsets(row_of: np.ndarray, n_rows: int) -> np.ndarray:
     return offsets
 
 
+def _check_key_bound(n_entities: int, n_relations: int) -> None:
+    """Refuse catalogs whose packed edge keys could overflow: the dedupe and
+    relation-row keys stay below n_entities**2 * n_relations < 2**63, the
+    incidence-row keys below twice that, which fits a uint64."""
+    if n_entities * n_entities * n_relations >= 2**63:
+        raise KgError(f"{n_entities} entities x {n_relations} relations overflow the int64 edge key")
+
+
+def _incidence_keys(edges: np.ndarray, n_entities: int, n_relations: int) -> np.ndarray:
+    """Each edge's two incidence rows, first in its subject's row and then
+    in its object's, as one uint64 key each: (entity, incoming, relation,
+    other endpoint) packed in that order, which ``_check_key_bound`` keeps
+    below 2**64. Built in place."""
+    n = len(edges)
+    s, r, o = edges.T
+    key = np.empty(2 * n, dtype=np.uint64)
+    for half, entity, incoming, other in ((key[:n], s, 0, o), (key[n:], o, 1, s)):
+        half[:] = entity
+        half *= 2
+        half += incoming
+        half *= n_relations
+        half += r.astype(np.uint64)
+        half *= n_entities
+        half += other.astype(np.uint64)
+    return key
+
+
 def _checked_edges(edges, n_entities: int, n_relations: int) -> np.ndarray:
     """A read-only int32 copy of an ``(E, 3)`` integer array whose rows all
     lie inside the catalogs."""
@@ -98,8 +125,7 @@ def _checked_edges(edges, n_entities: int, n_relations: int) -> np.ndarray:
 def _first_occurrences(edges: np.ndarray, n_entities: int, n_relations: int) -> np.ndarray:
     """The rows of an in-range edge array with repeats dropped, in order of
     first appearance."""
-    if n_entities * n_entities * n_relations >= 2**63:
-        raise KgError(f"{n_entities} entities x {n_relations} relations overflow the int64 edge key")
+    _check_key_bound(n_entities, n_relations)
     key = (edges[:, 0].astype(np.int64) * n_relations + edges[:, 1]) * n_entities + edges[:, 2]
     _, first = np.unique(key, return_index=True)
     return edges[np.sort(first)]
@@ -120,29 +146,39 @@ class KnowledgeGraph:
     stats: IngestStats = field(default_factory=IngestStats)
 
     def __post_init__(self):
+        _check_key_bound(len(self.entities), len(self.relations))
         self.edges = _checked_edges(self.edges, len(self.entities), len(self.relations))
 
     @cached_property
     def _index(self) -> _Index:
         """Built on first use: incidence rows hold outgoing edges sorted by
         (relation, object), then incoming ones sorted by (relation, subject);
-        relation rows hold edges sorted by (subject, object)."""
+        relation rows hold edges sorted by (subject, object).
+
+        Each index is one sort of one packed key. Edges are deduplicated and
+        a self-loop's two incidence rows differ in direction, so every key is
+        unique and an unstable sort gives the one order."""
         n_ent, n_rel = len(self.entities), len(self.relations)
-        s, r, o = self.edges.astype(np.int64).T
-        ids = np.arange(len(s))
-        # each edge twice: once in its subject's row, once in its object's
-        entity = np.concatenate([s, o])
-        other = np.concatenate([o, s])
-        # (incoming, relation, other) packed into one key; < 2 * n_rel * n_ent
-        within = (np.repeat([0, n_rel], len(s)) + np.concatenate([r, r])) * n_ent + other
-        order = np.lexsort((within, entity))
-        by_relation = np.lexsort((s * n_ent + o, r))
+        n = len(self.edges)
+        s, r, o = self.edges.T
+        key = _incidence_keys(self.edges, n_ent, n_rel)
+        order = key.argsort()
+        others = key[order]
+        del key
+        others %= n_ent  # the key's last digit
+        order[order >= n] -= n  # the object's rows name their edge too
+        # relation rows: (relation, subject, object) packed into an int64
+        relation_key = r.astype(np.int64)
+        relation_key *= n_ent
+        relation_key += s
+        relation_key *= n_ent
+        relation_key += o
         index = _Index(
-            _offsets(entity, n_ent),
-            np.concatenate([ids, ids])[order],
-            other[order],
+            _offsets(s, n_ent) + _offsets(o, n_ent),
+            order,
+            others.view(np.int64),
             _offsets(r, n_rel),
-            ids[by_relation],
+            relation_key.argsort(),
         )
         for array in index:
             array.flags.writeable = False  # accessors hand out views
@@ -220,8 +256,7 @@ def save_graph(graph: KnowledgeGraph, path) -> None:
         "edges": base64.b64encode(graph.edges.astype("<i4").tobytes()).decode("ascii"),
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, ensure_ascii=False)
-        fh.write("\n")
+        fh.write(json.dumps(payload, ensure_ascii=False) + "\n")
 
 
 def _catalog_from(raw) -> Catalog:

@@ -86,6 +86,9 @@ class SamplerState:
         self.relation_dist = np.full(len(graph.relations), 1.0 / len(graph.relations))
         self._entity_cum = np.cumsum(self.entity_dist)
         self._relation_cum = np.cumsum(self.relation_dist)
+        # each entity's coherence factor within the current walk; all ones
+        # between walks
+        self._coherence = np.ones(len(graph.entities))
 
     @property
     def active_start_strategy(self) -> str:
@@ -106,7 +109,7 @@ def _draw_index(cum: np.ndarray, u: float) -> int:
     draw ``u``. Summed in floating point, ``cum`` can end just below the
     total the draw was scaled to, and a draw above its end takes the last
     index."""
-    return min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
+    return min(int(cum.searchsorted(u, "right")), len(cum) - 1)
 
 
 def reweight_distribution(counts: np.ndarray, dampening: float) -> np.ndarray:
@@ -147,6 +150,12 @@ def coherence_weight(entity: int, distinct: list[int], bias_factor: float) -> fl
     return float((n + 1 - rank) ** bias_factor)
 
 
+def _rank_weights(n: int, bias_factor: float) -> list[float]:
+    """``coherence_weight`` of each of a set's ``n`` distinct entities, in
+    first-appearance order."""
+    return [float((n - i) ** bias_factor) for i in range(n)]
+
+
 WalkStart = Union[int, Triplet]  # an entity index or a seed edge
 
 
@@ -171,7 +180,7 @@ def sample_start(state: SamplerState, graph: KnowledgeGraph, config: SamplerConf
     if total <= 0:
         idx = int(state.rng.integers(len(edges)))
     else:
-        idx = _draw_index(np.cumsum(weights / total), state.rng.random())
+        idx = _draw_index((weights / total).cumsum(), state.rng.random())
     return graph.triplet(edges[idx])
 
 
@@ -185,9 +194,13 @@ def _draw_biased_subject(
     coherence_weight(e) * entity_dist(e), decomposed as a two-part mixture so
     the draw costs O(set size + log |entities|). Entities in ``exclude``
     (dead-ended within the current walk) are rejected."""
-    candidates = [e for e in distinct if e not in exclude]
-    extra = np.array([(coherence_weight(e, distinct, bias_factor) - 1.0) * state.entity_dist[e] for e in candidates])
-    extra_total = float(extra.sum()) if len(candidates) else 0.0
+    candidates, extra = [], []
+    for e, weight in zip(distinct, _rank_weights(len(distinct), bias_factor)):
+        if e not in exclude:
+            candidates.append(e)
+            extra.append((weight - 1.0) * state.entity_dist[e])
+    extra = np.array(extra)
+    extra_total = float(extra.sum()) if candidates else 0.0
     for _ in range(100):
         u = state.rng.random() * (1.0 + extra_total)
         if u < 1.0 or extra_total == 0.0:
@@ -196,7 +209,7 @@ def _draw_biased_subject(
                 return entity
             continue
         pick = state.rng.random() * extra_total
-        return candidates[_draw_index(np.cumsum(extra), pick)]
+        return candidates[_draw_index(extra.cumsum(), pick)]
     return None
 
 
@@ -243,6 +256,7 @@ def sample_triplet_set(
     else:
         forced_subject = start  # graph.incident checks it on the first step
 
+    coherence = state._coherence
     max_attempts = MAX_ATTEMPTS_FACTOR * target_size
     failures = 0
     dead: set[int] = set()  # subjects with every incident edge already used
@@ -257,10 +271,12 @@ def sample_triplet_set(
                 continue
             subject = drawn
         edge_ids, others = graph.incident(subject)
-        if chosen_edges:
-            keep = edge_ids != chosen_edges[0]
-            for used in chosen_edges[1:]:
-                keep &= edge_ids != used
+        # only a chosen edge with an endpoint at the subject is in its row
+        used = [edge for edge, t in zip(chosen_edges, triplets) if subject in (t.subject, t.object)]
+        if used:
+            keep = edge_ids != used[0]
+            for edge in used[1:]:
+                keep &= edge_ids != edge
             edge_ids = edge_ids[keep]
             others = others[keep]
         if len(edge_ids) == 0:
@@ -269,21 +285,20 @@ def sample_triplet_set(
             continue  # dead end: backtrack by resampling the subject
         weights = state.entity_dist[others]
         if config.bias_factor > 0 and distinct:
-            n = len(distinct)
-            for rank, e in enumerate(distinct, start=1):
-                cw = float((n + 1 - rank) ** config.bias_factor)
-                if cw != 1.0:
-                    weights[others == e] *= cw
+            coherence[distinct] = _rank_weights(len(distinct), config.bias_factor)
+            weights *= coherence[others]  # entities outside the set keep factor 1
         total = float(weights.sum())
         if total <= 0:
             failures += 1
             continue
-        pick = _draw_index(np.cumsum(weights), state.rng.random() * total)
-        t = graph.triplet(edge_ids[pick])
+        pick = _draw_index(weights.cumsum(), state.rng.random() * total)
+        edge = int(edge_ids[pick])
+        t = graph.triplet(edge)
         triplets.append(t)
-        chosen_edges.append(int(edge_ids[pick]))
+        chosen_edges.append(edge)
         _add_entity(distinct, seen, t.subject)
         _add_entity(distinct, seen, t.object)
+    coherence[distinct] = 1.0
 
     if not triplets:
         raise SamplingError(f"no triplet reachable from start {start!r}")

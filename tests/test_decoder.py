@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -819,6 +820,24 @@ def test_silent_scorer_times_out_and_is_reaped(command, context_bytes, monkeypat
     assert scorer._proc.returncode is not None
 
 
+def test_close_ends_every_process_a_shell_scorer_started():
+    # the shell forks sleep before it echoes; SIGTERM to the shell alone
+    # would leave sleep running
+    scorer = SubprocessScorer("sleep 37 & echo started; wait", vocab_size=5, shell=True)
+    assert os.read(scorer._out, 8) == b"started\n"
+    group = os.getpgid(scorer._proc.pid)
+    scorer.close()
+    # a killed child of the shell goes to init, which reaps it in its own time
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline:
+        try:
+            os.killpg(group, 0)
+        except ProcessLookupError:
+            return
+        time.sleep(0.05)
+    pytest.fail(f"process group {group} still has members 10 s after close")
+
+
 # --- pipelined scorer steps ---
 
 # a scorer whose every value depends on the whole request: a reply that went
@@ -868,6 +887,7 @@ def test_pipelined_scores_equal_row_by_row(tmp_path):
 
 DEADLOCK_PROBE = """\
 import sys
+import time
 import numpy as np
 from kgsynth.decoder import SubprocessScorer
 

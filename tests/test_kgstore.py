@@ -1,4 +1,5 @@
 import base64
+import hashlib
 import json
 import re
 import tempfile
@@ -310,6 +311,70 @@ def test_index_matches_brute_force_enumeration(graph):
     assert graph.relation_edges(len(graph.relations) - 1).tolist() == []
 
 
+def lexsort_index(graph) -> kgstore._Index:
+    """The index as two lexsorts over separate keys built it: the reference
+    for the packed-key sort."""
+    n_ent, n_rel = len(graph.entities), len(graph.relations)
+    s, r, o = graph.edges.astype(np.int64).T
+    ids = np.arange(len(s))
+    entity = np.concatenate([s, o])
+    other = np.concatenate([o, s])
+    within = (np.repeat([0, n_rel], len(s)) + np.concatenate([r, r])) * n_ent + other
+    order = np.lexsort((within, entity))
+    return kgstore._Index(
+        kgstore._offsets(entity, n_ent),
+        np.concatenate([ids, ids])[order],
+        other[order],
+        kgstore._offsets(r, n_rel),
+        ids[np.lexsort((s * n_ent + o, r))],
+    )
+
+
+@st.composite
+def indexed_graphs(draw):
+    n_entities = draw(st.integers(1, 8))  # entities past the drawn pairs' reach stay isolated
+    n_relations = draw(st.integers(1, 4))
+    endpoint = st.integers(0, max(0, n_entities - 2))
+    pairs = draw(st.lists(st.tuples(endpoint, endpoint), max_size=12))  # s == o is a self-loop
+    # each pair under one or more relations
+    relations = st.sets(st.integers(0, n_relations - 1), min_size=1)
+    triples = [(s, r, o) for s, o in pairs for r in sorted(draw(relations))]
+    return kgstore.KnowledgeGraph.from_triples(
+        [f"Entity {i}" for i in range(n_entities)], [f"relation {j}" for j in range(n_relations)], triples
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(indexed_graphs())
+@example(kgstore.KnowledgeGraph.from_triples(["A", "B", "C"], ["r"], [(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1)]))
+@example(kgstore.KnowledgeGraph.from_triples(["A"], ["r", "s"], []))
+def test_packed_key_index_equals_the_lexsort_index(graph):
+    n_ent, n_rel = len(graph.entities), len(graph.relations)
+    # uint64 throughout: numpy 1.x promotes an int64/uint64 mix to float64
+    assert kgstore._incidence_keys(graph.edges, n_ent, n_rel).dtype == np.uint64
+    for name, got, want in zip(kgstore._Index._fields, graph._index, lexsort_index(graph)):
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+def test_key_bound_on_catalog_sizes():
+    # n_entities**2 * n_relations must stay below 2**63
+    kgstore._check_key_bound(3_000_000, 1_000_000)
+    with pytest.raises(KgError, match="overflow"):
+        kgstore._check_key_bound(4_000_000, 1_000_000)
+
+
+def test_load_graph_refuses_catalogs_past_the_key_bound(tiny_graph, tmp_path, monkeypatch):
+    # a graph file not written by ingest may hold any catalog sizes; scaling
+    # the counts the bound sees stands in for catalogs of millions of labels
+    path = tmp_path / "graph.json"
+    kgstore.save_graph(tiny_graph, path)
+    check = kgstore._check_key_bound
+    monkeypatch.setattr(kgstore, "_check_key_bound", lambda n_ent, n_rel: check(n_ent * 10**6, n_rel * 10**6))
+    with pytest.raises(KgError, match=re.escape(str(path)) + ".*overflow"):
+        kgstore.load_graph(path)
+
+
 def test_empty_label_rejected():
     with pytest.raises(KgError, match="empty label"):
         kgstore.Catalog(("ok", ""), ("A", "B"))
@@ -348,6 +413,18 @@ def test_graph_file_round_trip_is_exact_and_byte_stable(graph):
     assert loaded.relations == graph.relations
     assert loaded.edges.dtype == np.int32
     assert np.array_equal(loaded.edges, graph.edges)
+
+
+def test_graph_file_bytes_are_pinned(zipf_kg, tmp_path):
+    path = tmp_path / "graph.json"
+    graph = kgstore.KnowledgeGraph.from_triples(["Zürich", "東京", "a\"b\\c\n"], ["près de"], [(0, 0, 1), (2, 0, 2)])
+    kgstore.save_graph(graph, path)
+    assert path.read_bytes() == (
+        '{"entities": {"external_ids": ["E0", "E1", "E2"], "labels": ["Zürich", "東京", "a\\"b\\\\c\\n"]}, '
+        '"relations": {"external_ids": ["R0"], "labels": ["près de"]}, "edges": "AAAAAAAAAAABAAAAAgAAAAAAAAACAAAA"}\n'
+    ).encode()
+    kgstore.save_graph(zipf_kg, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == "78aa3983ba3fcafb70703506ba87d2232788a215ea51d0540e3a8f957aeaa66c"
 
 
 def test_unreadable_graph_file_is_a_kg_error_naming_it(tiny_graph, tmp_path):
