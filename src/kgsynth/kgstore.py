@@ -256,7 +256,8 @@ def save_graph(graph: KnowledgeGraph, path) -> None:
         "edges": base64.b64encode(graph.edges.astype("<i4").tobytes()).decode("ascii"),
     }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, ensure_ascii=False) + "\n")
+        fh.write(json.dumps(payload, ensure_ascii=False))  # the C encoder
+        fh.write("\n")
 
 
 def _catalog_from(raw) -> Catalog:
