@@ -142,12 +142,9 @@ def sample_set_size(state: SamplerState, config: SamplerConfig) -> int:
 def coherence_weight(entity: int, distinct: list[int], bias_factor: float) -> float:
     """(N+1-r)^bf for the entity's 1-based first-appearance rank r among a
     set's N ``distinct`` entities; 1 for entities outside the set."""
-    try:
-        rank = distinct.index(entity) + 1
-    except ValueError:
+    if entity not in distinct:
         return 1.0
-    n = len(distinct)
-    return float((n + 1 - rank) ** bias_factor)
+    return _rank_weights(len(distinct), bias_factor)[distinct.index(entity)]
 
 
 def _rank_weights(n: int, bias_factor: float) -> list[float]:

@@ -96,12 +96,6 @@ def test_coherence_ratio_scale(n, bf):
     assert ratio == pytest.approx(n**bf)
 
 
-@pytest.mark.parametrize("bf", [0.0, 1.0, 7.0, 2.5, 7])
-def test_rank_weights_are_the_coherence_weights(bf):
-    distinct = [40, 3, 17, 8, 25, 1]
-    assert sampler._rank_weights(len(distinct), bf) == [sampler.coherence_weight(e, distinct, bf) for e in distinct]
-
-
 # --- reweighting ---
 
 def test_reweight_uniform_when_unseen():
