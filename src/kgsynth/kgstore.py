@@ -11,6 +11,7 @@ from __future__ import annotations
 import base64
 import json
 import logging
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -40,13 +41,14 @@ class Catalog:
     external_ids: tuple[str, ...]
 
     def __post_init__(self):
-        if any(not label for label in self.labels):
+        if not all(self.labels):
             raise KgError("empty label in catalog")
         if len(set(self.labels)) != len(self.labels):
             raise KgError("duplicate label in catalog")
-        if len(set(self.external_ids)) != len(self.external_ids):
+        by_external = dict(zip(self.external_ids, range(len(self.external_ids))))
+        if len(by_external) != len(self.external_ids):
             raise KgError("duplicate external id in catalog")
-        object.__setattr__(self, "_by_external", {ext: i for i, ext in enumerate(self.external_ids)})
+        object.__setattr__(self, "_by_external", by_external)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -89,53 +91,88 @@ def _check_key_bound(n_entities: int, n_relations: int) -> None:
         raise KgError(f"{n_entities} entities x {n_relations} relations overflow the int64 edge key")
 
 
+def _edge_keys(edges: np.ndarray, n_entities: int, n_relations: int) -> np.ndarray:
+    """Each edge's (relation, subject, object) packed into one int64, which
+    ``_check_key_bound`` keeps from overflowing. Built in place."""
+    s, r, o = edges.T
+    key = r.astype(np.int64)
+    key *= n_entities
+    key += s
+    key *= n_entities
+    key += o
+    return key
+
+
 def _incidence_keys(edges: np.ndarray, n_entities: int, n_relations: int) -> np.ndarray:
     """Each edge's two incidence rows, first in its subject's row and then
     in its object's, as one uint64 key each: (entity, incoming, relation,
     other endpoint) packed in that order, which ``_check_key_bound`` keeps
     below 2**64. Built in place."""
     n = len(edges)
-    s, r, o = edges.T
+    s, r, o = edges.view(np.uint32).T  # exact for in-range ids; adds in place, no uint64 copy
     key = np.empty(2 * n, dtype=np.uint64)
     for half, entity, incoming, other in ((key[:n], s, 0, o), (key[n:], o, 1, s)):
         half[:] = entity
         half *= 2
         half += incoming
         half *= n_relations
-        half += r.astype(np.uint64)
+        half += r
         half *= n_entities
-        half += other.astype(np.uint64)
+        half += other
     return key
 
 
 def _checked_edges(edges, n_entities: int, n_relations: int) -> np.ndarray:
-    """A read-only int32 copy of an ``(E, 3)`` integer array whose rows all
-    lie inside the catalogs."""
+    """An ``(E, 3)`` integer array whose rows all lie inside the catalogs, as
+    a read-only int32 array. An int32 array is taken as it is, not copied,
+    and flagged read-only: the caller hands its rows over."""
     edges = np.asarray(edges)
     if edges.ndim != 2 or edges.shape[1] != 3 or edges.dtype.kind not in "iu":
         raise KgError(f"edges must be an (E, 3) integer array, got {edges.dtype} of shape {edges.shape}")
-    bad = (edges < 0).any(axis=1) | (edges[:, [0, 2]] >= n_entities).any(axis=1) | (edges[:, 1] >= n_relations)
-    if bad.any():
+    # column reductions hold no per-row temporaries; the row is found only on failure
+    s, r, o = edges.T
+    if len(edges) and (edges.min() < 0 or max(s.max(), o.max()) >= n_entities or r.max() >= n_relations):
+        bad = (edges < 0).any(axis=1) | (edges[:, [0, 2]] >= n_entities).any(axis=1) | (r >= n_relations)
         raise KgError(f"edge {tuple(edges[bad.argmax()].tolist())} references an index outside the catalogs")
-    edges = edges.astype(np.int32)
+    edges = edges.astype(np.int32, copy=False)
     edges.flags.writeable = False
     return edges
+
+
+def _first_rows(key: np.ndarray) -> np.ndarray:
+    """The sorted positions of each key's first occurrence."""
+    _, first = np.unique(key, return_index=True)
+    first.sort()
+    return first
 
 
 def _first_occurrences(edges: np.ndarray, n_entities: int, n_relations: int) -> np.ndarray:
     """The rows of an in-range edge array with repeats dropped, in order of
     first appearance."""
     _check_key_bound(n_entities, n_relations)
-    key = (edges[:, 0].astype(np.int64) * n_relations + edges[:, 1]) * n_entities + edges[:, 2]
-    _, first = np.unique(key, return_index=True)
-    return edges[np.sort(first)]
+    return edges[_first_rows(_edge_keys(edges, n_entities, n_relations))]
+
+
+def _refuse_repeats(edges: np.ndarray, n_entities: int, n_relations: int) -> None:
+    """Raise a ``KgError`` naming the first row that repeats an earlier one.
+    Sorting the packed keys puts every repeat next to its twin."""
+    key = _edge_keys(edges, n_entities, n_relations)
+    key.sort()
+    if not (key[1:] == key[:-1]).any():
+        return
+    key = _edge_keys(edges, n_entities, n_relations)
+    repeat = np.ones(len(key), dtype=bool)
+    repeat[_first_rows(key)] = False
+    row = int(repeat.argmax())
+    earlier = int(np.flatnonzero(key == key[row])[0])
+    raise KgError(f"edge {tuple(edges[row].tolist())} at row {row} repeats row {earlier}")
 
 
 @dataclass(eq=False)
 class KnowledgeGraph:
     """Entity/relation catalogs plus a deduplicated edge set, stored as one
     read-only ``(E, 3)`` int32 array of (subject, relation, object) rows, with
-    one integer incidence index.
+    one integer incidence index. A repeated edge row is a ``KgError``.
 
     Immutable after construction; safe to share read-only across workers.
     """
@@ -148,6 +185,7 @@ class KnowledgeGraph:
     def __post_init__(self):
         _check_key_bound(len(self.entities), len(self.relations))
         self.edges = _checked_edges(self.edges, len(self.entities), len(self.relations))
+        _refuse_repeats(self.edges, len(self.entities), len(self.relations))
 
     @cached_property
     def _index(self) -> _Index:
@@ -155,30 +193,24 @@ class KnowledgeGraph:
         (relation, object), then incoming ones sorted by (relation, subject);
         relation rows hold edges sorted by (subject, object).
 
-        Each index is one sort of one packed key. Edges are deduplicated and
-        a self-loop's two incidence rows differ in direction, so every key is
-        unique and an unstable sort gives the one order."""
+        Each index is one argsort of one packed key. Edges are deduplicated
+        and a self-loop's two incidence rows differ in direction, so every key
+        is unique and an unstable sort gives the one order; sorting the
+        incidence keys in place then gives them in that order too."""
         n_ent, n_rel = len(self.entities), len(self.relations)
         n = len(self.edges)
         s, r, o = self.edges.T
-        key = _incidence_keys(self.edges, n_ent, n_rel)
-        order = key.argsort()
-        others = key[order]
-        del key
+        others = _incidence_keys(self.edges, n_ent, n_rel)
+        order = others.argsort()
+        others.sort()  # equals others[order], with no third array
         others %= n_ent  # the key's last digit
         order[order >= n] -= n  # the object's rows name their edge too
-        # relation rows: (relation, subject, object) packed into an int64
-        relation_key = r.astype(np.int64)
-        relation_key *= n_ent
-        relation_key += s
-        relation_key *= n_ent
-        relation_key += o
         index = _Index(
             _offsets(s, n_ent) + _offsets(o, n_ent),
             order,
             others.view(np.int64),
             _offsets(r, n_rel),
-            relation_key.argsort(),
+            _edge_keys(self.edges, n_ent, n_rel).argsort(),
         )
         for array in index:
             array.flags.writeable = False  # accessors hand out views
@@ -245,19 +277,42 @@ class KnowledgeGraph:
             raise KgError(f"relation index {relation!r} out of range")
 
 
+_SAVE_ROWS = 1 << 13  # edge rows base64-encoded per write: 96 KiB in, 128 KiB out
+_SAVE_LABELS = 1 << 10  # catalog strings JSON-encoded per write
+
+
+def _write_json_list(fh, values: Sequence[str]) -> None:
+    """``values`` as the JSON list ``json.dumps`` writes, encoded by the C
+    encoder a batch at a time."""
+    fh.write(b"[")
+    for start in range(0, len(values), _SAVE_LABELS):
+        if start:
+            fh.write(b", ")
+        batch = json.dumps(values[start : start + _SAVE_LABELS], ensure_ascii=False).encode()
+        fh.write(memoryview(batch)[1:-1])  # without the batch's brackets
+    fh.write(b"]")
+
+
 def save_graph(graph: KnowledgeGraph, path) -> None:
     """Write ``graph`` as one JSON object: each catalog as parallel
     ``external_ids``/``labels`` lists, and the edges as base64 of the
     little-endian int32 ``(E, 3)`` array in row-major order. The bytes depend
-    on the graph alone."""
-    payload = {
-        "entities": {"external_ids": list(graph.entities.external_ids), "labels": list(graph.entities.labels)},
-        "relations": {"external_ids": list(graph.relations.external_ids), "labels": list(graph.relations.labels)},
-        "edges": base64.b64encode(graph.edges.astype("<i4").tobytes()).decode("ascii"),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, ensure_ascii=False))  # the C encoder
-        fh.write("\n")
+    on the graph alone.
+
+    The object is written piece by piece: the catalog lists in batches of
+    strings, the base64 in chunks of whole rows (12 bytes, a multiple of
+    base64's 3), so no piece of the file is held whole."""
+    with open(path, "wb") as fh:
+        for head, catalog in ((b'{"entities": ', graph.entities), (b', "relations": ', graph.relations)):
+            fh.write(head + b'{"external_ids": ')
+            _write_json_list(fh, catalog.external_ids)
+            fh.write(b', "labels": ')
+            _write_json_list(fh, catalog.labels)
+            fh.write(b"}")
+        fh.write(b', "edges": "')
+        for start in range(0, len(graph.edges), _SAVE_ROWS):
+            fh.write(base64.b64encode(graph.edges[start : start + _SAVE_ROWS].astype("<i4", copy=False)))
+        fh.write(b'"}\n')
 
 
 def _catalog_from(raw) -> Catalog:
@@ -272,24 +327,34 @@ def _catalog_from(raw) -> Catalog:
 
 
 def load_graph(path) -> KnowledgeGraph:
-    """Read a graph written by ``save_graph``. Anything else (a truncated or
-    corrupt file, another layout, an edge outside the catalogs) raises a
-    ``KgError`` naming ``path``."""
+    """Read a graph written by ``save_graph``. Anything else raises a
+    ``KgError`` naming ``path``: a truncated or corrupt file or another
+    layout with the advice to re-run ingest, a graph that ``KnowledgeGraph``
+    refuses (an edge outside the catalogs, a repeated edge row, catalogs past
+    the key bound) without it."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
         entities = _catalog_from(payload["entities"])
         relations = _catalog_from(payload["relations"])
-        blob = base64.b64decode(payload["edges"], validate=True)
+        blob = base64.b64decode(payload.pop("edges"), validate=True)  # the text goes once decoded
         if len(blob) % 12:
             raise KgError(f"edge data of {len(blob)} bytes is not a whole number of 12-byte rows")
-        return KnowledgeGraph(entities, relations, np.frombuffer(blob, dtype="<i4").reshape(-1, 3))
     except (ValueError, KeyError, TypeError) as exc:  # KgError, JSON, UTF-8 and base64 errors are ValueErrors
         raise KgError(f"{path}: not a readable graph file ({exc}); re-run ingest to rewrite it") from exc
+    del payload
+    try:
+        return KnowledgeGraph(entities, relations, np.frombuffer(blob, dtype="<i4").reshape(-1, 3))
+    except KgError as exc:
+        raise KgError(f"{path}: {exc}") from exc
 
 
-def _read_label_file(path, *, allow_flags: bool) -> list[tuple[str, str, set[str]]]:
-    rows = []
+def _read_label_file(path, literal: list[str] | None = None) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The labels and external ids of a label file's rows, in file order.
+    Flags are read only when ``literal`` is given: rows flagged ``literal``
+    are then left out and their ids appended to it; other flags are ignored."""
+    external_ids: list[str] = []
+    labels: list[str] = []
     for lineno, raw in read_lines(path):
         line = raw.rstrip("\r\n")
         if not line:
@@ -297,36 +362,36 @@ def _read_label_file(path, *, allow_flags: bool) -> list[tuple[str, str, set[str
         parts = line.split("\t")
         if len(parts) < 2 or not parts[0] or not parts[1]:
             raise KgError(f"{path}:{lineno}: expected 'external_id<TAB>label[<TAB>flags]'")
-        flags = set(parts[2].split(",")) if allow_flags and len(parts) > 2 and parts[2] else set()
-        rows.append((parts[0], parts[1], flags))
-    return rows
+        if literal is not None and len(parts) > 2 and "literal" in parts[2].split(","):
+            literal.append(parts[0])
+            continue
+        external_ids.append(parts[0])
+        labels.append(parts[1])
+    return tuple(labels), tuple(external_ids)
 
 
 def ingest(edges_file, entity_labels_file, relation_labels_file) -> KnowledgeGraph:
     """Read the three TSV files into a deduplicated, densely indexed graph.
 
     Dense indices follow first-appearance order of the label files. Relations
-    flagged ``literal`` are dropped with a warning, along with their edges.
-    An edge referencing an undeclared id is a hard error naming the line.
+    flagged ``literal`` are dropped with a warning, along with their edges;
+    entity flags are ignored. An edge referencing an undeclared id is a hard
+    error naming the line. Rows go straight into the catalogs' lists and one
+    int32 edge column, with no per-row container kept.
     """
     stats = IngestStats()
-
-    ent_rows = _read_label_file(entity_labels_file, allow_flags=True)
-    ent_labels = tuple(label for _, label, _ in ent_rows)
-    ent_ext = tuple(ext for ext, _, _ in ent_rows)
-    entities = Catalog(ent_labels, ent_ext)
-
-    rel_rows = _read_label_file(relation_labels_file, allow_flags=True)
-    literal_ids = {ext for ext, _, flags in rel_rows if "literal" in flags}
-    kept = [(ext, label) for ext, label, flags in rel_rows if "literal" not in flags]
-    stats.literal_relations_dropped = len(rel_rows) - len(kept)
+    entities = Catalog(*_read_label_file(entity_labels_file))
+    literal: list[str] = []
+    relation_rows = _read_label_file(relation_labels_file, literal)
+    literal_ids = set(literal)
+    stats.literal_relations_dropped = len(literal)
     if stats.literal_relations_dropped:
         log.warning("dropped %d literal-valued relation(s) at ingest", stats.literal_relations_dropped)
-    relations = Catalog(tuple(label for _, label in kept), tuple(ext for ext, _ in kept))
+    relations = Catalog(*relation_rows)
 
-    subjects: list[int] = []
-    relation_ids: list[int] = []
-    objects: list[int] = []
+    entity_index, relation_index = entities._by_external.get, relations._by_external.get
+    rows = array("i")  # (subject, relation, object) per kept line
+    append = rows.append
     for lineno, raw in read_lines(edges_file):
         line = raw.rstrip("\r\n")
         if not line:
@@ -338,24 +403,25 @@ def ingest(edges_file, entity_labels_file, relation_labels_file) -> KnowledgeGra
         if r_ext in literal_ids:
             stats.literal_edges_dropped += 1
             continue
-        s = entities.index_of_external(s_ext)
+        s = entity_index(s_ext)
         if s is None:
             raise KgError(f"{edges_file}:{lineno}: unknown entity id {s_ext!r}")
-        o = entities.index_of_external(o_ext)
+        o = entity_index(o_ext)
         if o is None:
             raise KgError(f"{edges_file}:{lineno}: unknown entity id {o_ext!r}")
-        r = relations.index_of_external(r_ext)
+        r = relation_index(r_ext)
         if r is None:
             raise KgError(f"{edges_file}:{lineno}: unknown relation id {r_ext!r}")
-        subjects.append(s)
-        relation_ids.append(r)
-        objects.append(o)
+        append(s)
+        append(r)
+        append(o)
     if stats.literal_edges_dropped:
         log.warning("dropped %d edge(s) using literal-valued relations", stats.literal_edges_dropped)
 
-    columns = np.array([subjects, relation_ids, objects], dtype=np.int32)
-    edges = _first_occurrences(columns.T, len(entities), len(relations))
-    stats.duplicate_edges_dropped = len(subjects) - len(edges)
+    lines = np.frombuffer(rows, dtype=np.intc).reshape(-1, 3)
+    edges = _first_occurrences(lines, len(entities), len(relations))
+    stats.duplicate_edges_dropped = len(lines) - len(edges)
+    del lines, rows
     return KnowledgeGraph(entities, relations, edges, stats)
 
 

@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 import os
@@ -115,6 +116,22 @@ def test_unreadable_graph_file_is_validation_error(workspace, tmp_path, capsys):
         assert str(graph_path) in capsys.readouterr().err
         assert run_cli("decode", "--config", workspace["config"], "--inputs", inputs, "--out", tmp_path / "d") == 1
         assert str(graph_path) in capsys.readouterr().err
+
+
+def test_graph_file_with_a_repeated_edge_row_exits_1(workspace, tmp_path, capsys):
+    assert run_cli("ingest", "--config", workspace["config"]) == 0
+    graph_path = workspace["out"] / "graph.json"
+    payload = json.loads(graph_path.read_bytes())
+    edges = base64.b64decode(payload["edges"])
+    payload["edges"] = base64.b64encode(edges + edges[:12]).decode("ascii")  # the first row again
+    graph_path.write_text(json.dumps(payload), encoding="utf-8")
+    inputs = tmp_path / "inputs.jsonl"
+    inputs.write_text(json.dumps({"id": "q1", "text": "some context"}) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("sample", "--config", workspace["config"], "--n", 5, "--out", tmp_path / "s") == 1
+    assert f"{graph_path}: edge (0, 0, 1) at row 5 repeats row 0" in capsys.readouterr().err
+    assert run_cli("decode", "--config", workspace["config"], "--inputs", inputs, "--out", tmp_path / "d") == 1
+    assert f"{graph_path}: edge (0, 0, 1) at row 5 repeats row 0" in capsys.readouterr().err
 
 
 def write_datapoints(path, rows):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from kgsynth import kgstore
 from kgsynth.kgstore import KgError, Triplet
+from kgsynth.pipeline import InputError
 
 
 def write_kg_files(tmp_path, entities, relations, edges):
@@ -115,6 +117,86 @@ def test_ingest_idempotent(kg_files):
     assert g1.entities == g2.entities
     assert g1.relations == g2.relations
     assert np.array_equal(g1.edges, g2.edges)
+
+
+READER_FILES = {
+    "entities": b"Q1\tAlpha\nQ2\tBeta\nQ3\tGamma\n",
+    "relations": b"P1\tlinked to\nP2\tpart of\nP9\tpopulation\tliteral\n",
+    "edges": b"Q1\tP1\tQ2\nQ2\tP2\tQ3\n",
+}
+LABEL_ROW = "expected 'external_id<TAB>label[<TAB>flags]'"
+
+
+@pytest.mark.parametrize(
+    "name, data, line, message",
+    [
+        ("entities", b"Q1\tAlpha\nQ2\n", 2, LABEL_ROW),
+        ("entities", b"Q1\tAlpha\n\tBeta\n", 2, LABEL_ROW),
+        ("entities", b"Q1\tAlpha\r\n\r\n\nQ2\t\r\n", 4, LABEL_ROW),
+        ("entities", b"Q1\tAlpha\nQ2\nQ3\n\tGamma\n", 2, LABEL_ROW),
+        ("relations", b"P1\tlinked to\r\n\r\nP2\r\n", 3, LABEL_ROW),
+        ("relations", b"P1\tlinked to\n\nP2\t\tliteral\n", 3, LABEL_ROW),
+        ("edges", b"Q1\tP1\tQ2\n\nQ1\tP1\n", 3, "expected 3 tab-separated columns"),
+        ("edges", b"Q1\tP1\tQ2\tQ3\n", 1, "expected 3 tab-separated columns"),
+        ("edges", b"Q1\tP1\tQ2\r\n\r\nQ7\tP1\tQ2\r\n", 3, "unknown entity id 'Q7'"),
+        ("edges", b"\n\nQ1\tP1\tQ8\n", 3, "unknown entity id 'Q8'"),
+        ("edges", b"Q1\tP5\tQ2\n", 1, "unknown relation id 'P5'"),
+        ("edges", b"Q7\tP5\tQ8\n", 1, "unknown entity id 'Q7'"),  # subject, then object, then relation
+        ("edges", b"Q1\tP5\tQ8\n", 1, "unknown entity id 'Q8'"),
+        ("edges", b"Q1\tP1\tQ2\nQ1\tP5\tQ2\nQ1\tP1\nQ9\tP1\tQ2\n", 2, "unknown relation id 'P5'"),
+        ("edges", b"Q1\tP9\tQ99\nQ1\t\tQ2\n", 2, "unknown relation id ''"),  # the literal line is dropped
+    ],
+)
+def test_ingest_reader_fault_names_its_line(tmp_path, name, data, line, message):
+    paths = {key: tmp_path / f"{key}.tsv" for key in READER_FILES}
+    for key, path in paths.items():
+        path.write_bytes(data if key == name else READER_FILES[key])
+    with pytest.raises(KgError) as info:
+        kgstore.ingest(paths["edges"], paths["entities"], paths["relations"])
+    assert str(info.value) == f"{paths[name]}:{line}: {message}"
+
+
+@pytest.mark.parametrize(
+    "name, data, message",
+    [
+        ("entities", b"Q1\tAlpha\nQ2\tAlpha\n", "duplicate label in catalog"),
+        ("entities", b"Q1\tAlpha\nQ1\tBeta\n", "duplicate external id in catalog"),
+        ("relations", b"P1\tlinked to\nP1\tpart of\n", "duplicate external id in catalog"),
+        ("relations", b"P1\tlinked to\nP2\tlinked to\n", "duplicate label in catalog"),
+    ],
+)
+def test_ingest_catalog_fault_is_a_kg_error(tmp_path, name, data, message):
+    paths = {key: tmp_path / f"{key}.tsv" for key in READER_FILES}
+    for key, path in paths.items():
+        path.write_bytes(data if key == name else READER_FILES[key])
+    with pytest.raises(KgError) as info:
+        kgstore.ingest(paths["edges"], paths["entities"], paths["relations"])
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", ["entities", "relations", "edges"])
+def test_ingest_non_utf8_line_is_an_input_error_naming_it(tmp_path, name):
+    paths = {key: tmp_path / f"{key}.tsv" for key in READER_FILES}
+    for key, path in paths.items():
+        path.write_bytes(READER_FILES[key] + (b"\r\n\nQ\xff\tbad\tline\n" if key == name else b""))
+    line = READER_FILES[name].count(b"\n") + 3
+    with pytest.raises(InputError, match=f"^{re.escape(str(paths[name]))}:{line}: not UTF-8"):
+        kgstore.ingest(paths["edges"], paths["entities"], paths["relations"])
+
+
+def test_ingest_ignores_entity_flags_and_drops_literal_edges_unchecked(tmp_path):
+    paths = {key: tmp_path / f"{key}.tsv" for key in READER_FILES}
+    paths["entities"].write_bytes(b"Q1\tAlpha\tliteral\r\nQ2\tBeta\tfoo,bar\n\nQ3\tGamma\t\n")
+    paths["relations"].write_bytes(b"P1\tlinked to\tnotliteral\nP8\tarea\tx,literal\nP9\tpopulation\tliteral\n")
+    paths["edges"].write_bytes(b"Q1\tP9\tQ99\nQ1\tP1\tQ2\r\nQ77\tP8\tQ2\n\nQ2\tP1\tQ3\nQ1\tP1\tQ2\n")
+    graph = kgstore.ingest(paths["edges"], paths["entities"], paths["relations"])
+    assert graph.entities.labels == ("Alpha", "Beta", "Gamma")
+    assert graph.entities.external_ids == ("Q1", "Q2", "Q3")
+    assert graph.relations.labels == ("linked to",)
+    assert graph.edges.tolist() == [[0, 0, 1], [1, 0, 2]]
+    assert graph.stats == kgstore.IngestStats(
+        duplicate_edges_dropped=1, literal_relations_dropped=2, literal_edges_dropped=2
+    )
 
 
 def test_filter_zero_degree_removes_isolated_entity():
@@ -272,7 +354,7 @@ def test_edge_outside_catalogs_rejected():
 
 
 def test_edge_key_overflow_is_refused():
-    # (subject * n_relations + relation) * n_entities + object must fit an int64
+    # (relation * n_entities + subject) * n_entities + object must fit an int64
     edges = np.zeros((1, 3), dtype=np.int32)
     assert kgstore._first_occurrences(edges, 3_000_000, 1_000_000).tolist() == [[0, 0, 0]]
     with pytest.raises(KgError, match="overflow"):
@@ -375,6 +457,34 @@ def test_load_graph_refuses_catalogs_past_the_key_bound(tiny_graph, tmp_path, mo
         kgstore.load_graph(path)
 
 
+def test_load_graph_key_bound_refusal_names_the_path_without_ingest_advice(tiny_graph, tmp_path, monkeypatch):
+    # ingest refuses the same catalogs, so re-running it is no remedy
+    path = tmp_path / "graph.json"
+    kgstore.save_graph(tiny_graph, path)
+    check = kgstore._check_key_bound
+    monkeypatch.setattr(kgstore, "_check_key_bound", lambda n_ent, n_rel: check(n_ent * 10**6, n_rel * 10**6))
+    with pytest.raises(KgError) as info:
+        kgstore.load_graph(path)
+    assert str(info.value) == f"{path}: 4000000 entities x 2000000 relations overflow the int64 edge key"
+
+
+def test_repeated_edge_row_is_refused_naming_the_first_repeat(tiny_graph, tmp_path):
+    # (1, 0, 2) repeats first in row order; (0, 0, 1) sorts first by key
+    edges = np.array([[1, 0, 2], [0, 0, 1], [1, 0, 2], [0, 0, 1]], dtype=np.int32)
+    message = "edge (1, 0, 2) at row 2 repeats row 0"
+    with pytest.raises(KgError) as info:
+        kgstore.KnowledgeGraph(tiny_graph.entities, tiny_graph.relations, edges)
+    assert str(info.value) == message
+    path = tmp_path / "graph.json"
+    kgstore.save_graph(tiny_graph, path)
+    payload = json.loads(path.read_bytes())
+    payload["edges"] = base64.b64encode(edges.astype("<i4").tobytes()).decode("ascii")
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(KgError) as info:
+        kgstore.load_graph(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_empty_label_rejected():
     with pytest.raises(KgError, match="empty label"):
         kgstore.Catalog(("ok", ""), ("A", "B"))
@@ -425,6 +535,39 @@ def test_graph_file_bytes_are_pinned(zipf_kg, tmp_path):
     ).encode()
     kgstore.save_graph(zipf_kg, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == "78aa3983ba3fcafb70703506ba87d2232788a215ea51d0540e3a8f957aeaa66c"
+
+
+def traced(fn, *args):
+    """``fn(*args)``, the traced memory still held once it returns, and the
+    traced peak while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+def test_save_graph_holds_less_than_the_file_it_writes(zipf_kg, tmp_path):
+    path = tmp_path / "graph.json"
+    _, _, peak = traced(kgstore.save_graph, zipf_kg, path)
+    # the whole JSON text with its payload dict took 4.3x the file; pieces take 0.3x
+    assert peak < path.stat().st_size
+
+
+def test_ingest_peak_is_a_small_multiple_of_the_graph_it_returns(zipf_kg, tmp_path):
+    files = write_kg_files(
+        tmp_path,
+        entities=[(f"Q{i}", label) for i, label in enumerate(zipf_kg.entities.labels)],
+        relations=[(f"P{j}", label) for j, label in enumerate(zipf_kg.relations.labels)],
+        edges=[(f"Q{s}", f"P{r}", f"Q{o}") for s, r, o in zipf_kg.edges.tolist()[::-1] + zipf_kg.edges.tolist()[::50]],
+    )
+    graph, held, peak = traced(kgstore.ingest, *files)
+    assert len(graph.edges) == len(zipf_kg.edges)
+    # per-row tuples, flag sets and int lists made the peak 3.2x the graph;
+    # int32 columns and one dict per catalog make it 1.9x
+    assert peak <= 2.4 * held
 
 
 def test_unreadable_graph_file_is_a_kg_error_naming_it(tiny_graph, tmp_path):
