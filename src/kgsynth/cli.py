@@ -20,7 +20,7 @@ from pathlib import Path
 import yaml
 
 # Each command imports the layers it runs inside its cmd_* body, so a stage
-# process loads only those: prepare and generate, for one, never load numpy.
+# process loads only those: generate, prepare, encode and decode never load numpy.
 from .pipeline import InputError, JsonlSink, ValidationError, jsonl_line, read_jsonl, read_lines, triplet_rows, triplets_from_row, write_json, write_jsonl, write_manifest
 
 log = logging.getLogger("kgsynth")
@@ -453,15 +453,18 @@ def catalog_trie(labels, tokenizer, entity: bool):
 
 def cmd_decode(stage: Stage) -> int:
     from . import codec
+    from .catalog import read_graph_file
     from .decoder import ConstraintEngine, DecodeParams, ScorerError, SubprocessScorer, UniformScorer
 
-    graph = load_graph(stage.input("paths.graph"))
+    # the output depends on the catalogs alone: the edge text is neither
+    # decoded nor kept
+    entities, relations = read_graph_file(stage.input("paths.graph"))[:2]
     inputs_path = stage.input("inputs")
     schema = make_schema(stage.cfg)
     tokenizer = make_tokenizer(stage.cfg)
 
-    entity_trie, entity_counts = catalog_trie(graph.entities.labels, tokenizer, entity=True)
-    relation_trie, relation_counts = catalog_trie(graph.relations.labels, tokenizer, entity=False)
+    entity_trie, entity_counts = catalog_trie(entities.labels, tokenizer, entity=True)
+    relation_trie, relation_counts = catalog_trie(relations.labels, tokenizer, entity=False)
     catalog = {"entities": entity_counts, "relations": relation_counts}
     dropped = {name: counts["dropped"] for name, counts in catalog.items() if any(counts["dropped"].values())}
     if dropped:
@@ -477,8 +480,8 @@ def cmd_decode(stage: Stage) -> int:
     else:
         scorer = UniformScorer(tokenizer.vocab_size)
 
-    entity_labels = set(graph.entities.labels)
-    relation_labels = set(graph.relations.labels)
+    entity_labels = set(entities.labels)
+    relation_labels = set(relations.labels)
     decoded = 0
     with JsonlSink(stage.output("predictions.jsonl")) as sink:
         done = {str(row["id"]) for row in sink.rows}

@@ -4,7 +4,8 @@ constrained beam search over a pluggable scorer.
 
 The names below are re-exported lazily (PEP 562): ``from kgsynth.decoder
 import X`` imports only the submodule that defines X and what it needs, so a
-caller that only tokenizes does not load the scorers and numpy."""
+caller that only tokenizes (``prepare``) loads neither the search nor the
+scorers."""
 import importlib
 
 _EXPORTS = {
@@ -12,7 +13,7 @@ _EXPORTS = {
     "trie": ("CatalogTrie", "TrieNode", "build_trie"),
     "constraints": ("ConstraintEngine", "ConstraintError", "ConstraintState"),
     "beam": ("DEFAULT_LENGTH_PENALTY", "DecodedSequence", "DecodeParams", "constrained_beam_search"),
-    "scorers": ("AdversarialScorer", "OracleScorer", "Scorer", "ScorerError", "SubprocessScorer", "UniformScorer"),
+    "scorers": ("Scorer", "ScorerError", "SubprocessScorer", "UniformScorer"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -1,9 +1,9 @@
 """Scorer boundary for constrained search.
 
 A scorer maps (input context, generated prefixes) to finite log-probabilities
-over the full vocabulary, one row per prefix. The engine queries all live
-beams in one ``score_many`` call per step, which hands the batch to the
-``_score_batch`` each scorer implements. The ``SubprocessScorer`` speaks a
+over the full vocabulary, one list of floats per prefix. The engine queries
+all live beams in one ``score_many`` call per step, which hands the batch to
+the ``_score_batch`` each scorer implements. The ``SubprocessScorer`` speaks a
 newline-delimited JSON protocol, which lets an external model process in any
 ecosystem serve the probabilities.
 """
@@ -18,8 +18,6 @@ import subprocess
 from abc import ABC, abstractmethod
 from typing import Iterator, Sequence
 
-import numpy as np
-
 READ_TIMEOUT_S = 600.0  # a scorer that sends nothing for this long has hung
 
 
@@ -30,13 +28,14 @@ class ScorerError(RuntimeError):
 class Scorer(ABC):
     vocab_size: int
 
-    def score_many(self, context: str, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
-        """Finite log-probabilities, one row per prefix (the live beams of
-        one step) and one column per vocabulary token."""
+    def score_many(self, context: str, prefixes: Sequence[Sequence[int]]) -> list[list[float]]:
+        """Finite log-probabilities: one list of floats per prefix (the live
+        beams of one step), one value per vocabulary token. Rows may be
+        shared with each other and with later calls; callers only read them."""
         return self._score_batch(context, prefixes)
 
     @abstractmethod
-    def _score_batch(self, context: str, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
+    def _score_batch(self, context: str, prefixes: Sequence[Sequence[int]]) -> list[list[float]]:
         # subclasses score here rather than in score_many, so that wrapping
         # Scorer.score_many (bench/spans.py) times every scorer's steps
         ...
@@ -47,47 +46,14 @@ class UniformScorer(Scorer):
 
     def __init__(self, vocab_size: int):
         self.vocab_size = vocab_size
-        self._row = np.full(vocab_size, -math.log(vocab_size))
+        self._row = [-math.log(vocab_size)] * vocab_size
 
     def _score_batch(self, context, prefixes):
-        return np.broadcast_to(self._row, (len(prefixes), self.vocab_size))
+        return [self._row] * len(prefixes)
 
     # a binding of its own, so that wrappers on this and on Scorer.score_many
     # (bench/spans.py wraps both) do not nest
     score_many = Scorer.score_many
-
-
-class AdversarialScorer(Scorer):
-    """Puts almost all mass on one (typically out-of-catalog) token; the
-    constraint layer must dominate it."""
-
-    def __init__(self, vocab_size: int, favored_token: int, low: float = -30.0):
-        self.vocab_size = vocab_size
-        self._row = np.full(vocab_size, low)
-        self._row[favored_token] = math.log1p(-1e-9)
-
-    def _score_batch(self, context, prefixes):
-        return np.broadcast_to(self._row, (len(prefixes), self.vocab_size))
-
-
-class OracleScorer(Scorer):
-    """Scores one target sequence highly: the next target token gets log-prob
-    ~0 while the prefix matches the target, everything else a flat penalty."""
-
-    def __init__(self, vocab_size: int, target: Sequence[int], eos_id: int, off_score: float = -20.0):
-        self.vocab_size = vocab_size
-        self.target = tuple(target)
-        self.eos_id = eos_id
-        self.off_score = off_score
-
-    def _score_batch(self, context, prefixes):
-        rows = np.full((len(prefixes), self.vocab_size), self.off_score)
-        for row, prefix in zip(rows, map(tuple, prefixes)):
-            if prefix == self.target:
-                row[self.eos_id] = 0.0
-            elif len(prefix) < len(self.target) and prefix == self.target[: len(prefix)]:
-                row[self.target[len(prefix)]] = 0.0
-        return rows
 
 
 class SubprocessScorer(Scorer):
@@ -135,8 +101,8 @@ class SubprocessScorer(Scorer):
             if prefix:
                 self._rendered[prefix] = tokens
             requests.append(head + tokens + "]}\n")
-        rows = np.empty((len(prefixes), self.vocab_size))
-        for i, line in enumerate(self._exchange("".join(requests).encode(), len(prefixes))):
+        rows = []
+        for line in self._exchange("".join(requests).encode(), len(prefixes)):
             try:
                 values = json.loads(line)["logprobs"]
                 n = len(values)
@@ -145,11 +111,14 @@ class SubprocessScorer(Scorer):
             if n != self.vocab_size:
                 raise ScorerError(f"scorer returned {n} values, expected {self.vocab_size}")
             try:
-                rows[i] = values
-            except (ValueError, TypeError):
+                finite = all(map(math.isfinite, values))
+            except TypeError:  # null, a string, a list, an object
                 raise ScorerError("scorer returned log-probabilities that are not numbers") from None
-        if not np.isfinite(rows).all():
-            raise ScorerError("scorer returned non-finite log-probabilities")
+            except OverflowError:  # an integer past the float range
+                finite = False
+            if not finite:
+                raise ScorerError("scorer returned non-finite log-probabilities")
+            rows.append(values)
         return rows
 
     def _exchange(self, requests: bytes, n_replies: int) -> Iterator[bytes]:

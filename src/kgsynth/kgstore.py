@@ -3,8 +3,9 @@
 The graph is built from three TSV files (edges + entity/relation label files),
 deduplicated, and indexed with dense integer ids; its edges are one int32
 (subject, relation, object) array. Labels and external ids only appear at the
-I/O boundary; everything downstream works on dense indices. ``save_graph`` and
-``load_graph`` own the graph file the pipeline stages pass along.
+I/O boundary; everything downstream works on dense indices. ``save_graph``
+writes the graph file the pipeline stages pass along, and ``load_graph`` reads
+it through ``catalog.read_graph_file``, which owns its layout.
 """
 from __future__ import annotations
 
@@ -18,46 +19,16 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .pipeline import ValidationError, read_lines
+from .catalog import Catalog, KgError, read_graph_file, unreadable
+from .pipeline import read_lines
 
 log = logging.getLogger(__name__)
-
-
-class KgError(ValidationError):
-    """Raised on malformed or inconsistent graph input."""
 
 
 class Triplet(NamedTuple):
     subject: int
     relation: int
     object: int
-
-
-@dataclass(frozen=True)
-class Catalog:
-    """Immutable label catalog with dense indices in first-appearance order."""
-
-    labels: tuple[str, ...]
-    external_ids: tuple[str, ...]
-
-    def __post_init__(self):
-        if not all(self.labels):
-            raise KgError("empty label in catalog")
-        if len(set(self.labels)) != len(self.labels):
-            raise KgError("duplicate label in catalog")
-        by_external = dict(zip(self.external_ids, range(len(self.external_ids))))
-        if len(by_external) != len(self.external_ids):
-            raise KgError("duplicate external id in catalog")
-        object.__setattr__(self, "_by_external", by_external)
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def index_of_external(self, external_id: str) -> int | None:
-        return self._by_external.get(external_id)
-
-    def label(self, index: int) -> str:
-        return self.labels[index]
 
 
 @dataclass
@@ -315,34 +286,20 @@ def save_graph(graph: KnowledgeGraph, path) -> None:
         fh.write(b'"}\n')
 
 
-def _catalog_from(raw) -> Catalog:
-    if not isinstance(raw, dict):
-        raise KgError("a catalog must be an object of parallel external_ids and labels lists")
-    external_ids, labels = raw["external_ids"], raw["labels"]
-    if not (isinstance(external_ids, list) and isinstance(labels, list) and len(external_ids) == len(labels)):
-        raise KgError("catalog external_ids and labels must be lists of equal length")
-    if not set(map(type, external_ids + labels)) <= {str}:
-        raise KgError("catalog external_ids and labels must be strings")
-    return Catalog(tuple(labels), tuple(external_ids))
-
-
 def load_graph(path) -> KnowledgeGraph:
     """Read a graph written by ``save_graph``. Anything else raises a
     ``KgError`` naming ``path``: a truncated or corrupt file or another
     layout with the advice to re-run ingest, a graph that ``KnowledgeGraph``
     refuses (an edge outside the catalogs, a repeated edge row, catalogs past
     the key bound) without it."""
+    entities, relations, text = read_graph_file(path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        entities = _catalog_from(payload["entities"])
-        relations = _catalog_from(payload["relations"])
-        blob = base64.b64decode(payload.pop("edges"), validate=True)  # the text goes once decoded
+        blob = base64.b64decode(text, validate=True)
         if len(blob) % 12:
             raise KgError(f"edge data of {len(blob)} bytes is not a whole number of 12-byte rows")
-    except (ValueError, KeyError, TypeError) as exc:  # KgError, JSON, UTF-8 and base64 errors are ValueErrors
-        raise KgError(f"{path}: not a readable graph file ({exc}); re-run ingest to rewrite it") from exc
-    del payload
+    except ValueError as exc:  # KgError and base64 errors are ValueErrors
+        raise unreadable(path, exc) from exc
+    del text  # the text goes once decoded
     try:
         return KnowledgeGraph(entities, relations, np.frombuffer(blob, dtype="<i4").reshape(-1, 3))
     except KgError as exc:

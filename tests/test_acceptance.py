@@ -17,7 +17,6 @@ from kgsynth import codec, metrics, sampler, textgen
 from kgsynth.cli import main as cli_main
 from kgsynth.codec import LinearizationSchema, Variant
 from kgsynth.decoder import (
-    AdversarialScorer,
     ConstraintEngine,
     DecodeParams,
     DEFAULT_LENGTH_PENALTY,
@@ -29,6 +28,7 @@ from kgsynth.decoder import (
 from kgsynth.metrics import EvalPair
 
 from conftest import make_zipf_kg
+from fake_scorers import AdversarialScorer
 from test_metrics import brute_force_macro, brute_force_micro, random_instance, sort_oracle_quartiles
 
 FE = LinearizationSchema(variant=Variant.FE)

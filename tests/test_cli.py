@@ -121,17 +121,19 @@ def test_unreadable_graph_file_is_validation_error(workspace, tmp_path, capsys):
 def test_graph_file_with_a_repeated_edge_row_exits_1(workspace, tmp_path, capsys):
     assert run_cli("ingest", "--config", workspace["config"]) == 0
     graph_path = workspace["out"] / "graph.json"
+    inputs = tmp_path / "inputs.jsonl"
+    inputs.write_text(json.dumps({"id": "q1", "text": "some context"}) + "\n", encoding="utf-8")
+    assert run_cli("decode", "--config", workspace["config"], "--inputs", inputs, "--out", tmp_path / "good") == 0
     payload = json.loads(graph_path.read_bytes())
     edges = base64.b64decode(payload["edges"])
     payload["edges"] = base64.b64encode(edges + edges[:12]).decode("ascii")  # the first row again
     graph_path.write_text(json.dumps(payload), encoding="utf-8")
-    inputs = tmp_path / "inputs.jsonl"
-    inputs.write_text(json.dumps({"id": "q1", "text": "some context"}) + "\n", encoding="utf-8")
     capsys.readouterr()
     assert run_cli("sample", "--config", workspace["config"], "--n", 5, "--out", tmp_path / "s") == 1
     assert f"{graph_path}: edge (0, 0, 1) at row 5 repeats row 0" in capsys.readouterr().err
-    assert run_cli("decode", "--config", workspace["config"], "--inputs", inputs, "--out", tmp_path / "d") == 1
-    assert f"{graph_path}: edge (0, 0, 1) at row 5 repeats row 0" in capsys.readouterr().err
+    # decode reads only the catalogs, so its predictions do not depend on the edges
+    assert run_cli("decode", "--config", workspace["config"], "--inputs", inputs, "--out", tmp_path / "d") == 0
+    assert (tmp_path / "d" / "predictions.jsonl").read_bytes() == (tmp_path / "good" / "predictions.jsonl").read_bytes()
 
 
 def write_datapoints(path, rows):
@@ -956,6 +958,13 @@ FAILING_SCORERS = {
                "for line in sys.stdin:\n"
                "    print('{\"scores\": []}', flush=True)\n",
 }
+# replies of the right length whose last value is ``value``, a JSON literal
+FAILING_SCORERS.update({
+    name: "import sys\n"
+          "for line in sys.stdin:\n"
+          f"    print('{{\"logprobs\": [' + '-1.0, ' * 256 + '{value}]}}', flush=True)\n"
+    for name, value in [("overflow", "1e999"), ("huge_int", "1" + "0" * 400), ("null", "null"), ("string", '"-1.0"')]
+})
 
 
 @pytest.mark.parametrize("failure, message", [
@@ -963,6 +972,10 @@ FAILING_SCORERS = {
     ("nan", "scorer returned non-finite log-probabilities"),
     ("short", "scorer returned 3 values, expected 257"),
     ("garbled", """scorer reply b'{"scores": []}' is not {"logprobs": [...]}"""),
+    ("overflow", "scorer returned non-finite log-probabilities"),
+    ("huge_int", "scorer returned non-finite log-probabilities"),
+    ("null", "scorer returned log-probabilities that are not numbers"),
+    ("string", "scorer returned log-probabilities that are not numbers"),
 ])
 def test_failing_scorer_is_runtime_error_naming_the_input(failure, message, workspace, tmp_path, capsys):
     run_cli("ingest", "--config", workspace["config"])
@@ -1063,9 +1076,31 @@ def test_text_stages_never_load_numpy(command, workspace, tmp_path):
     assert json.loads(stdout.splitlines()[-1]) == {"code": 0, "numpy": False}
 
 
+@pytest.mark.parametrize("scorer", ["uniform", "subprocess"])
+def test_decode_never_loads_numpy(scorer, workspace, tmp_path):
+    assert run_cli("ingest", "--config", workspace["config"]) == 0
+    inputs = tmp_path / "inputs.jsonl"
+    inputs.write_text(json.dumps({"id": "q1", "text": "some context"}) + "\n", encoding="utf-8")
+    argv = ["decode", "--config", str(workspace["config"]), "--inputs", str(inputs), "--out", str(tmp_path / "d")]
+    if scorer == "subprocess":
+        script = tmp_path / "scorer.py"
+        script.write_text("import json, sys\n"
+                          "for line in sys.stdin:\n"
+                          "    print(json.dumps({'logprobs': [-1.0] * 257}), flush=True)\n", encoding="utf-8")
+        argv += ["--scorer-cmd", f"{sys.executable} {script}"]
+    stdout = run_fresh_python(
+        "import json, sys\n"
+        "from kgsynth import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(json.dumps({'code': code, 'numpy': 'numpy' in sys.modules}))\n"
+    )
+    assert json.loads(stdout.splitlines()[-1]) == {"code": 0, "numpy": False}
+    assert (tmp_path / "d" / "predictions.jsonl").read_text().count("\n") == 1
+
+
 DECODER_NAMES = [
-    "AdversarialScorer", "ByteTokenizer", "CatalogTrie", "ConstraintEngine", "ConstraintError", "ConstraintState",
-    "DecodedSequence", "DecodeParams", "DEFAULT_LENGTH_PENALTY", "OracleScorer", "Scorer", "ScorerError",
+    "ByteTokenizer", "CatalogTrie", "ConstraintEngine", "ConstraintError", "ConstraintState",
+    "DecodedSequence", "DecodeParams", "DEFAULT_LENGTH_PENALTY", "Scorer", "ScorerError",
     "SubprocessScorer", "Tokenizer", "TrieNode", "UnencodableText", "UniformScorer", "WordPieceTokenizer",
     "build_trie", "constrained_beam_search",
 ]

@@ -16,7 +16,6 @@ import kgsynth
 from kgsynth import cli, codec
 from kgsynth.codec import END, START_OBJECT, START_RELATION, START_SUBJECT, LinearizationSchema, Variant
 from kgsynth.decoder import (
-    AdversarialScorer,
     ByteTokenizer,
     CatalogTrie,
     ConstraintEngine,
@@ -24,7 +23,6 @@ from kgsynth.decoder import (
     ConstraintState,
     DecodeParams,
     DEFAULT_LENGTH_PENALTY,
-    OracleScorer,
     ScorerError,
     SubprocessScorer,
     Tokenizer,
@@ -35,6 +33,8 @@ from kgsynth.decoder import (
 )
 from kgsynth.decoder import scorers
 from kgsynth.pipeline import ValidationError
+
+from fake_scorers import AdversarialScorer, OracleScorer
 
 FE = LinearizationSchema(variant=Variant.FE)
 SC = LinearizationSchema(variant=Variant.SC)
@@ -785,8 +785,9 @@ def test_subprocess_scorer_protocol(tmp_path, fe_engine):
     script.write_text(SCORER_SCRIPT, encoding="utf-8")
     vocab = fe_engine.tokenizer.vocab_size
     with SubprocessScorer([sys.executable, str(script), str(vocab)], vocab) as scorer:
-        row = scorer.score_many("ctx", [[1, 2, 3]])[0]
-        assert row.shape == (vocab,)
+        rows = scorer.score_many("ctx", [[1, 2, 3]])
+        assert len(rows) == 1 and len(rows[0]) == vocab
+        row = rows[0]
         assert row[3] == -0.5
         results = constrained_beam_search(scorer, "", fe_engine, DecodeParams(num_beams=2, max_length=40))
         assert results[0].finished
@@ -878,17 +879,16 @@ def test_pipelined_scores_equal_row_by_row(tmp_path):
             if step % 7 == 0:
                 batch = batch[:1]
             rows = scorer.score_many(context, batch)
-            assert rows.shape == (len(batch), vocab)
+            assert len(rows) == len(batch) and all(len(row) == vocab for row in rows)
             for prefix, got in zip(batch, rows):
-                assert got.tolist() == namespace["row"](context, list(prefix), vocab)
-                assert np.array_equal(scorer.score_many(context, [prefix])[0], got)
+                assert got == namespace["row"](context, list(prefix), vocab)
+                assert scorer.score_many(context, [prefix])[0] == got
             previous = batch
 
 
 DEADLOCK_PROBE = """\
 import sys
 import time
-import numpy as np
 from kgsynth.decoder import SubprocessScorer
 
 script, vocab, beams, context_bytes = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
@@ -897,7 +897,7 @@ prefixes = [tuple(range(b + 1)) for b in range(beams)]
 with SubprocessScorer([sys.executable, script, str(vocab)], vocab) as scorer:
     for _ in range(2):
         rows = scorer.score_many(context, prefixes)
-        assert rows.shape == (beams, vocab)
+        assert len(rows) == beams and all(len(row) == vocab for row in rows)
         for prefix, row in zip(prefixes, rows):
             assert row[len(prefix)] == -0.5 and row[0] == -1.25
 print("ok")
