@@ -37,9 +37,6 @@ class Catalog:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def index_of_external(self, external_id: str) -> int | None:
-        return self._by_external.get(external_id)
-
     def label(self, index: int) -> str:
         return self.labels[index]
 

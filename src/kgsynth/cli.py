@@ -161,12 +161,13 @@ def existing(path, what: str) -> Path:
 
 
 def make_schema(cfg: dict):
+    """The config's ``schema`` as a ``codec.Variant``."""
     from . import codec
 
     variant = setting(cfg, "schema").lower()
     if variant not in ("fe", "sc"):
         raise ConfigError(f"schema must be 'fe' or 'sc', got {variant!r}")
-    return codec.LinearizationSchema(variant=codec.Variant(variant))
+    return codec.Variant(variant)
 
 
 def make_tokenizer(cfg: dict):
@@ -335,13 +336,7 @@ def cmd_generate(stage: Stage) -> int:
         max_attempts=setting(stage.cfg, "generation.max_attempts"),
         backoff_base=setting(stage.cfg, "generation.backoff_base"),
     )
-    records_path = stage.output("generation_records.jsonl")
-    counts = client.generate(prompts, records_path)
-
-    completions = {}
-    for record in read_jsonl(records_path):
-        if record["status"] == "ok":
-            completions.setdefault(record["set_id"], record["completion"])
+    counts, completions = client.generate(prompts, stage.output("generation_records.jsonl"))
     # one row per set with an ok record, in the order of the sets file
     rows = [
         {
@@ -373,8 +368,8 @@ def _id_rows(path):
         yield row_id, raw
 
 
-def _linearized_datapoints(path, schema, drops: dict):
-    """(id, text, triplets, linearization under ``schema``) of each datapoint
+def _linearized_datapoints(path, variant, drops: dict):
+    """(id, text, triplets, linearization under ``variant``) of each datapoint
     row of ``path``, read once. A row without triplets, or with a label
     ``parse`` cannot read back, is left out and counted in ``drops`` under
     ``empty`` or ``unlinearizable``; a repeated id is an InputError."""
@@ -386,7 +381,7 @@ def _linearized_datapoints(path, schema, drops: dict):
             drops["empty"] += 1
             continue
         try:
-            linearized = codec.linearize(triplets, schema, text)
+            linearized = codec.linearize(triplets, variant, text)
         except codec.CodecError:  # parse could not read a label back
             drops["unlinearizable"] += 1
             continue
@@ -401,13 +396,11 @@ def cmd_prepare(stage: Stage) -> int:
     max_input = setting(stage.cfg, "prepare.max_input_tokens")
     max_target = setting(stage.cfg, "prepare.max_target_tokens")
 
-    fe_schema = codec.LinearizationSchema(variant=codec.Variant.FE)
-    sc_schema = codec.LinearizationSchema(variant=codec.Variant.SC)
     drops = {"empty": 0, "input_too_long": 0, "target_too_long": 0, "unencodable": 0, "unlinearizable": 0}
     kept = 0
     with open(stage.output("prepared_fe.jsonl"), "w", encoding="utf-8") as fe_file, \
             open(stage.output("prepared_sc.jsonl"), "w", encoding="utf-8") as sc_file:
-        for point_id, text, triplets, fe_target in _linearized_datapoints(datapoints_path, fe_schema, drops):
+        for point_id, text, triplets, fe_target in _linearized_datapoints(datapoints_path, codec.Variant.FE, drops):
             input_ids, fe_ids = tokenizer.try_encode(text), tokenizer.try_encode(fe_target)
             if input_ids is None or fe_ids is None:
                 drops["unencodable"] += 1
@@ -418,7 +411,7 @@ def cmd_prepare(stage: Stage) -> int:
             elif len(fe_ids) > max_target:
                 drops["target_too_long"] += 1
             else:
-                sc_target = codec.linearize(triplets, sc_schema, text)
+                sc_target = codec.linearize(triplets, codec.Variant.SC, text)
                 fe_file.write(jsonl_line({"id": point_id, "input": text, "target": fe_target}))
                 sc_file.write(jsonl_line({"id": point_id, "input": text, "target": sc_target}))
                 kept += 1
@@ -429,14 +422,13 @@ def cmd_prepare(stage: Stage) -> int:
 
 def cmd_encode(stage: Stage) -> int:
     datapoints_path = stage.input("datapoints")
-    schema = make_schema(stage.cfg)
-    variant, drops = schema.variant.value, {"empty": 0, "unlinearizable": 0}
-    rows = write_jsonl(stage.output(f"encoded_{variant}.jsonl"), (
-        {"id": point_id, "text": text, "linearization": variant, "linearized": linearized}
-        for point_id, text, _, linearized in _linearized_datapoints(datapoints_path, schema, drops)
+    variant, drops = make_schema(stage.cfg), {"empty": 0, "unlinearizable": 0}
+    rows = write_jsonl(stage.output(f"encoded_{variant.value}.jsonl"), (
+        {"id": point_id, "text": text, "linearization": variant.value, "linearized": linearized}
+        for point_id, text, _, linearized in _linearized_datapoints(datapoints_path, variant, drops)
     ))
-    stage.snapshot = {"schema": variant, "rows": rows, "unlinearizable": drops["unlinearizable"]}
-    print(f"encoded {rows} datapoints ({variant})")
+    stage.snapshot = {"schema": variant.value, "rows": rows, "unlinearizable": drops["unlinearizable"]}
+    print(f"encoded {rows} datapoints ({variant.value})")
     return EXIT_OK
 
 
@@ -460,7 +452,7 @@ def cmd_decode(stage: Stage) -> int:
     # decoded nor kept
     entities, relations = read_graph_file(stage.input("paths.graph"))[:2]
     inputs_path = stage.input("inputs")
-    schema = make_schema(stage.cfg)
+    variant = make_schema(stage.cfg)
     tokenizer = make_tokenizer(stage.cfg)
 
     entity_trie, entity_counts = catalog_trie(entities.labels, tokenizer, entity=True)
@@ -469,7 +461,7 @@ def cmd_decode(stage: Stage) -> int:
     dropped = {name: counts["dropped"] for name, counts in catalog.items() if any(counts["dropped"].values())}
     if dropped:
         log.warning("decode left catalog labels out: %s", json.dumps(dropped, sort_keys=True))
-    engine = ConstraintEngine(schema, tokenizer, entity_trie, relation_trie)
+    engine = ConstraintEngine(variant, tokenizer, entity_trie, relation_trie)
     params = DecodeParams(
         num_beams=setting(stage.cfg, "decode.num_beams"),
         length_penalty=setting(stage.cfg, "decode.length_penalty"),  # None: per variant
@@ -493,11 +485,10 @@ def cmd_decode(stage: Stage) -> int:
                 if not isinstance(context, str):
                     raise InputError(f"{raw.where}: input {doc_id!r} has no string 'text' or 'context'")
                 try:
-                    results = constrained_beam_search(scorer, context, engine, params)
+                    best = constrained_beam_search(scorer, context, engine, params)
                 except ScorerError as exc:
                     raise ScorerError(f"{raw.where}: input {doc_id!r}: {exc}") from None
-                best = results[0]
-                parsed = codec.parse(best.text, schema, entity_labels, relation_labels)
+                parsed = codec.parse(best.text, variant, entity_labels, relation_labels)
                 sink.append({
                     "id": doc_id,
                     "triplets": triplet_rows(parsed.triplets),
@@ -509,7 +500,7 @@ def cmd_decode(stage: Stage) -> int:
         finally:
             if isinstance(scorer, SubprocessScorer):
                 scorer.close()
-    stage.snapshot = {"schema": schema.variant.value, "decode": stage.cfg.get("decode") or {}, "catalog": catalog}
+    stage.snapshot = {"schema": variant.value, "decode": stage.cfg.get("decode") or {}, "catalog": catalog}
     print(f"decoded {decoded} inputs ({len(done)} predictions kept from an earlier run)")
     return EXIT_OK
 

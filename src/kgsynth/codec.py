@@ -31,12 +31,7 @@ class Variant(str, Enum):
 
 
 class CodecError(ValidationError):
-    """Raised when a triplet set cannot be linearized under a schema."""
-
-
-@dataclass(frozen=True)
-class LinearizationSchema:
-    variant: Variant = Variant.FE
+    """Raised when a triplet set cannot be linearized."""
 
 
 def entity_surface(label: str) -> str:
@@ -97,7 +92,7 @@ def linearizable(label: str, entity: bool) -> bool:
 
 def linearize(
     triplets: Iterable[LabelTriplet],
-    schema: LinearizationSchema,
+    variant: Variant,
     source_text: str = "",
 ) -> str:
     """Render a triplet set as a single delimiter-structured string.
@@ -114,7 +109,7 @@ def linearize(
         if not linearizable(label, entity):
             raise CodecError(f"label {label!r} cannot be read back from a linearization")
     parts: list[str] = []
-    if schema.variant is Variant.FE:
+    if variant is Variant.FE:
         for s, r, o in ordered:
             parts.extend([START_SUBJECT, entity_surface(s), START_RELATION, r, START_OBJECT, entity_surface(o), END])
     else:
@@ -137,13 +132,10 @@ class ParseResult:
     dropped_unresolvable: int = 0
     duplicates_removed: int = 0
 
-    def as_set(self) -> set[LabelTriplet]:
-        return set(self.triplets)
-
 
 def parse(
     text: str,
-    schema: LinearizationSchema,
+    variant: Variant,
     entity_catalog=None,
     relation_catalog=None,
 ) -> ParseResult:
@@ -190,7 +182,7 @@ def parse(
         else:  # end marker
             if subject and relation and obj:
                 raw.append((subject, relation, obj))
-                if schema.variant is Variant.FE:
+                if variant is Variant.FE:
                     subject = None
                 relation = obj = None
                 dirty = False

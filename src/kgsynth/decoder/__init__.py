@@ -1,5 +1,5 @@
 """Bi-level constrained generation: a structural automaton over a
-linearization schema crossed with catalog prefix-tries, searched by
+linearization variant crossed with catalog prefix-tries, searched by
 constrained beam search over a pluggable scorer.
 
 The names below are re-exported lazily (PEP 562): ``from kgsynth.decoder
@@ -9,7 +9,7 @@ scorers."""
 import importlib
 
 _EXPORTS = {
-    "tokenizers": ("ByteTokenizer", "Tokenizer", "UnencodableText", "WordPieceTokenizer"),
+    "tokenizers": ("ByteTokenizer", "Tokenizer", "WordPieceTokenizer"),
     "trie": ("CatalogTrie", "TrieNode", "build_trie"),
     "constraints": ("ConstraintEngine", "ConstraintError", "ConstraintState"),
     "beam": ("DEFAULT_LENGTH_PENALTY", "DecodedSequence", "DecodeParams", "constrained_beam_search"),

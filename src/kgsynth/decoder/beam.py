@@ -23,13 +23,10 @@ class DecodeParams:
     num_beams: int = DEFAULT_NUM_BEAMS
     length_penalty: float | None = None  # None: 0.8 for FE, 0.6 for SC
     max_length: int = 256  # emitted tokens, end-of-sequence not counted
-    top_k_returned: int = 1
 
     def __post_init__(self):
         if self.num_beams < 1:
             raise ValidationError("num_beams must be >= 1")
-        if not (1 <= self.top_k_returned <= self.num_beams):
-            raise ValidationError("top_k_returned must lie in [1, num_beams]")
         if self.max_length < 1:
             raise ValidationError("max_length must be >= 1")
 
@@ -60,26 +57,26 @@ def constrained_beam_search(
     input_context: str,
     engine: ConstraintEngine,
     params: DecodeParams = DecodeParams(),
-) -> list[DecodedSequence]:
-    """Top-k constrained hypotheses for one input context.
+) -> DecodedSequence:
+    """The best constrained hypothesis for one input context: the highest
+    normalized score, then the smallest token sequence.
 
     Ties are broken in favor of the end-of-sequence candidate (a complete,
     automaton-accepted hypothesis beats an equal-scored continuation), then by
     token id ascending, then beam index, making the search fully deterministic
     for a deterministic scorer. The search runs until the beams are exhausted
-    or hold max_length tokens (end-of-sequence not counted); finished
-    hypotheses are pooled and pruned by normalized score. If no beam finishes
-    within max_length tokens, the best partial hypotheses are returned with
-    ``finished=False``.
+    or hold max_length tokens (end-of-sequence not counted). If no beam
+    finishes within max_length tokens, the best partial hypothesis is returned
+    with ``finished=False``.
     """
-    length_penalty = params.resolve_length_penalty(engine.schema.variant)
+    length_penalty = params.resolve_length_penalty(engine.variant)
     eos_id = engine.eos_id
     beams = [_Beam((), 0.0, engine.initial_state())]
-    finished: list[tuple[tuple[int, ...], float]] = []
+    best: tuple[float, tuple[int, ...], float] | None = None  # (-normalized score, tokens, score) of a finished one
 
-    def normalized(tokens: tuple[int, ...], score: float, with_eos: bool) -> float:
+    def ranked(tokens: tuple[int, ...], score: float, with_eos: bool) -> tuple[float, tuple[int, ...], float]:
         length = len(tokens) + (1 if with_eos else 0)
-        return score / (length**length_penalty) if length else score
+        return (-(score / (length**length_penalty) if length else score), tokens, score)
 
     # max_length bounds the emitted tokens; the step that may add the
     # end-of-sequence token after the last of them is one more
@@ -102,24 +99,15 @@ def constrained_beam_search(
         for score, eos_rank, token, bi in candidates[: params.num_beams]:
             parent = beams[bi]
             if eos_rank == 0:
-                finished.append((parent.tokens, score))
+                hypothesis = ranked(parent.tokens, score, True)
+                best = hypothesis if best is None else min(best, hypothesis)
             else:
                 next_beams.append(_Beam(parent.tokens + (token,), score, engine.advance(parent.state, token)))
         if not at_limit:
             beams = next_beams  # at the limit, unfinished beams stay as the truncated fallback
-        if len(finished) > params.num_beams:
-            finished.sort(key=lambda f: (-normalized(f[0], f[1], True), f[0]))
-            finished = finished[: params.num_beams]
 
-    if finished:
-        pool = [
-            DecodedSequence(toks, engine.tokenizer.decode(toks), score, normalized(toks, score, True), True)
-            for toks, score in finished
-        ]
+    if best is None:
+        negated, tokens, score = min(ranked(b.tokens, b.score, False) for b in beams)
     else:
-        pool = [
-            DecodedSequence(b.tokens, engine.tokenizer.decode(b.tokens), b.score, normalized(b.tokens, b.score, False), False)
-            for b in beams
-        ]
-    pool.sort(key=lambda d: (-d.normalized_score, d.tokens))
-    return pool[: params.top_k_returned]
+        negated, tokens, score = best
+    return DecodedSequence(tokens, engine.tokenizer.decode(tokens), score, -negated, best is not None)

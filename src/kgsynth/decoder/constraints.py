@@ -25,9 +25,9 @@ Reachable state spaces are small, and every later query is one lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, KeysView, Sequence
+from typing import KeysView
 
-from ..codec import END, START_OBJECT, START_RELATION, START_SUBJECT, LinearizationSchema, Variant
+from ..codec import END, START_OBJECT, START_RELATION, START_SUBJECT, Variant
 from ..pipeline import ValidationError
 from .tokenizers import Tokenizer
 from .trie import CatalogTrie, TrieNode
@@ -49,16 +49,16 @@ Table = tuple[tuple[KeysView[int], bool], dict[int, ConstraintState]]
 
 
 class ConstraintEngine:
-    """Allowed-token oracle for one schema, tokenizer, and catalog trie pair."""
+    """Allowed-token oracle for one variant, tokenizer, and catalog trie pair."""
 
     def __init__(
         self,
-        schema: LinearizationSchema,
+        variant: Variant,
         tokenizer: Tokenizer,
         entity_trie: CatalogTrie,
         relation_trie: CatalogTrie,
     ):
-        self.schema = schema
+        self.variant = variant
         self.tokenizer = tokenizer
         self.eos_id = tokenizer.eos_id
 
@@ -68,7 +68,7 @@ class ConstraintEngine:
                 raise ValidationError(f"delimiter segment {text!r} is not tokenizable")
             return CatalogTrie([tuple(ids)])
 
-        after_e = ("s_next", "r") if schema.variant is Variant.SC else ("s_next",)
+        after_e = ("s_next", "r") if variant is Variant.SC else ("s_next",)
         # phase -> (its trie, the phases a complete entry opens)
         self._phases: dict[str, tuple[CatalogTrie, tuple[str, ...]]] = {
             "s_first": (delimiter(START_SUBJECT + " "), ("subject",)),
@@ -112,19 +112,3 @@ class ConstraintEngine:
             phases = "|".join(sorted({phase for phase, _ in state.configs}))
             raise ConstraintError(f"token {token} not allowed in phase {phases}")
         return successor
-
-    def is_accepting(self, state: ConstraintState) -> bool:
-        return self.allowed_next(state)[1]
-
-    def replay(self, tokens: Iterable[int]) -> ConstraintState:
-        """Advance through a full token sequence (testing helper)."""
-        state = self.initial_state()
-        for token in tokens:
-            state = self.advance(state, token)
-        return state
-
-    def accepts(self, tokens: Sequence[int]) -> bool:
-        try:
-            return self.is_accepting(self.replay(tokens))
-        except ConstraintError:
-            return False

@@ -3,8 +3,8 @@
 Two reference implementations ship with the package: a byte-level tokenizer
 under which everything is encodable, and a restricted word-piece tokenizer
 (greedy longest match over an explicit piece list) whose failures exercise
-catalog filtering. Both reserve one extra id for end-of-sequence; encode
-never produces it.
+catalog filtering. Both reserve one extra id for end-of-sequence;
+``try_encode`` never produces it.
 """
 from __future__ import annotations
 
@@ -14,13 +14,9 @@ from typing import Sequence
 from ..pipeline import ValidationError
 
 
-class UnencodableText(ValueError):
-    """The string requires tokens outside the vocabulary."""
-
-
 class Tokenizer(ABC):
-    """Finite vocabulary with integer ids; decode(encode(s)) == s whenever
-    encode succeeds."""
+    """Finite vocabulary with integer ids; decode(try_encode(s)) == s
+    whenever try_encode succeeds."""
 
     vocab_size: int
     eos_id: int
@@ -32,12 +28,6 @@ class Tokenizer(ABC):
     @abstractmethod
     def decode(self, ids: Sequence[int]) -> str:
         ...
-
-    def encode(self, text: str) -> list[int]:
-        ids = self.try_encode(text)
-        if ids is None:
-            raise UnencodableText(f"cannot tokenize {text!r}")
-        return ids
 
 
 class ByteTokenizer(Tokenizer):

@@ -193,19 +193,12 @@ class KnowledgeGraph:
         entity_labels: Sequence[str],
         relation_labels: Sequence[str],
         triples: Iterable[tuple[int, int, int]],
-        entity_external_ids: Sequence[str] | None = None,
-        relation_external_ids: Sequence[str] | None = None,
     ) -> "KnowledgeGraph":
-        """Build a graph directly from dense-index triples (fixtures, tests);
-        repeated triples keep their first appearance."""
-        ents = Catalog(
-            tuple(entity_labels),
-            tuple(entity_external_ids) if entity_external_ids else tuple(f"E{i}" for i in range(len(entity_labels))),
-        )
-        rels = Catalog(
-            tuple(relation_labels),
-            tuple(relation_external_ids) if relation_external_ids else tuple(f"R{i}" for i in range(len(relation_labels))),
-        )
+        """Build a graph directly from dense-index triples (fixtures, tests),
+        with external ids ``E<i>`` and ``R<i>``; repeated triples keep their
+        first appearance."""
+        ents = Catalog(tuple(entity_labels), tuple(f"E{i}" for i in range(len(entity_labels))))
+        rels = Catalog(tuple(relation_labels), tuple(f"R{i}" for i in range(len(relation_labels))))
         edges = _checked_edges(np.array(list(triples), dtype=np.int64).reshape(-1, 3), len(ents), len(rels))
         return cls(ents, rels, _first_occurrences(edges, len(ents), len(rels)))
 
@@ -214,12 +207,6 @@ class KnowledgeGraph:
         if not (isinstance(edge_id, (int, np.integer)) and 0 <= edge_id < len(self.edges)):
             raise KgError(f"edge id {edge_id!r} out of range")
         return Triplet._make(self.edges[edge_id].tolist())
-
-    def degree(self, entity: int) -> int:
-        """Total degree, incoming plus outgoing (a self-loop counts twice)."""
-        self._check_entity(entity)
-        offsets = self._index.incident_offsets
-        return int(offsets[entity + 1] - offsets[entity])
 
     def incident(self, entity: int) -> tuple[np.ndarray, np.ndarray]:
         """Ids into ``edges`` of all edges touching ``entity`` in either

@@ -366,14 +366,17 @@ class CompletionClient:
             timestamp=self.time_fn(),
         )
 
-    def generate(self, prompts: Sequence[tuple[str, str]], out_path) -> dict:
+    def generate(self, prompts: Sequence[tuple[str, str]], out_path) -> tuple[dict, dict[str, str]]:
         """Answer every (set_id, prompt), appending records to ``out_path`` as
         they complete. Prompts whose id already has an ok record are skipped,
         so resuming after a kill never re-bills completed work; a torn last
-        line the kill left is repaired or cut off first."""
+        line the kill left is repaired or cut off first, and a bad record
+        stops the run before any request is sent. Returns the counts and an
+        ok completion per set id: the file's first for an id it already
+        held, this run's for the others."""
         with JsonlSink(out_path) as sink:
-            done = completed_ids(sink.rows)
-            todo = [(str(sid), prompt) for sid, prompt in prompts if str(sid) not in done]
+            completions = completed_ids(sink.rows)
+            todo = [(str(sid), prompt) for sid, prompt in prompts if str(sid) not in completions]
             counts = {"ok": 0, "failed": 0, "skipped": len(prompts) - len(todo)}
 
             def run(item):
@@ -384,9 +387,17 @@ class CompletionClient:
             with ThreadPoolExecutor(max_workers=self.concurrency) as pool:
                 for record in pool.map(run, todo):
                     counts[record.status] += 1
-        return counts
+                    if record.status == "ok":
+                        completions.setdefault(record.set_id, record.completion)
+        return counts, completions
 
 
-def completed_ids(records: Iterable[dict]) -> set[str]:
-    """Set ids with an ok record among ``records``, the rows of a records file."""
-    return {str(record["set_id"]) for record in records if record.get("status") == "ok"}
+def completed_ids(records: Iterable[dict]) -> dict[str, str]:
+    """The first ok completion of each set id among ``records``, the rows of
+    a records file; a row without ``status``, or an ok row without
+    ``completion``, is an ``InputError`` naming its line."""
+    completions: dict[str, str] = {}
+    for record in records:
+        if record["status"] == "ok":
+            completions.setdefault(str(record["set_id"]), record["completion"])
+    return completions

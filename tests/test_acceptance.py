@@ -15,7 +15,7 @@ import yaml
 
 from kgsynth import codec, metrics, sampler, textgen
 from kgsynth.cli import main as cli_main
-from kgsynth.codec import LinearizationSchema, Variant
+from kgsynth.codec import Variant
 from kgsynth.decoder import (
     ConstraintEngine,
     DecodeParams,
@@ -28,11 +28,12 @@ from kgsynth.decoder import (
 from kgsynth.metrics import EvalPair
 
 from conftest import make_zipf_kg
+from engine_replay import accepts
 from fake_scorers import AdversarialScorer
 from test_metrics import brute_force_macro, brute_force_micro, random_instance, sort_oracle_quartiles
 
-FE = LinearizationSchema(variant=Variant.FE)
-SC = LinearizationSchema(variant=Variant.SC)
+FE = Variant.FE
+SC = Variant.SC
 
 ZTP_MEAN = 3.0 / (1.0 - math.exp(-3.0))
 
@@ -62,8 +63,8 @@ def test_criterion_01_codec_golden():
     )
     assert codec.linearize(triplets, FE) == fe_expected
     assert codec.linearize(triplets, SC) == sc_expected
-    assert codec.parse(fe_expected, FE).as_set() == set(triplets)
-    assert codec.parse(sc_expected, SC).as_set() == set(triplets)
+    assert set(codec.parse(fe_expected, FE).triplets) == set(triplets)
+    assert set(codec.parse(sc_expected, SC).triplets) == set(triplets)
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
     report("1 codec golden", f"FE and SC byte-exact, round trip ok, {elapsed:.3f}s < 1s")
@@ -86,8 +87,8 @@ def test_criterion_02_codec_property_suite():
         triplets = sorted(triplets)
         fe_text = codec.linearize(triplets, FE)
         sc_text = codec.linearize(triplets, SC)
-        assert codec.parse(fe_text, FE).as_set() == set(triplets)
-        assert codec.parse(sc_text, SC).as_set() == set(triplets)
+        assert set(codec.parse(fe_text, FE).triplets) == set(triplets)
+        assert set(codec.parse(sc_text, SC).triplets) == set(triplets)
         sc_never_longer += int(len(sc_text) <= len(fe_text))
     elapsed = time.monotonic() - start
     assert sc_never_longer == n_sets
@@ -241,9 +242,9 @@ def test_criterion_08_decoder_soundness_completeness():
     n_sets = 0
     for triplets in itertools.chain(((t,) for t in singles), itertools.combinations(singles, 2)):
         for variant, engine in engines.items():
-            text = codec.linearize(list(triplets), LinearizationSchema(variant=variant))
+            text = codec.linearize(list(triplets), variant)
             ids = tokenizer.try_encode(text)
-            assert ids is not None and engine.accepts(ids), text
+            assert ids is not None and accepts(engine, ids), text
         n_sets += 1
 
     # defaults match the published decoding setup
@@ -254,16 +255,16 @@ def test_criterion_08_decoder_soundness_completeness():
     # 10,000 searches under uniform and adversarial scorers, default beams
     uniform = UniformScorer(tokenizer.vocab_size)
     adversarial = [AdversarialScorer(tokenizer.vocab_size, favored) for favored in range(tokenizer.vocab_size)]
-    params = DecodeParams(max_length=25, top_k_returned=1)
+    params = DecodeParams(max_length=25)
     n_runs = 10_000
     n_finished = 0
     for i in range(n_runs):
         variant = Variant.FE if i % 2 == 0 else Variant.SC
         engine = engines[variant]
         scorer = uniform if i % 4 < 2 else adversarial[i % tokenizer.vocab_size]
-        best = constrained_beam_search(scorer, f"ctx{i}", engine, params)[0]
+        best = constrained_beam_search(scorer, f"ctx{i}", engine, params)
         parsed = codec.parse(
-            best.text, LinearizationSchema(variant=variant),
+            best.text, variant,
             entity_catalog=entities, relation_catalog=relations,
         )
         assert parsed.triplets
@@ -346,12 +347,12 @@ def test_criterion_09_generation_client(tmp_path):
     out = tmp_path / "records.jsonl"
 
     # first run is killed partway: only the first 350 prompts get processed
-    counts_first = client.generate(prompts[:350], out)
+    counts_first, _ = client.generate(prompts[:350], out)
     assert counts_first["ok"] + counts_first["failed"] == 350
 
     # every prompt resolved or flagged after the resumed full run
     calls_before_resume = dict(attempts_seen)
-    counts = client.generate(prompts, out)
+    counts, _ = client.generate(prompts, out)
     assert counts["skipped"] == counts_first["ok"]
     records = {}
     for line in out.read_text().splitlines():

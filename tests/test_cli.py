@@ -322,6 +322,61 @@ def test_decode_with_builtin_and_subprocess_scorers(workspace, tmp_path):
     assert rows[0]["triplets"]
 
 
+# input text -> the target a favouring scorer pushes the search towards, per
+# schema: catalog-valid targets, one the catalog cuts off ("loves"), and none
+DECODE_TARGETS = {
+    "Alpha is linked to Beta.": {"fe": "[s] Alpha [r] linked to [o] Beta [e]",
+                                 "sc": "[s] Alpha [r] linked to [o] Beta [e]"},
+    "Alpha is linked to Beta and part of Gamma.": {
+        "fe": "[s] Alpha [r] linked to [o] Beta [e] [s] Alpha [r] part of [o] Gamma [e]",
+        "sc": "[s] Alpha [r] linked to [o] Beta [e] [r] part of [o] Gamma [e]"},
+    "Beta is part of Delta, which is part of Alpha.": {
+        "fe": "[s] Beta [r] part of [o] Delta [e] [s] Delta [r] part of [o] Alpha [e]",
+        "sc": "[s] Beta [r] part of [o] Delta [e] [s] Delta [r] part of [o] Alpha [e]"},
+    "Alpha loves Beta.": {"fe": "[s] Alpha [r] loves [o] Beta [e]", "sc": "[s] Alpha [r] loves [o] Beta [e]"},
+    "Nothing is said here.": {},
+}
+# the scorer protocol over the byte vocab: the next target byte, or
+# end-of-sequence after the whole target, scores 0 and every other token -8
+FAVOURING_SCORER = (
+    "import json, sys\n"
+    "targets = {row['context']: list(row['target'].encode()) for row in map(json.loads, open(sys.argv[1]))}\n"
+    "for line in sys.stdin:\n"
+    "    request = json.loads(line)\n"
+    "    target, prefix = targets.get(request['context']), request['prefix_tokens']\n"
+    "    row = [-8.0] * 257\n"
+    "    if target is not None and target[:len(prefix)] == prefix:\n"
+    "        row[target[len(prefix)] if len(prefix) < len(target) else 256] = 0.0\n"
+    "    print(json.dumps({'logprobs': row}), flush=True)\n"
+)
+DECODE_OUTPUT_SHA256 = {
+    ("fe", "uniform"): "89f23680ee0fab622c67d3f24f6912d6388d258c900250d7397973882a5de5b5",
+    ("fe", "favouring"): "0e770a56fd19a998677597fc803390302e69056ec6a5cc63a624748b0e8b296e",
+    ("sc", "uniform"): "f28367c7518ca74bb50cb0c0aa3e7977bf4bcb7a50f0cf094542aad53836fc4b",
+    ("sc", "favouring"): "168082ffd53c291bae6e3b4a4257357ed4c4bcb8aacad55a19e2288adccac434",
+}
+
+
+@pytest.mark.parametrize("schema, scorer", sorted(DECODE_OUTPUT_SHA256))
+def test_decode_output_is_pinned(schema, scorer, workspace, tmp_path):
+    assert run_cli("ingest", "--config", workspace["config"]) == 0
+    config = tmp_path / "decode.yaml"
+    config.write_text(yaml.safe_dump({**workspace["raw"], "schema": schema}), encoding="utf-8")
+    inputs = tmp_path / "inputs.jsonl"
+    inputs.write_text("".join(json.dumps({"id": f"q{i}", "text": text}) + "\n" for i, text in enumerate(DECODE_TARGETS)),
+                      encoding="utf-8")
+    argv = ["decode", "--config", config, "--inputs", inputs, "--out", tmp_path / "d"]
+    if scorer == "favouring":
+        targets, script = tmp_path / "targets.jsonl", tmp_path / "scorer.py"
+        targets.write_text("".join(json.dumps({"context": text, "target": by_schema[schema]}) + "\n"
+                                   for text, by_schema in DECODE_TARGETS.items() if by_schema), encoding="utf-8")
+        script.write_text(FAVOURING_SCORER, encoding="utf-8")
+        argv += ["--scorer-cmd", f"{sys.executable} {script} {targets}"]
+    assert run_cli(*argv) == 0
+    predictions = (tmp_path / "d" / "predictions.jsonl").read_bytes()
+    assert hashlib.sha256(predictions).hexdigest() == DECODE_OUTPUT_SHA256[schema, scorer], predictions.decode()
+
+
 SEARCH = cli.constrained_beam_search
 
 
@@ -386,7 +441,7 @@ def test_decode_admits_only_labels_parse_reads_back(workspace, tmp_path, caplog)
     ]
     labels = {label for _, label in entities}
     for row in map(json.loads, (workspace["out"] / "predictions.jsonl").read_text().splitlines()):
-        parsed = codec.parse(row["linearized"], codec.LinearizationSchema(), labels, {"linked to ", "part of"})
+        parsed = codec.parse(row["linearized"], codec.Variant.FE, labels, {"linked to ", "part of"})
         assert row["triplets"] and not parsed.dropped_unresolvable and not parsed.dropped_fragments
         assert row["triplets"] == [{"s": s, "r": r, "o": o} for s, r, o in parsed.triplets]
 
@@ -941,6 +996,24 @@ def test_non_json_generation_record_fails_before_any_request(workspace, tmp_path
     assert post.bodies == []  # nothing is sent before the whole records file is read
 
 
+@pytest.mark.parametrize("key", ["status", "completion"])
+def test_generation_record_without_a_key_fails_before_any_request(key, workspace, tmp_path, monkeypatch, capsys):
+    record = {"set_id": "1", "status": "ok", "completion": "A sentence."}
+    del record[key]
+    post = CountingPost()
+    monkeypatch.setattr(requests, "post", post)
+    run_cli("ingest", "--config", workspace["config"])
+    run_cli("sample", "--config", workspace["config"], "--n", 6)
+    records = workspace["out"] / "generation_records.jsonl"
+    done = json.dumps({"set_id": "0", "status": "ok", "completion": "A sentence."})
+    records.write_text(f"{done}\n{json.dumps(record)}\n", encoding="utf-8")
+    config = generation_config(workspace, tmp_path, "http://127.0.0.1:9/v1/completions")
+    capsys.readouterr()
+    assert run_cli("generate", "--config", config, "--sets", workspace["out"] / "triplet_sets.jsonl") == 1
+    assert f"{records}:2: missing key {key!r}" in capsys.readouterr().err
+    assert post.bodies == []
+
+
 FAILING_SCORERS = {
     # answers two requests, then exits with status 3
     "exits": "import json, sys\n"
@@ -1101,7 +1174,7 @@ def test_decode_never_loads_numpy(scorer, workspace, tmp_path):
 DECODER_NAMES = [
     "ByteTokenizer", "CatalogTrie", "ConstraintEngine", "ConstraintError", "ConstraintState",
     "DecodedSequence", "DecodeParams", "DEFAULT_LENGTH_PENALTY", "Scorer", "ScorerError",
-    "SubprocessScorer", "Tokenizer", "TrieNode", "UnencodableText", "UniformScorer", "WordPieceTokenizer",
+    "SubprocessScorer", "Tokenizer", "TrieNode", "UniformScorer", "WordPieceTokenizer",
     "build_trie", "constrained_beam_search",
 ]
 

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgsynth import codec
-from kgsynth.codec import LinearizationSchema, Variant
+from kgsynth.codec import Variant
 
-FE = LinearizationSchema(variant=Variant.FE)
-SC = LinearizationSchema(variant=Variant.SC)
+FE = Variant.FE
+SC = Variant.SC
 
 MOUNT_SET = [
     ("Mount Lanning", "instance of", "Mountain"),
@@ -37,8 +37,8 @@ def test_subject_collapsed_golden():
 
 
 def test_golden_round_trips():
-    assert codec.parse(MOUNT_FE, FE).as_set() == set(MOUNT_SET)
-    assert codec.parse(MOUNT_SC, SC).as_set() == set(MOUNT_SET)
+    assert set(codec.parse(MOUNT_FE, FE).triplets) == set(MOUNT_SET)
+    assert set(codec.parse(MOUNT_SC, SC).triplets) == set(MOUNT_SET)
 
 
 def test_single_triplet_fe_equals_sc():
@@ -233,7 +233,7 @@ def test_round_trip_randomized_both_schemas():
         for schema in (FE, SC):
             text = codec.linearize(triplets, schema)
             result = codec.parse(text, schema, entity_catalog=entities, relation_catalog=relations)
-            assert result.as_set() == set(triplets)
+            assert set(result.triplets) == set(triplets)
             assert result.dropped_fragments == 0
             assert result.dropped_unresolvable == 0
         assert len(codec.linearize(triplets, SC)) <= len(codec.linearize(triplets, FE))
@@ -244,8 +244,8 @@ def test_cross_schema_agreement():
     entities, relations = _random_catalog(rng)
     for _ in range(200):
         triplets = _random_set(rng, entities, relations)
-        fe_set = codec.parse(codec.linearize(triplets, FE), FE).as_set()
-        sc_set = codec.parse(codec.linearize(triplets, SC), SC).as_set()
+        fe_set = set(codec.parse(codec.linearize(triplets, FE), FE).triplets)
+        sc_set = set(codec.parse(codec.linearize(triplets, SC), SC).triplets)
         assert fe_set == sc_set
 
 

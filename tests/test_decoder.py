@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import kgsynth
 from kgsynth import cli, codec
-from kgsynth.codec import END, START_OBJECT, START_RELATION, START_SUBJECT, LinearizationSchema, Variant
+from kgsynth.codec import END, START_OBJECT, START_RELATION, START_SUBJECT, Variant
 from kgsynth.decoder import (
     ByteTokenizer,
     CatalogTrie,
@@ -34,10 +34,11 @@ from kgsynth.decoder import (
 from kgsynth.decoder import scorers
 from kgsynth.pipeline import ValidationError
 
+from engine_replay import accepts, is_accepting, replay
 from fake_scorers import AdversarialScorer, OracleScorer
 
-FE = LinearizationSchema(variant=Variant.FE)
-SC = LinearizationSchema(variant=Variant.SC)
+FE = Variant.FE
+SC = Variant.SC
 
 DELIM_PIECES = ["[s] ", " [s] ", " [r] ", " [o] ", " [e]"]
 
@@ -71,23 +72,21 @@ def sc_engine():
 def test_byte_tokenizer_round_trip():
     tok = ByteTokenizer()
     for text in ("plain ascii", "Zürich [r] text", "日本語"):
-        assert tok.decode(tok.encode(text)) == text
+        assert tok.decode(tok.try_encode(text)) == text
     assert tok.vocab_size == 257
     assert tok.eos_id == 256
 
 
 def test_wordpiece_greedy_longest_match():
     tok = WordPieceTokenizer(["New", " York", "ark", "New York City"])
-    assert tok.decode(tok.encode("New York")) == "New York"
-    assert tok.encode("New York City") == [tok.piece_ids["New York City"]]
-    assert tok.encode("Newark") == [tok.piece_ids["New"], tok.piece_ids["ark"]]
+    assert tok.decode(tok.try_encode("New York")) == "New York"
+    assert tok.try_encode("New York City") == [tok.piece_ids["New York City"]]
+    assert tok.try_encode("Newark") == [tok.piece_ids["New"], tok.piece_ids["ark"]]
 
 
 def test_wordpiece_encode_failure():
     tok = WordPieceTokenizer(["a", "b"])
     assert tok.try_encode("abc") is None
-    with pytest.raises(Exception):
-        tok.encode("abc")
 
 
 def test_wordpiece_rejects_bad_vocab():
@@ -174,7 +173,7 @@ def test_trie_nodes_are_expanded_once():
 
     def walk(text):
         node, nodes = trie.root, []
-        for token in tok.encode(text):
+        for token in tok.try_encode(text):
             node = node.children[token]
             nodes.append(node)
         return nodes
@@ -268,7 +267,7 @@ def test_allowed_next_in_entity(fe_engine):
 
 def test_allowed_next_expect_relation(fe_engine):
     tok = fe_engine.tokenizer
-    state = fe_engine.replay([tok.piece_ids["[s] "], tok.piece_ids["Ada"]])
+    state = replay(fe_engine, [tok.piece_ids["[s] "], tok.piece_ids["Ada"]])
     allowed, eos = fe_engine.allowed_next(state)
     assert allowed == {tok.piece_ids[" [r] "]} and not eos
 
@@ -276,17 +275,17 @@ def test_allowed_next_expect_relation(fe_engine):
 def test_allowed_next_after_end_fe(fe_engine):
     tok = fe_engine.tokenizer
     prefix = [tok.piece_ids[p] for p in ("[s] ", "Ada", " [r] ", "knows", " [o] ", "Bob", " [e]")]
-    state = fe_engine.replay(prefix)
+    state = replay(fe_engine, prefix)
     allowed, eos = fe_engine.allowed_next(state)
     assert allowed == {tok.piece_ids[" [s] "]}
     assert eos
-    assert fe_engine.is_accepting(state)
+    assert is_accepting(fe_engine, state)
 
 
 def test_allowed_next_after_end_sc(sc_engine):
     tok = sc_engine.tokenizer
     prefix = [tok.piece_ids[p] for p in ("[s] ", "Ada", " [r] ", "knows", " [o] ", "Bob", " [e]")]
-    state = sc_engine.replay(prefix)
+    state = replay(sc_engine, prefix)
     allowed, eos = sc_engine.allowed_next(state)
     assert allowed == {tok.piece_ids[" [s] "], tok.piece_ids[" [r] "]}
     assert eos
@@ -298,7 +297,7 @@ def test_allowed_next_after_end_sc(sc_engine):
 
 def test_each_state_table_is_built_once(fe_engine):
     tok = fe_engine.tokenizer
-    state = fe_engine.replay([tok.piece_ids["[s] "]])
+    state = replay(fe_engine, [tok.piece_ids["[s] "]])
     equal = ConstraintState(frozenset(set(state.configs)))
     assert equal == state and equal.configs is not state.configs
     assert fe_engine.allowed_next(equal) is fe_engine.allowed_next(state)
@@ -323,14 +322,14 @@ def test_paper_example_walks_to_acceptance():
         " [s] Mount_Lanning [r] mountain range [o] Sentinel_Range [e]"
         " [s] Newcomer_Glacier [r] mountain range [o] Sentinel_Range [e]"
     )
-    assert engine.accepts(tok.encode(text))
+    assert accepts(engine, tok.try_encode(text))
     engine_sc = ConstraintEngine(SC, tok, build_trie(entities, tok), build_trie(relations, tok))
     text_sc = (
         "[s] Mount_Lanning [r] instance of [o] Mountain [e]"
         " [r] mountain range [o] Sentinel_Range [e]"
         " [s] Newcomer_Glacier [r] mountain range [o] Sentinel_Range [e]"
     )
-    assert engine_sc.accepts(tok.encode(text_sc))
+    assert accepts(engine_sc, tok.try_encode(text_sc))
 
 
 def test_byte_level_relation_space_ambiguity():
@@ -339,7 +338,7 @@ def test_byte_level_relation_space_ambiguity():
     tok = ByteTokenizer()
     engine = ConstraintEngine(FE, tok, build_trie(["A", "B"], tok), build_trie(["instance", "instance of"], tok))
     for rel in ("instance", "instance of"):
-        assert engine.accepts(tok.encode(f"[s] A [r] {rel} [o] B [e]"))
+        assert accepts(engine, tok.try_encode(f"[s] A [r] {rel} [o] B [e]"))
 
 
 def test_every_reachable_state_has_options(fe_engine):
@@ -373,35 +372,30 @@ def test_completeness_exhaustive_toy_world():
     checked = 0
     for triplets in enumerate_toy_sets(entities, relations):
         for variant, engine in engines.items():
-            schema = LinearizationSchema(variant=variant)
-            text = codec.linearize(triplets, schema)
+            text = codec.linearize(triplets, variant)
             ids = tokenizer.try_encode(text)
             assert ids is not None
-            assert engine.accepts(ids), text
+            assert accepts(engine, ids), text
         checked += 1
     assert checked > 2800
 
 
 # --- beam search ---
 
-def test_uniform_scorer_returns_distinct_valid_sequences(fe_engine):
+def test_uniform_scorer_returns_a_valid_sequence(fe_engine):
     scorer = UniformScorer(fe_engine.tokenizer.vocab_size)
-    results = constrained_beam_search(scorer, "", fe_engine, DecodeParams(num_beams=4, max_length=40, top_k_returned=4))
-    assert len(results) == 4
-    assert len({r.tokens for r in results}) == 4
-    for r in results:
-        assert r.finished
-        assert fe_engine.accepts(r.tokens)
-        parsed = codec.parse(r.text, FE, entity_catalog=ENTITIES, relation_catalog=RELATIONS)
-        assert parsed.triplets and parsed.dropped_fragments == 0 and parsed.dropped_unresolvable == 0
+    best = constrained_beam_search(scorer, "", fe_engine, DecodeParams(num_beams=4, max_length=40))
+    assert best.finished
+    assert accepts(fe_engine, best.tokens)
+    parsed = codec.parse(best.text, FE, entity_catalog=ENTITIES, relation_catalog=RELATIONS)
+    assert parsed.triplets and parsed.dropped_fragments == 0 and parsed.dropped_unresolvable == 0
 
 
 def test_adversarial_scorer_cannot_escape_catalog(fe_engine):
     # all probability mass on a token that is never a legal continuation here
     favored = fe_engine.tokenizer.piece_ids[" [e]"]
     scorer = AdversarialScorer(fe_engine.tokenizer.vocab_size, favored)
-    results = constrained_beam_search(scorer, "", fe_engine, DecodeParams(num_beams=2, max_length=40, top_k_returned=1))
-    best = results[0]
+    best = constrained_beam_search(scorer, "", fe_engine, DecodeParams(num_beams=2, max_length=40))
     assert best.finished
     parsed = codec.parse(best.text, FE, entity_catalog=ENTITIES, relation_catalog=RELATIONS)
     assert parsed.triplets and parsed.dropped_unresolvable == 0
@@ -412,27 +406,27 @@ def test_oracle_scorer_target_ranked_first():
     tokenizer, et, rt = toy_world(entities, relations)
     engine = ConstraintEngine(FE, tokenizer, et, rt)
     target_text = codec.linearize([("Bob", "runs", "Lab")], FE)
-    target = tuple(tokenizer.encode(target_text))
+    target = tuple(tokenizer.try_encode(target_text))
     scorer = OracleScorer(tokenizer.vocab_size, target, tokenizer.eos_id)
-    results = constrained_beam_search(scorer, "", engine, DecodeParams(num_beams=4, max_length=30, top_k_returned=4))
-    assert results[0].tokens == target
-    assert results[0].text == target_text
+    best = constrained_beam_search(scorer, "", engine, DecodeParams(num_beams=4, max_length=30))
+    assert best.tokens == target
+    assert best.text == target_text
     # exhaustive cross-check: no single-triplet linearization scores higher
     best_alternative = max(
         (
-            sum(scorer.score_many("", [tuple(tokenizer.encode(codec.linearize([t], FE)))[:i]])[0][tok]
-                for i, tok in enumerate(tokenizer.encode(codec.linearize([t], FE))))
+            sum(scorer.score_many("", [tuple(tokenizer.try_encode(codec.linearize([t], FE)))[:i]])[0][tok]
+                for i, tok in enumerate(tokenizer.try_encode(codec.linearize([t], FE))))
             for t in itertools.product(entities, relations, entities)
             if codec.linearize([t], FE) != target_text
         ),
     )
-    assert best_alternative < results[0].score
+    assert best_alternative < best.score
 
 
 def test_single_beam_equals_greedy(fe_engine):
     scorer = OracleScorer(
         fe_engine.tokenizer.vocab_size,
-        tuple(fe_engine.tokenizer.encode(codec.linearize([("Ada", "knows", "Bob")], FE))),
+        tuple(fe_engine.tokenizer.try_encode(codec.linearize([("Ada", "knows", "Bob")], FE))),
         fe_engine.tokenizer.eos_id,
     )
 
@@ -457,38 +451,32 @@ def test_single_beam_equals_greedy(fe_engine):
 
     expected_tokens, expected_finished = reference_greedy(40)
     result = constrained_beam_search(scorer, "", fe_engine, DecodeParams(num_beams=1, max_length=40))
-    assert result[0].tokens == expected_tokens
-    assert result[0].finished == expected_finished
+    assert result.tokens == expected_tokens
+    assert result.finished == expected_finished
 
 
 def test_zero_length_penalty_is_raw_sum_ranking(fe_engine):
     scorer = UniformScorer(fe_engine.tokenizer.vocab_size)
-    results = constrained_beam_search(
-        scorer, "", fe_engine, DecodeParams(num_beams=4, max_length=40, top_k_returned=4, length_penalty=0.0)
-    )
-    for r in results:
-        assert r.normalized_score == r.score
-    scores = [r.score for r in results]
-    assert scores == sorted(scores, reverse=True)
+    best = constrained_beam_search(scorer, "", fe_engine, DecodeParams(num_beams=4, max_length=40, length_penalty=0.0))
+    assert best.normalized_score == best.score
 
 
 def test_target_of_exactly_max_length_tokens_finishes():
     # max_length bounds the emitted tokens; the end-of-sequence step is extra
     tokenizer, et, rt = toy_world(ENTITIES, RELATIONS)
     engine = ConstraintEngine(FE, tokenizer, et, rt)
-    target = tuple(tokenizer.encode(codec.linearize([("Zuse", "built", "Computer")], FE)))
+    target = tuple(tokenizer.try_encode(codec.linearize([("Zuse", "built", "Computer")], FE)))
     scorer = OracleScorer(tokenizer.vocab_size, target, tokenizer.eos_id)
-    best = constrained_beam_search(scorer, "", engine, DecodeParams(num_beams=2, max_length=len(target)))[0]
+    best = constrained_beam_search(scorer, "", engine, DecodeParams(num_beams=2, max_length=len(target)))
     assert best.tokens == target
     assert best.finished
-    shorter = constrained_beam_search(scorer, "", engine, DecodeParams(num_beams=2, max_length=len(target) - 1))[0]
+    shorter = constrained_beam_search(scorer, "", engine, DecodeParams(num_beams=2, max_length=len(target) - 1))
     assert len(shorter.tokens) == len(target) - 1 and not shorter.finished
 
 
 def test_truncation_flag_when_max_length_too_small(fe_engine):
     scorer = UniformScorer(fe_engine.tokenizer.vocab_size)
-    results = constrained_beam_search(scorer, "", fe_engine, DecodeParams(num_beams=2, max_length=3))
-    assert results and not results[0].finished
+    assert not constrained_beam_search(scorer, "", fe_engine, DecodeParams(num_beams=2, max_length=3)).finished
 
 
 def test_decode_params_defaults_and_validation():
@@ -498,8 +486,6 @@ def test_decode_params_defaults_and_validation():
     assert params.resolve_length_penalty(Variant.SC) == 0.6
     assert DEFAULT_LENGTH_PENALTY == {Variant.FE: 0.8, Variant.SC: 0.6}
     with pytest.raises(ValueError):
-        DecodeParams(num_beams=2, top_k_returned=3)
-    with pytest.raises(ValueError):
         DecodeParams(num_beams=0)
 
 
@@ -507,15 +493,12 @@ def test_soundness_finished_outputs_fully_parse(sc_engine):
     rng = np.random.default_rng(123)
     scorer = UniformScorer(sc_engine.tokenizer.vocab_size)
     for seed in range(20):
-        results = constrained_beam_search(
-            scorer, f"ctx{seed}", sc_engine, DecodeParams(num_beams=3, max_length=50, top_k_returned=3)
-        )
-        for r in results:
-            if r.finished:
-                parsed = codec.parse(r.text, SC, entity_catalog=ENTITIES, relation_catalog=RELATIONS)
-                assert parsed.dropped_fragments == 0
-                assert parsed.dropped_unresolvable == 0
-                assert parsed.triplets
+        best = constrained_beam_search(scorer, f"ctx{seed}", sc_engine, DecodeParams(num_beams=3, max_length=50))
+        if best.finished:
+            parsed = codec.parse(best.text, SC, entity_catalog=ENTITIES, relation_catalog=RELATIONS)
+            assert parsed.dropped_fragments == 0
+            assert parsed.dropped_unresolvable == 0
+            assert parsed.triplets
 
 
 # one plain label, so that decode has something to admit, and labels built
@@ -588,16 +571,16 @@ class ReferenceState:
 
 
 class ReferenceEngine:
-    """Allowed-token oracle for one schema, tokenizer, and catalog trie pair."""
+    """Allowed-token oracle for one variant, tokenizer, and catalog trie pair."""
 
     def __init__(
         self,
-        schema: LinearizationSchema,
+        variant: Variant,
         tokenizer: Tokenizer,
         entity_trie: CatalogTrie,
         relation_trie: CatalogTrie,
     ):
-        self.schema = schema
+        self.variant = variant
         self.tokenizer = tokenizer
         self.entity_trie = entity_trie
         self.relation_trie = relation_trie
@@ -647,7 +630,7 @@ class ReferenceEngine:
 
     def _after_e_chains(self) -> list[str]:
         chains = ["s_next"]
-        if self.schema.variant is Variant.SC:
+        if self.variant is Variant.SC:
             chains.append("r")
         return chains
 
@@ -750,7 +733,7 @@ def test_engine_matches_reference_on_random_walks(entities, relations, schema, t
     for _ in range(60):
         allowed, eos_ok = engine.allowed_next(state)
         assert (allowed, eos_ok) == reference.allowed_next(expected)
-        assert engine.is_accepting(state) == reference.is_accepting(expected)
+        assert is_accepting(engine, state) == reference.is_accepting(expected)
         refused = sorted(set(range(tokenizer.vocab_size)) - allowed)  # holds the end-of-sequence id
         token = rng.choice(refused)
         with pytest.raises(ConstraintError):
@@ -789,9 +772,9 @@ def test_subprocess_scorer_protocol(tmp_path, fe_engine):
         assert len(rows) == 1 and len(rows[0]) == vocab
         row = rows[0]
         assert row[3] == -0.5
-        results = constrained_beam_search(scorer, "", fe_engine, DecodeParams(num_beams=2, max_length=40))
-        assert results[0].finished
-        assert fe_engine.accepts(results[0].tokens)
+        best = constrained_beam_search(scorer, "", fe_engine, DecodeParams(num_beams=2, max_length=40))
+        assert best.finished
+        assert accepts(fe_engine, best.tokens)
 
 
 def test_subprocess_scorer_rejects_bad_row(tmp_path):

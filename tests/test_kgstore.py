@@ -69,7 +69,7 @@ def test_ingest_keeps_first_appearance_of_duplicates(tmp_path):
 def test_ingest_assigns_dense_indices_in_file_order(kg_files):
     graph = kgstore.ingest(*kg_files)
     assert graph.entities.labels == ("Alpha", "Beta", "Gamma")
-    assert graph.entities.index_of_external("Q2") == 1
+    assert graph.entities.external_ids.index("Q2") == 1
     assert graph.relations.labels == ("linked to", "part of")
 
 
@@ -220,7 +220,7 @@ def test_filter_zero_degree_counts():
     filtered = kgstore.filter_zero_degree(graph)
     assert len(filtered.entities) == 3
     assert len(filtered.edges) == 2
-    assert all(filtered.degree(e) >= 1 for e in range(len(filtered.entities)))
+    assert all(len(filtered.incident(e)[0]) >= 1 for e in range(len(filtered.entities)))
 
 
 def test_edges_are_a_read_only_int32_array(tiny_graph):
@@ -257,7 +257,7 @@ def test_neighbors_outgoing_only(tiny_graph):
     # Gamma has two incoming edges, no outgoing
     gamma = tiny_graph.entities.labels.index("Gamma")
     assert outgoing(tiny_graph, gamma) == []
-    assert tiny_graph.degree(gamma) == 2
+    assert len(tiny_graph.incident(gamma)[0]) == 2
 
 
 def test_neighbors_star_center():
@@ -268,7 +268,7 @@ def test_neighbors_star_center():
         [(0, 0, i + 1) for i in range(k)],
     )
     assert len(outgoing(graph, 0)) == k
-    assert graph.degree(0) == k
+    assert len(graph.incident(0)[0]) == k
 
 
 def test_neighbors_sorted_and_exact(tiny_graph):
@@ -284,8 +284,6 @@ def test_neighbors_invalid_index(tiny_graph):
     for bad in (99, -1, 4, "0"):
         with pytest.raises(KgError):
             tiny_graph.incident(bad)
-        with pytest.raises(KgError):
-            tiny_graph.degree(bad)
 
 
 def test_triples_of_relation(tiny_graph):
@@ -316,7 +314,7 @@ def test_triples_of_relation_selects_all_and_only():
 def test_adjacency_sums_to_edge_count(tiny_graph):
     entities = range(len(tiny_graph.entities))
     assert sum(len(outgoing(tiny_graph, e)) for e in entities) == len(tiny_graph.edges)
-    assert sum(tiny_graph.degree(e) for e in entities) == 2 * len(tiny_graph.edges)
+    assert sum(len(tiny_graph.incident(e)[0]) for e in entities) == 2 * len(tiny_graph.edges)
 
 
 def test_incident_preserves_stored_orientation(tiny_graph):
@@ -331,7 +329,7 @@ def test_incident_preserves_stored_orientation(tiny_graph):
 
 def test_self_loops_permitted():
     graph = kgstore.KnowledgeGraph.from_triples(["A"], ["r"], [(0, 0, 0)])
-    assert graph.degree(0) == 2
+    assert len(graph.incident(0)[0]) == 2
     assert len(graph.edges) == 1
     edge_ids, others = graph.incident(0)
     assert edge_ids.tolist() == [0, 0] and others.tolist() == [0, 0]
@@ -386,7 +384,7 @@ def test_index_matches_brute_force_enumeration(graph):
         edge_ids, others = graph.incident(e)
         assert edge_ids.tolist() == out + inc
         assert others.tolist() == [edges[i].object for i in out] + [edges[i].subject for i in inc]
-        assert graph.degree(e) == len(out) + len(inc)
+        assert len(graph.incident(e)[0]) == len(out) + len(inc)
     for r in range(len(graph.relations)):
         expected = sorted((i for i in ids if edges[i].relation == r), key=lambda i: (edges[i].subject, edges[i].object))
         assert graph.relation_edges(r).tolist() == expected
@@ -503,7 +501,9 @@ def labelled_graphs(draw):
     triple = st.tuples(st.integers(0, n_ent - 1), st.integers(0, n_rel - 1), st.integers(0, n_ent - 1))
     # repeated triples and self-loops are drawn often at these sizes
     triples = draw(st.lists(triple, max_size=30))
-    return kgstore.KnowledgeGraph.from_triples(entity_labels, relation_labels, triples, entity_ids, relation_ids)
+    edges = kgstore.KnowledgeGraph.from_triples(entity_labels, relation_labels, triples).edges  # repeats dropped
+    return kgstore.KnowledgeGraph(kgstore.Catalog(tuple(entity_labels), tuple(entity_ids)),
+                                  kgstore.Catalog(tuple(relation_labels), tuple(relation_ids)), edges)
 
 
 @settings(max_examples=150, deadline=None)

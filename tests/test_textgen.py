@@ -314,7 +314,7 @@ def test_generate_batch_persists_all_records(tmp_path):
     client = make_client(transport)
     out = tmp_path / "records.jsonl"
     prompts = [(f"id{i}", f"prompt {i}") for i in range(25)]
-    counts = client.generate(prompts, out)
+    counts, _ = client.generate(prompts, out)
     assert counts == {"ok": 25, "failed": 0, "skipped": 0}
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert {r["set_id"] for r in records} == {f"id{i}" for i in range(25)}
@@ -330,12 +330,13 @@ def test_resume_never_rebills_completed_prompts(tmp_path):
 
     second_calls = []
     transport2 = lambda url, body, headers, timeout: (second_calls.append(body["prompt"]), (200, ok_payload()))[1]
-    counts = make_client(transport2).generate(prompts, out)
+    counts, completions = make_client(transport2).generate(prompts, out)
     assert counts["skipped"] == 18
     assert counts["ok"] == 12
     assert sorted(second_calls) == sorted(f"prompt {i}" for i in range(18, 30))
     done = textgen.completed_ids(read_jsonl(out))
-    assert done == {f"id{i}" for i in range(30)}
+    assert set(done) == {f"id{i}" for i in range(30)}
+    assert completions == done  # this run's completions, and the earlier run's read back
 
 
 def recording_transport(calls):
@@ -352,7 +353,7 @@ def test_resume_repairs_a_torn_last_record(tmp_path, keep):
     out.write_bytes(first + torn)  # a kill in the middle of the second append
 
     calls = []
-    counts = make_client(recording_transport(calls)).generate(prompts, out)
+    counts, _ = make_client(recording_transport(calls)).generate(prompts, out)
     requeried = ["prompt 1", "prompt 2"] if keep == "half" else ["prompt 2"]
     assert sorted(calls) == requeried
     assert counts == {"ok": len(requeried), "failed": 0, "skipped": 3 - len(requeried)}
@@ -363,8 +364,8 @@ def test_resume_repairs_a_torn_last_record(tmp_path, keep):
 def test_failed_records_are_retried_on_resume(tmp_path):
     out = tmp_path / "records.jsonl"
     transport_fail = lambda url, body, headers, timeout: (500, {})
-    counts = make_client(transport_fail).generate([("a", "p")], out)
+    counts, _ = make_client(transport_fail).generate([("a", "p")], out)
     assert counts["failed"] == 1
     transport_ok = lambda url, body, headers, timeout: (200, ok_payload())
-    counts = make_client(transport_ok).generate([("a", "p")], out)
+    counts, _ = make_client(transport_ok).generate([("a", "p")], out)
     assert counts == {"ok": 1, "failed": 0, "skipped": 0}
