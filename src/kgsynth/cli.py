@@ -15,6 +15,7 @@ import difflib
 import json
 import logging
 import sys
+from itertools import islice
 from pathlib import Path
 
 import yaml
@@ -276,11 +277,7 @@ def cmd_sample(stage: Stage) -> int:
 
 
 def _load_demonstrations(path, count: int) -> list:
-    demos = []
-    for raw in read_jsonl(path):
-        demos.append((triplets_from_row(raw), str(raw.get("text", ""))))
-        if len(demos) == count:
-            break
+    demos = [(triplets_from_row(raw), raw.text("text", "")) for raw in islice(read_jsonl(path), count)]
     if len(demos) < count:
         raise ConfigError(f"demonstrations file has {len(demos)} usable rows, template needs {count}")
     return demos
@@ -357,11 +354,12 @@ def cmd_generate(stage: Stage) -> int:
 
 
 def _id_rows(path):
-    """``(id, row)`` for each row of ``path``; an id seen before is an
-    InputError naming ``path:line``."""
+    """``(id, row)`` for each row of ``path``; an id that is neither a
+    string nor an integer, or that was seen before, is an InputError naming
+    ``path:line``."""
     seen = set()
     for raw in read_jsonl(path):
-        row_id = str(raw["id"])
+        row_id = raw.row_id()
         if row_id in seen:
             raise InputError(f"{raw.where}: id {row_id!r} appears more than once")
         seen.add(row_id)
@@ -372,11 +370,12 @@ def _linearized_datapoints(path, variant, drops: dict):
     """(id, text, triplets, linearization under ``variant``) of each datapoint
     row of ``path``, read once. A row without triplets, or with a label
     ``parse`` cannot read back, is left out and counted in ``drops`` under
-    ``empty`` or ``unlinearizable``; a repeated id is an InputError."""
+    ``empty`` or ``unlinearizable``; a repeated id, or a ``text`` that is
+    not a string, is an InputError."""
     from . import codec
 
     for point_id, raw in _id_rows(path):
-        text, triplets = str(raw.get("text", "")), triplets_from_row(raw)
+        text, triplets = raw.text("text", ""), triplets_from_row(raw)
         if not triplets:
             drops["empty"] += 1
             continue
@@ -448,8 +447,7 @@ def cmd_decode(stage: Stage) -> int:
     from .catalog import read_graph_file
     from .decoder import ConstraintEngine, DecodeParams, ScorerError, SubprocessScorer, UniformScorer
 
-    # the output depends on the catalogs alone: the edge text is neither
-    # decoded nor kept
+    # the output depends on the catalogs alone: only the header line is read
     entities, relations = read_graph_file(stage.input("paths.graph"))[:2]
     inputs_path = stage.input("inputs")
     variant = make_schema(stage.cfg)
@@ -476,7 +474,7 @@ def cmd_decode(stage: Stage) -> int:
     relation_labels = set(relations.labels)
     decoded = 0
     with JsonlSink(stage.output("predictions.jsonl")) as sink:
-        done = {str(row["id"]) for row in sink.rows}
+        done = {row.row_id() for row in sink.rows}
         try:
             for doc_id, raw in _id_rows(inputs_path):
                 if doc_id in done:

@@ -9,8 +9,6 @@ it through ``catalog.read_graph_file``, which owns its layout.
 """
 from __future__ import annotations
 
-import base64
-import json
 import logging
 from array import array
 from dataclasses import dataclass, field
@@ -19,7 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .catalog import Catalog, KgError, read_graph_file, unreadable
+from .catalog import Catalog, KgError, read_graph_file, unreadable, write_header
 from .pipeline import read_lines
 
 log = logging.getLogger(__name__)
@@ -224,7 +222,7 @@ class KnowledgeGraph:
         return index.relation_edges[index.relation_offsets[relation] : index.relation_offsets[relation + 1]]
 
     def triplet_labels(self, t: Triplet) -> tuple[str, str, str]:
-        return (self.entities.label(t.subject), self.relations.label(t.relation), self.entities.label(t.object))
+        return (self.entities.labels[t.subject], self.relations.labels[t.relation], self.entities.labels[t.object])
 
     def _check_entity(self, entity: int) -> None:
         if not (isinstance(entity, (int, np.integer)) and 0 <= entity < len(self.entities)):
@@ -235,42 +233,14 @@ class KnowledgeGraph:
             raise KgError(f"relation index {relation!r} out of range")
 
 
-_SAVE_ROWS = 1 << 13  # edge rows base64-encoded per write: 96 KiB in, 128 KiB out
-_SAVE_LABELS = 1 << 10  # catalog strings JSON-encoded per write
-
-
-def _write_json_list(fh, values: Sequence[str]) -> None:
-    """``values`` as the JSON list ``json.dumps`` writes, encoded by the C
-    encoder a batch at a time."""
-    fh.write(b"[")
-    for start in range(0, len(values), _SAVE_LABELS):
-        if start:
-            fh.write(b", ")
-        batch = json.dumps(values[start : start + _SAVE_LABELS], ensure_ascii=False).encode()
-        fh.write(memoryview(batch)[1:-1])  # without the batch's brackets
-    fh.write(b"]")
-
-
 def save_graph(graph: KnowledgeGraph, path) -> None:
-    """Write ``graph`` as one JSON object: each catalog as parallel
-    ``external_ids``/``labels`` lists, and the edges as base64 of the
-    little-endian int32 ``(E, 3)`` array in row-major order. The bytes depend
-    on the graph alone.
-
-    The object is written piece by piece: the catalog lists in batches of
-    strings, the base64 in chunks of whole rows (12 bytes, a multiple of
-    base64's 3), so no piece of the file is held whole."""
+    """Write ``graph`` as the layout ``catalog.read_graph_file`` reads: the
+    header line, then the little-endian int32 ``(E, 3)`` edge array in
+    row-major order, written straight from the array. The bytes depend on
+    the graph alone, and no piece of the file is held whole."""
     with open(path, "wb") as fh:
-        for head, catalog in ((b'{"entities": ', graph.entities), (b', "relations": ', graph.relations)):
-            fh.write(head + b'{"external_ids": ')
-            _write_json_list(fh, catalog.external_ids)
-            fh.write(b', "labels": ')
-            _write_json_list(fh, catalog.labels)
-            fh.write(b"}")
-        fh.write(b', "edges": "')
-        for start in range(0, len(graph.edges), _SAVE_ROWS):
-            fh.write(base64.b64encode(graph.edges[start : start + _SAVE_ROWS].astype("<i4", copy=False)))
-        fh.write(b'"}\n')
+        write_header(fh, graph.entities, graph.relations, len(graph.edges))
+        graph.edges.astype("<i4", copy=False).tofile(fh)
 
 
 def load_graph(path) -> KnowledgeGraph:
@@ -279,16 +249,12 @@ def load_graph(path) -> KnowledgeGraph:
     layout with the advice to re-run ingest, a graph that ``KnowledgeGraph``
     refuses (an edge outside the catalogs, a repeated edge row, catalogs past
     the key bound) without it."""
-    entities, relations, text = read_graph_file(path)
+    entities, relations, n_edges, offset = read_graph_file(path)
+    rows = np.fromfile(path, dtype="<i4", count=3 * n_edges, offset=offset)
+    if len(rows) != 3 * n_edges:  # the file shrank since its length was checked
+        raise unreadable(path, KgError(f"{len(rows)} edge values where the header counts {n_edges} rows"))
     try:
-        blob = base64.b64decode(text, validate=True)
-        if len(blob) % 12:
-            raise KgError(f"edge data of {len(blob)} bytes is not a whole number of 12-byte rows")
-    except ValueError as exc:  # KgError and base64 errors are ValueErrors
-        raise unreadable(path, exc) from exc
-    del text  # the text goes once decoded
-    try:
-        return KnowledgeGraph(entities, relations, np.frombuffer(blob, dtype="<i4").reshape(-1, 3))
+        return KnowledgeGraph(entities, relations, rows.reshape(-1, 3))
     except KgError as exc:
         raise KgError(f"{path}: {exc}") from exc
 

@@ -89,6 +89,20 @@ class Row(dict):
     def __missing__(self, key):
         raise InputError(f"{self.where}: missing key {key!r}")
 
+    def text(self, key: str, *default: str) -> str:
+        """``row[key]``, a string; a missing key gives ``default`` if given."""
+        value = self.get(key, *default) if default else self[key]
+        if not isinstance(value, str):
+            raise InputError(f"{self.where}: {key!r} must be a string, got {json.dumps(value)}")
+        return value
+
+    def row_id(self) -> str:
+        """``row["id"]``, a string or a non-bool integer, as a string."""
+        value = self["id"]
+        if isinstance(value, bool) or not isinstance(value, (str, int)):
+            raise InputError(f"{self.where}: 'id' must be a string or an integer, got {json.dumps(value)}")
+        return str(value)
+
 
 def _row(line: str, path, number: int) -> Row | None:
     """The JSON object on a JSONL line; None if it is blank, else an ``InputError``."""

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 import yaml
 
-from .pipeline import JsonlSink, ValidationError
+from .pipeline import JsonlSink, Row, ValidationError
 
 TRIPLETS_PLACEHOLDER = "{triplets}"
 TEXT_PLACEHOLDER = "{text}"
@@ -222,12 +222,12 @@ class RateLimiter:
 class GenerationRecord:
     set_id: str
     prompt: str
-    completion: str
-    finish_reason: str
-    prompt_tokens: int
-    completion_tokens: int
-    total_tokens: int
     status: str  # "ok" | "failed"
+    completion: str = ""
+    finish_reason: str = ""
+    prompt_tokens: int = 0
+    completion_tokens: int = 0
+    total_tokens: int = 0
     error: str = ""
     attempts: int = 1
     timestamp: float = 0.0
@@ -352,19 +352,7 @@ class CompletionClient:
         return self._failed(set_id, prompt, last_error, self.max_attempts)
 
     def _failed(self, set_id, prompt, error, attempts) -> GenerationRecord:
-        return GenerationRecord(
-            set_id=str(set_id),
-            prompt=prompt,
-            completion="",
-            finish_reason="",
-            prompt_tokens=0,
-            completion_tokens=0,
-            total_tokens=0,
-            status="failed",
-            error=error,
-            attempts=attempts,
-            timestamp=self.time_fn(),
-        )
+        return GenerationRecord(str(set_id), prompt, "failed", error=error, attempts=attempts, timestamp=self.time_fn())
 
     def generate(self, prompts: Sequence[tuple[str, str]], out_path) -> tuple[dict, dict[str, str]]:
         """Answer every (set_id, prompt), appending records to ``out_path`` as
@@ -392,12 +380,12 @@ class CompletionClient:
         return counts, completions
 
 
-def completed_ids(records: Iterable[dict]) -> dict[str, str]:
+def completed_ids(records: Iterable[Row]) -> dict[str, str]:
     """The first ok completion of each set id among ``records``, the rows of
-    a records file; a row without ``status``, or an ok row without
+    a records file; a row without ``status``, or an ok row without a string
     ``completion``, is an ``InputError`` naming its line."""
     completions: dict[str, str] = {}
     for record in records:
         if record["status"] == "ok":
-            completions.setdefault(str(record["set_id"]), record["completion"])
+            completions.setdefault(str(record["set_id"]), record.text("completion"))
     return completions

@@ -1,4 +1,5 @@
 import functools
+import json
 import random
 
 import numpy as np
@@ -6,6 +7,25 @@ import pytest
 
 from kgsynth import kgstore, sampler
 from kgsynth.pipeline import triplet_rows
+
+# the graph file layout before the edge rows were raw bytes: one JSON object
+# holding the edges as base64 text
+BASE64_LAYOUT = (
+    '{"entities": {"external_ids": ["E0", "E1", "E2"], "labels": ["Zürich", "東京", "a\\"b\\\\c\\n"]}, '
+    '"relations": {"external_ids": ["R0"], "labels": ["près de"]}, "edges": "AAAAAAAAAAABAAAAAgAAAAAAAAACAAAA"}\n'
+).encode()
+
+
+def graph_file_bytes(graph, rows=None, **header) -> bytes:
+    """A graph file holding ``graph``'s catalogs and the edge ``rows``
+    (``graph``'s own by default) in the layout ``save_graph`` writes;
+    ``header`` replaces header fields, and a field given as None is left out."""
+    rows = np.asarray(graph.edges if rows is None else rows, dtype="<i4").reshape(-1, 3)
+    catalogs = {name: {"external_ids": list(catalog.external_ids), "labels": list(catalog.labels)}
+                for name, catalog in (("entities", graph.entities), ("relations", graph.relations))}
+    fields = {"edges": len(rows), "format": 2, **catalogs, **header}
+    line = json.dumps({key: value for key, value in fields.items() if value is not None}, ensure_ascii=False, sort_keys=True)
+    return (line + "\n").encode() + rows.tobytes()
 
 
 @pytest.fixture

@@ -1,4 +1,3 @@
-import base64
 import hashlib
 import json
 import os
@@ -15,8 +14,8 @@ import requests
 import yaml
 
 import kgsynth
-from conftest import make_datapoints
-from kgsynth import cli, codec
+from conftest import BASE64_LAYOUT, graph_file_bytes, make_datapoints
+from kgsynth import cli, codec, kgstore
 from kgsynth.cli import main
 from kgsynth.decoder import scorers
 
@@ -109,7 +108,8 @@ def test_unreadable_graph_file_is_validation_error(workspace, tmp_path, capsys):
     inputs = tmp_path / "inputs.jsonl"
     inputs.write_text(json.dumps({"id": "q1", "text": "some context"}) + "\n", encoding="utf-8")
     nested = json.dumps({"entities": [["Q1", "Alpha"]], "relations": [["P1", "linked to"]], "edges": [[0, 0, 0]]})
-    for data in (good[: len(good) // 2], nested.encode()):  # a torn write, the nested-list layout
+    # a write torn in the header and in the body, a long body, the nested-list and base64 layouts
+    for data in (good[: len(good) // 2], good[:-5], good + good[-12:], nested.encode(), BASE64_LAYOUT):
         graph_path.write_bytes(data)
         capsys.readouterr()
         assert run_cli("sample", "--config", workspace["config"], "--n", 5, "--out", tmp_path / "s") == 1
@@ -124,10 +124,8 @@ def test_graph_file_with_a_repeated_edge_row_exits_1(workspace, tmp_path, capsys
     inputs = tmp_path / "inputs.jsonl"
     inputs.write_text(json.dumps({"id": "q1", "text": "some context"}) + "\n", encoding="utf-8")
     assert run_cli("decode", "--config", workspace["config"], "--inputs", inputs, "--out", tmp_path / "good") == 0
-    payload = json.loads(graph_path.read_bytes())
-    edges = base64.b64decode(payload["edges"])
-    payload["edges"] = base64.b64encode(edges + edges[:12]).decode("ascii")  # the first row again
-    graph_path.write_text(json.dumps(payload), encoding="utf-8")
+    graph = kgstore.load_graph(graph_path)
+    graph_path.write_bytes(graph_file_bytes(graph, [*graph.edges, graph.edges[0]]))  # the first row again
     capsys.readouterr()
     assert run_cli("sample", "--config", workspace["config"], "--n", 5, "--out", tmp_path / "s") == 1
     assert f"{graph_path}: edge (0, 0, 1) at row 5 repeats row 0" in capsys.readouterr().err
@@ -921,6 +919,51 @@ def test_repeated_input_id_is_validation_error(command, workspace, tmp_path, mon
     assert post.bodies == []
 
 
+@pytest.mark.parametrize("bad_id", [[1], None, True, 1.5], ids=["list", "null", "bool", "float"])
+@pytest.mark.parametrize("command", sorted(ROW_INPUT))
+def test_row_id_that_is_not_a_string_or_an_integer_is_validation_error(command, bad_id, workspace, tmp_path, monkeypatch, capsys):
+    post = CountingPost()
+    monkeypatch.setattr(requests, "post", post)
+    code, rows, err = run_on_bad_row(command, {**GOOD_ROW, "id": bad_id}, workspace, tmp_path, capsys)
+    assert code == 1
+    assert f"{rows}:2: 'id' must be a string or an integer, got {json.dumps(bad_id)}" in err
+    assert post.bodies == []
+
+
+def test_decode_resumed_over_a_prediction_with_a_list_id_exits_1(workspace, tmp_path, capsys):
+    assert run_cli("ingest", "--config", workspace["config"]) == 0
+    inputs = tmp_path / "inputs.jsonl"
+    inputs.write_text(json.dumps(GOOD_ROW) + "\n", encoding="utf-8")
+    predictions = tmp_path / "d" / "predictions.jsonl"
+    predictions.parent.mkdir()
+    predictions.write_text(json.dumps({"id": [0], "triplets": []}) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("decode", "--config", workspace["config"], "--inputs", inputs, "--out", predictions.parent) == 1
+    assert f"{predictions}:1: 'id' must be a string or an integer, got [0]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["encode", "prepare"])
+def test_datapoint_text_that_is_not_a_string_is_validation_error(command, workspace, tmp_path, capsys):
+    code, rows, err = run_on_bad_row(command, {**GOOD_ROW, "id": "1", "text": 5}, workspace, tmp_path, capsys)
+    assert code == 1
+    assert f"{rows}:2: 'text' must be a string, got 5" in err
+
+
+def test_demonstration_text_that_is_not_a_string_is_validation_error(workspace, tmp_path, monkeypatch, capsys):
+    post = CountingPost()
+    monkeypatch.setattr(requests, "post", post)
+    template, demos, sets = tmp_path / "template.yaml", tmp_path / "demos.jsonl", tmp_path / "sets.jsonl"
+    template.write_text("instruction: x\nnum_demonstrations: 1\n", encoding="utf-8")
+    demos.write_text(json.dumps({**GOOD_ROW, "text": 5}) + "\n", encoding="utf-8")
+    sets.write_text(json.dumps(GOOD_ROW) + "\n", encoding="utf-8")
+    config = generation_config(workspace, tmp_path, "http://127.0.0.1:9/v1/completions",
+                               template=str(template), demonstrations=str(demos))
+    capsys.readouterr()
+    assert run_cli("generate", "--config", config, "--sets", sets) == 1
+    assert f"{demos}:1: 'text' must be a string, got 5" in capsys.readouterr().err
+    assert post.bodies == []
+
+
 @pytest.mark.parametrize("label", [1, ["Alpha"], None], ids=["int", "list", "null"])
 @pytest.mark.parametrize("command", sorted(set(ROW_INPUT) - {"decode"}))  # decode reads no triplets
 def test_triplet_label_that_is_not_a_string_is_validation_error(command, label, workspace, tmp_path, monkeypatch, capsys):
@@ -1011,6 +1054,20 @@ def test_generation_record_without_a_key_fails_before_any_request(key, workspace
     capsys.readouterr()
     assert run_cli("generate", "--config", config, "--sets", workspace["out"] / "triplet_sets.jsonl") == 1
     assert f"{records}:2: missing key {key!r}" in capsys.readouterr().err
+    assert post.bodies == []
+
+
+def test_generation_record_whose_completion_is_not_a_string_fails_before_any_request(workspace, tmp_path, monkeypatch, capsys):
+    post = CountingPost()
+    monkeypatch.setattr(requests, "post", post)
+    run_cli("ingest", "--config", workspace["config"])
+    run_cli("sample", "--config", workspace["config"], "--n", 5)
+    records = workspace["out"] / "generation_records.jsonl"
+    records.write_text(json.dumps({"set_id": "0", "status": "ok", "completion": 5}) + "\n", encoding="utf-8")
+    config = generation_config(workspace, tmp_path, "http://127.0.0.1:9/v1/completions")
+    capsys.readouterr()
+    assert run_cli("generate", "--config", config, "--sets", workspace["out"] / "triplet_sets.jsonl") == 1
+    assert f"{records}:1: 'completion' must be a string, got 5" in capsys.readouterr().err
     assert post.bodies == []
 
 
