@@ -35,10 +35,8 @@ class Catalog:
             raise KgError("empty label in catalog")
         if len(set(self.labels)) != len(self.labels):
             raise KgError("duplicate label in catalog")
-        by_external = dict(zip(self.external_ids, range(len(self.external_ids))))
-        if len(by_external) != len(self.external_ids):
+        if len(set(self.external_ids)) != len(self.external_ids):
             raise KgError("duplicate external id in catalog")
-        object.__setattr__(self, "_by_external", by_external)
 
     def __len__(self) -> int:
         return len(self.labels)

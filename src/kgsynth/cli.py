@@ -22,7 +22,7 @@ import yaml
 
 # Each command imports the layers it runs inside its cmd_* body, so a stage
 # process loads only those: generate, prepare, encode and decode never load numpy.
-from .pipeline import InputError, JsonlSink, ValidationError, jsonl_line, read_jsonl, read_lines, triplet_rows, triplets_from_row, write_json, write_jsonl, write_manifest
+from .pipeline import InputError, JsonlSink, ValidationError, jsonl_line, read_jsonl, read_lines, triplet_rows, write_json, write_jsonl, write_manifest
 
 log = logging.getLogger("kgsynth")
 
@@ -277,7 +277,7 @@ def cmd_sample(stage: Stage) -> int:
 
 
 def _load_demonstrations(path, count: int) -> list:
-    demos = [(triplets_from_row(raw), raw.text("text", "")) for raw in islice(read_jsonl(path), count)]
+    demos = [(raw.triplets(), raw.get_as("text", str, "")) for raw in islice(read_jsonl(path), count)]
     if len(demos) < count:
         raise ConfigError(f"demonstrations file has {len(demos)} usable rows, template needs {count}")
     return demos
@@ -307,10 +307,11 @@ def cmd_generate(stage: Stage) -> int:
         demos = _load_demonstrations(path, template.num_demonstrations)
 
     prompts = []
-    sets_by_id = {}
+    sets = {}  # id -> (triplets, partial), read whole before any request
     for set_id, raw in _id_rows(sets_path):
-        sets_by_id[set_id] = raw
-        prompts.append((set_id, textgen.build_prompt(triplets_from_row(raw), template, demos)))
+        triplets = raw.triplets()
+        sets[set_id] = triplets, raw.get_as("partial", bool, False)
+        prompts.append((set_id, textgen.build_prompt(triplets, template, demos)))
 
     endpoint = textgen.EndpointConfig(
         url=setting(stage.cfg, "generation.endpoint"),
@@ -339,11 +340,11 @@ def cmd_generate(stage: Stage) -> int:
         {
             "id": set_id,
             "text": completions[set_id].strip(),
-            "triplets": triplet_rows(triplets_from_row(src)),
+            "triplets": triplet_rows(triplets),
             "provenance": "generated",
-            "flags": {"partial": bool(src.get("partial", False))},
+            "flags": {"partial": partial},
         }
-        for set_id, src in sets_by_id.items()
+        for set_id, (triplets, partial) in sets.items()
         if set_id in completions
     ]
     write_jsonl(stage.output("datapoints.jsonl"), rows)
@@ -368,14 +369,14 @@ def _id_rows(path):
 
 def _linearized_datapoints(path, variant, drops: dict):
     """(id, text, triplets, linearization under ``variant``) of each datapoint
-    row of ``path``, read once. A row without triplets, or with a label
-    ``parse`` cannot read back, is left out and counted in ``drops`` under
-    ``empty`` or ``unlinearizable``; a repeated id, or a ``text`` that is
-    not a string, is an InputError."""
+    row of ``path``, read once. A row with an empty triplet list, or with a
+    label ``parse`` cannot read back, is left out and counted in ``drops``
+    under ``empty`` or ``unlinearizable``; a repeated id, or a field
+    ``Row`` refuses, is an InputError."""
     from . import codec
 
     for point_id, raw in _id_rows(path):
-        text, triplets = raw.text("text", ""), triplets_from_row(raw)
+        text, triplets = raw.get_as("text", str, ""), raw.triplets()
         if not triplets:
             drops["empty"] += 1
             continue
@@ -465,23 +466,22 @@ def cmd_decode(stage: Stage) -> int:
         length_penalty=setting(stage.cfg, "decode.length_penalty"),  # None: per variant
         max_length=setting(stage.cfg, "decode.max_length"),
     )
-    if stage.args.scorer_cmd:
-        scorer = SubprocessScorer(stage.args.scorer_cmd, tokenizer.vocab_size, shell=True)
-    else:
-        scorer = UniformScorer(tokenizer.vocab_size)
 
     entity_labels = set(entities.labels)
     relation_labels = set(relations.labels)
     decoded = 0
     with JsonlSink(stage.output("predictions.jsonl")) as sink:
-        done = {row.row_id() for row in sink.rows}
+        done = {row.row_id() for row in sink.rows}  # read whole before the scorer starts
+        if stage.args.scorer_cmd:
+            scorer = SubprocessScorer(stage.args.scorer_cmd, tokenizer.vocab_size, shell=True)
+        else:
+            scorer = UniformScorer(tokenizer.vocab_size)
         try:
             for doc_id, raw in _id_rows(inputs_path):
                 if doc_id in done:
                     continue
-                context = raw.get("text", raw.get("context"))
-                if not isinstance(context, str):
-                    raise InputError(f"{raw.where}: input {doc_id!r} has no string 'text' or 'context'")
+                # "text", else "context"; with neither, "text" is the key missing
+                context = raw.get_as("context" if "text" not in raw and "context" in raw else "text", str)
                 try:
                     best = constrained_beam_search(scorer, context, engine, params)
                 except ScorerError as exc:
@@ -504,7 +504,7 @@ def cmd_decode(stage: Stage) -> int:
 
 
 def _triplets_by_id(path) -> dict[str, set]:
-    return {row_id: set(triplets_from_row(raw)) for row_id, raw in _id_rows(path)}
+    return {row_id: set(raw.triplets()) for row_id, raw in _id_rows(path)}
 
 
 def _pairs_from_files(predictions_path, gold_path) -> list:
@@ -567,7 +567,7 @@ def cmd_eval(stage: Stage) -> int:
 def cmd_stats(stage: Stage) -> int:
     from . import metrics
 
-    stats = metrics.relation_stats(triplets_from_row(raw) for _, raw in _id_rows(stage.input("dataset")))
+    stats = metrics.relation_stats(raw.triplets() for _, raw in _id_rows(stage.input("dataset")))
     write_json(stage.output("relation_stats.json"), {
         "summary": {"min": stats.minimum, "q1": stats.q1, "median": stats.median, "q3": stats.q3, "max": stats.maximum},
         "n_relations": len(stats.counts),

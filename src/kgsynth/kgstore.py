@@ -109,8 +109,14 @@ def _checked_edges(edges, n_entities: int, n_relations: int) -> np.ndarray:
 
 
 def _first_rows(key: np.ndarray) -> np.ndarray:
-    """The sorted positions of each key's first occurrence."""
-    _, first = np.unique(key, return_index=True)
+    """The sorted positions of each key's first occurrence, which a stable
+    sort puts first among its equals; holds two copies of ``key``, not five."""
+    order = key.argsort(kind="stable")
+    ordered = key[order]
+    first = np.ones(len(key), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    del ordered
+    first = order[first]
     first.sort()
     return first
 
@@ -299,7 +305,8 @@ def ingest(edges_file, entity_labels_file, relation_labels_file) -> KnowledgeGra
         log.warning("dropped %d literal-valued relation(s) at ingest", stats.literal_relations_dropped)
     relations = Catalog(*relation_rows)
 
-    entity_index, relation_index = entities._by_external.get, relations._by_external.get
+    entity_index = dict(zip(entities.external_ids, range(len(entities)))).get
+    relation_index = dict(zip(relations.external_ids, range(len(relations)))).get
     rows = array("i")  # (subject, relation, object) per kept line
     append = rows.append
     for lineno, raw in read_lines(edges_file):

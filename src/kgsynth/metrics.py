@@ -180,32 +180,10 @@ class BucketRow:
     f1_upper: float
 
 
-def per_bucket_f1(
-    index: CountIndex,
-    train_counts: Mapping[Hashable, int],
-    n_bootstrap: int = 50,
-    level: float = 0.95,
-    seed: int = 0,
-) -> list[BucketRow]:
-    """Micro-F1 within relation-frequency buckets derived from training-set
-    occurrence counts, over the pairs ``index`` holds; relations missing
-    from ``train_counts`` fall into the unseen bucket."""
-    if not index.n_docs:
-        return []
-    table = index.table(range(index.n_docs))
-    members: dict[int, list] = {}
-    for r in table:
-        members.setdefault(bucketize(train_counts.get(r, 0)), []).append(r)
-    buckets = sorted(members)
-
-    def bucket_sums(counts):
-        return [_sums(counts[r] for r in members[b] if r in counts) for b in buckets]
-
-    cis = bootstrap_ci(
-        range(index.n_docs), lambda docs: tuple(_prf(*sums)[2] for sums in bucket_sums(index.table(docs))),
-        n=n_bootstrap, level=level, seed=seed,
-    )
-    return [BucketRow(b, gold, predicted, *ci) for b, (_, predicted, gold), ci in zip(buckets, bucket_sums(table), cis)]
+def per_bucket_f1(table: Mapping[Hashable, tuple[int, int, int]], members: Sequence[Sequence[Hashable]]) -> tuple[float, ...]:
+    """Micro-F1 of each bucket over the count ``table`` of one resample, a
+    bucket being the list of its relations in ``members``."""
+    return tuple(_prf(*_sums(table[r] for r in relations if r in table))[2] for relations in members)
 
 
 @dataclass
@@ -286,16 +264,23 @@ def evaluate(
     report = MetricsReport(n_bootstrap=n_bootstrap, level=level, seed=seed, macro_f1_mode=macro_f1_mode)
 
     index = CountIndex(pairs)
+    table = index.table(range(len(pairs)))
+    # relations by relation-frequency bucket; those missing from train_counts are unseen
+    buckets: dict[int, list] = {}
+    for r in table if train_counts is not None else ():
+        buckets.setdefault(bucketize(train_counts.get(r, 0)), []).append(r)
+    members = [buckets[b] for b in sorted(buckets)]
 
     def scores(docs):
         table = index.table(docs)
-        return (*_prf(*_sums(table.values())), *_macro(table, macro_f1_mode))
+        return (*_prf(*_sums(table.values())), *_macro(table, macro_f1_mode), *per_bucket_f1(table, members))
 
+    # one pass: every interval of the report comes from the same resamples
     cis = bootstrap_ci(range(len(pairs)), scores, n=n_bootstrap, level=level, seed=seed)
     names = ("precision", "recall", "f1")
     report.micro = {name: dict(zip(("point", "lower", "upper"), ci)) for name, ci in zip(names, cis[:3])}
-    report.macro = {name: dict(zip(("point", "lower", "upper"), ci)) for name, ci in zip(names, cis[3:])}
-    report.per_relation = {r: _prf(*row) for r, row in index.table(range(len(pairs))).items()}
-    if train_counts is not None:
-        report.per_bucket = per_bucket_f1(index, train_counts, n_bootstrap=n_bootstrap, level=level, seed=seed)
+    report.macro = {name: dict(zip(("point", "lower", "upper"), ci)) for name, ci in zip(names, cis[3:6])}
+    report.per_relation = {r: _prf(*row) for r, row in table.items()}
+    report.per_bucket = [BucketRow(b, gold, predicted, *ci) for b, (_, predicted, gold), ci
+                         in zip(sorted(buckets), (_sums(table[r] for r in rs) for rs in members), cis[6:])]
     return report

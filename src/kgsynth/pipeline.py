@@ -77,8 +77,9 @@ def read_lines(path) -> Iterator[tuple[int, str]]:
 
 class Row(dict):
     """A JSON object read from the line ``where`` (``path:line``) of a JSONL
-    file. Reading a key it lacks with ``row[key]`` is an ``InputError`` naming
-    both."""
+    file, and the one reader of its fields: each read checks the value's
+    kind, and a missing key or a value of another kind is an ``InputError``
+    naming ``where``, the key and the value."""
 
     __slots__ = ("where",)
 
@@ -89,19 +90,40 @@ class Row(dict):
     def __missing__(self, key):
         raise InputError(f"{self.where}: missing key {key!r}")
 
-    def text(self, key: str, *default: str) -> str:
-        """``row[key]``, a string; a missing key gives ``default`` if given."""
+    def get_as(self, key: str, kind, *default):
+        """``row[key]``, of the type ``kind`` (``str`` or ``bool``) or one of the
+        values in the tuple ``kind``; a missing key gives ``default`` if given."""
         value = self.get(key, *default) if default else self[key]
-        if not isinstance(value, str):
-            raise InputError(f"{self.where}: {key!r} must be a string, got {json.dumps(value)}")
-        return value
+        if type(value) is kind if isinstance(kind, type) else value in kind:
+            return value
+        expected = {str: "a string", bool: "true or false"}[kind] if isinstance(kind, type) else " or ".join(map(json.dumps, kind))
+        raise InputError(f"{self.where}: {key!r} must be {expected}, got {json.dumps(value)}")
 
-    def row_id(self) -> str:
-        """``row["id"]``, a string or a non-bool integer, as a string."""
-        value = self["id"]
-        if isinstance(value, bool) or not isinstance(value, (str, int)):
-            raise InputError(f"{self.where}: 'id' must be a string or an integer, got {json.dumps(value)}")
+    def row_id(self, key: str = "id") -> str:
+        """``row[key]``, a string or a non-bool integer, as a string."""
+        value = self[key]
+        if type(value) not in (str, int):
+            raise InputError(f"{self.where}: {key!r} must be a string or an integer, got {json.dumps(value)}")
         return str(value)
+
+    def triplets(self) -> list[tuple[str, str, str]]:
+        """``row["triplets"]``: a list, maybe empty, of ``{"s", "r", "o"}``
+        objects of strings, as ``(s, r, o)`` tuples."""
+        value = self["triplets"]
+        try:
+            if type(value) is not list:
+                raise TypeError
+            triplets = [(t["s"], t["r"], t["o"]) for t in value]
+        except KeyError as exc:
+            raise InputError(f"{self.where}: missing key {exc.args[0]!r} in a triplet") from None
+        except TypeError:
+            raise InputError(f"{self.where}: 'triplets' must be a list of objects with keys 's', 'r', 'o', "
+                             f"got {json.dumps(value)}") from None
+        for triplet in triplets:
+            for key, label in zip("sro", triplet):
+                if type(label) is not str:
+                    raise InputError(f"{self.where}: triplet key {key!r} must be a string, got {json.dumps(label)}")
+        return triplets
 
 
 def _row(line: str, path, number: int) -> Row | None:
@@ -192,19 +214,5 @@ class JsonlSink:
 
 def triplet_rows(triplets: Iterable[tuple[str, str, str]]) -> list[dict]:
     """The ``triplets`` value of a row: one ``{"s", "r", "o"}`` object per
-    triplet, as ``triplets_from_row`` reads it."""
+    triplet, as ``Row.triplets`` reads it."""
     return [{"s": s, "r": r, "o": o} for s, r, o in triplets]
-
-
-def triplets_from_row(raw: Row) -> list[tuple[str, str, str]]:
-    try:
-        triplets = [(t["s"], t["r"], t["o"]) for t in raw.get("triplets", [])]
-    except KeyError as exc:
-        raise InputError(f"{raw.where}: missing key {exc.args[0]!r} in a triplet") from None
-    except TypeError:
-        raise InputError(f"{raw.where}: 'triplets' must be a list of objects with keys 's', 'r', 'o'") from None
-    for triplet in triplets:
-        for key, label in zip("sro", triplet):
-            if not isinstance(label, str):
-                raise InputError(f"{raw.where}: triplet key {key!r} must be a string, got {json.dumps(label)}")
-    return triplets

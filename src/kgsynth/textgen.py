@@ -382,10 +382,12 @@ class CompletionClient:
 
 def completed_ids(records: Iterable[Row]) -> dict[str, str]:
     """The first ok completion of each set id among ``records``, the rows of
-    a records file; a row without ``status``, or an ok row without a string
-    ``completion``, is an ``InputError`` naming its line."""
+    a records file; a row whose ``set_id`` is not a string or an integer,
+    whose ``status`` is not ``"ok"`` or ``"failed"``, or an ok row without a
+    string ``completion``, is an ``InputError`` naming its line."""
     completions: dict[str, str] = {}
     for record in records:
-        if record["status"] == "ok":
-            completions.setdefault(str(record["set_id"]), record.text("completion"))
+        set_id = record.row_id("set_id")
+        if record.get_as("status", ("ok", "failed")) == "ok":
+            completions.setdefault(set_id, record.get_as("completion", str))
     return completions

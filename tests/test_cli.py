@@ -895,16 +895,19 @@ def test_row_without_a_key_is_validation_error(command, bad_row, key, workspace,
     assert searched == ([GOOD_ROW["text"]] if command == "decode" else [])  # the bad row is never searched
 
 
-@pytest.mark.parametrize("bad_row", [{"id": "x"}, {"id": "y", "text": None}, {"id": "z", "context": 5}],
-                         ids=["no-text", "null-text", "int-context"])
-def test_decode_row_without_text_is_validation_error(bad_row, workspace, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("bad_row, message", [
+    ({"id": "x"}, "missing key 'text'"),
+    ({"id": "y", "text": None}, "'text' must be a string, got null"),
+    ({"id": "z", "context": 5}, "'context' must be a string, got 5"),
+], ids=["no-text", "null-text", "int-context"])
+def test_decode_row_without_text_is_validation_error(bad_row, message, workspace, tmp_path, monkeypatch, capsys):
     searched = []
     search = cli.constrained_beam_search
     monkeypatch.setattr(cli, "constrained_beam_search", lambda scorer, context, *args: (
         searched.append(context), search(scorer, context, *args))[1])
     code, rows, err = run_on_bad_row("decode", bad_row, workspace, tmp_path, capsys)
     assert code == 1
-    assert f"{rows}:2: input {bad_row['id']!r} has no string 'text' or 'context'" in err
+    assert f"{rows}:2: {message}" in err
     assert searched == [GOOD_ROW["text"]]  # the bad row is never searched
 
 
@@ -942,26 +945,149 @@ def test_decode_resumed_over_a_prediction_with_a_list_id_exits_1(workspace, tmp_
     assert f"{predictions}:1: 'id' must be a string or an integer, got [0]" in capsys.readouterr().err
 
 
+# --- every command x every row file it reads x every fault a row can hold ---
+
+TRIPLETS = GOOD_ROW["triplets"]
+# per (command, row file): where the command finds the file (a flag, a config
+# key, or a sink in the output directory), a good row, and each field the
+# command reads with its kind; a kind ending in "?" may be left out
+ROW_FILES = {
+    ("generate", "sets"): ("--sets", {"id": "0", "triplets": TRIPLETS, "partial": False},
+                           {"id": "id", "triplets": "triplets", "partial": "flag?"}),
+    ("generate", "demonstrations"): ("generation.demonstrations", {"text": GOOD_ROW["text"], "triplets": TRIPLETS},
+                                     {"text": "text?", "triplets": "triplets"}),
+    ("generate", "records"): ("generation_records.jsonl", {"set_id": "9", "status": "ok", "completion": "A sentence."},
+                              {"set_id": "id", "status": "status", "completion": "text"}),
+    **{(command, "datapoints"): ("--datapoints", GOOD_ROW, {"id": "id", "text": "text?", "triplets": "triplets"})
+       for command in ("encode", "prepare")},
+    ("stats", "dataset"): ("--dataset", GOOD_ROW, {"id": "id", "triplets": "triplets"}),
+    # "context" is read when "text" is absent
+    ("decode", "inputs"): ("--inputs", {"id": "0", "text": GOOD_ROW["text"]}, {"id": "id", "text": "text", "context": "text?"}),
+    ("decode", "predictions"): ("predictions.jsonl", {"id": "9", "triplets": TRIPLETS}, {"id": "id"}),
+    ("eval", "predictions"): ("--predictions", GOOD_ROW, {"id": "id", "triplets": "triplets"}),
+    ("eval", "gold"): ("--gold", GOOD_ROW, {"id": "id", "triplets": "triplets"}),
+}
+# per kind: what the message says a value must be, and a value it refuses per JSON type
+KINDS = {
+    "id": ("a string or an integer", {"null": None, "number": 1.5, "list": [1], "object": {"n": 1}, "bool": True}),
+    "text": ("a string", {"null": None, "number": 5, "list": ["Alpha"], "object": {"a": 1}, "bool": True}),
+    "flag": ("true or false", {"null": None, "number": 0, "list": [True], "object": {"a": 1}, "string": "no"}),
+    "status": ('"ok" or "failed"', {"null": None, "number": 5, "list": ["ok"], "object": {"a": 1}, "bool": True,
+                                    "string": "OK"}),
+    "triplets": ("a list of objects with keys 's', 'r', 'o'", {
+        "null": None, "number": 5, "list": [["Alpha", "linked to", "Beta"]], "strings": ["Alpha linked to Beta"],
+        "object": TRIPLETS[0], "bool": True}),
+}
+
+
+def row_line(row) -> bytes:
+    return json.dumps(row).encode() + b"\n"
+
+
+def row_faults(where, good, fields):
+    """(fault, bad line, message) for each fault a row file of ``ROW_FILES`` can hold."""
+    sink = where.endswith(".jsonl")  # a torn last line there is mended, not refused
+    yield "not-JSON", b'{"id": "1", "text": "torn\n', "not valid JSON"
+    if not sink:
+        yield "torn-tail", b'{"id": "1", "text": "torn', "not valid JSON"
+    yield "not-an-object", b"[1, 2]\n", "not a JSON object"
+    yield "not-UTF-8", b'{"id": "1", "text": "caf\xff"}\n', "not UTF-8"
+    if "id" in fields and not sink:
+        yield "duplicate-id", row_line(good), f"id {good['id']!r} appears more than once"
+    id_key = "set_id" if "set_id" in fields else "id"
+    other = {**good, id_key: "1"} if id_key in good else dict(good)  # a row repeating no id
+    for field, kind in fields.items():
+        base = {k: v for k, v in other.items() if (field, k) != ("context", "text")}
+        if not kind.endswith("?"):
+            yield f"{field}-missing", row_line({k: v for k, v in base.items() if k != field}), f"missing key {field!r}"
+        expected, values = KINDS[kind.rstrip("?")]
+        for type_name, value in values.items():
+            yield (f"{field}={type_name}", row_line({**base, field: value}),
+                   f"{field!r} must be {expected}, got {json.dumps(value)}")
+        if kind == "triplets":
+            yield ("r-missing", row_line({**base, "triplets": [{"s": "Alpha", "o": "Beta"}]}),
+                   "missing key 'r' in a triplet")
+            for type_name, value in KINDS["text"][1].items():
+                yield (f"o={type_name}", row_line({**base, "triplets": [{**TRIPLETS[0], "o": value}]}),
+                       f"triplet key 'o' must be a string, got {json.dumps(value)}")
+
+
+ROW_FAULTS = [
+    pytest.param(command, name, line, message, id=f"{command}:{name}:{fault}")
+    for (command, name), (where, good, fields) in ROW_FILES.items()
+    for fault, line, message in row_faults(where, good, fields)
+]
+
+
+@pytest.mark.parametrize("command, name, bad_line, message", ROW_FAULTS)
+def test_every_row_fault_exits_1_naming_the_line(command, name, bad_line, message, workspace, tmp_path, monkeypatch, capsys):
+    """Each row file the command reads holds one good row, and the file
+    ``name`` a bad second line: the command exits 1 naming ``path:2`` and
+    the fault, writes no manifest, sends no request, never searches the bad
+    row, and starts no scorer before it has read the rows it resumes from."""
+    post, searched, scorers_made = CountingPost(), [], []
+    monkeypatch.setattr(requests, "post", post)
+    search = cli.constrained_beam_search
+    monkeypatch.setattr(cli, "constrained_beam_search", lambda scorer, context, *args: (
+        searched.append(context), search(scorer, context, *args))[1])
+    make_scorer = scorers.UniformScorer.__init__
+    monkeypatch.setattr(scorers.UniformScorer, "__init__", lambda self, *args: (
+        scorers_made.append(self), make_scorer(self, *args))[1])
+    out = workspace["out"]
+    out.mkdir()
+    template = tmp_path / "template.yaml"
+    template.write_text("instruction: x\nnum_demonstrations: 2\n", encoding="utf-8")
+    paths = {file: out / where if where.endswith(".jsonl") else tmp_path / f"{file}.jsonl"
+             for (c, file), (where, _, _) in ROW_FILES.items() if c == command}
+    config = generation_config(workspace, tmp_path, "http://127.0.0.1:9/v1/completions", template=str(template),
+                               demonstrations=str(paths.get("demonstrations", "")))
+    if command == "decode":
+        assert run_cli("ingest", "--config", config) == 0
+    argv = []
+    for file, path in paths.items():
+        where, good, _ = ROW_FILES[command, file]
+        # the template takes two demonstrations
+        second = bad_line if file == name else row_line(good) if file == "demonstrations" else b""
+        path.write_bytes(row_line(good) + second)
+        if where.startswith("--"):
+            argv += [where, path]
+    capsys.readouterr()
+    assert run_cli(command, "--config", config, *argv) == 1
+    assert f"{paths[name]}:2: {message}" in capsys.readouterr().err
+    assert not (out / f"{command}.manifest.json").exists()
+    assert post.bodies == []
+    # a decode input before the bad line is searched, unless reading it fails
+    # (a file that is not UTF-8 fails at its first read)
+    assert searched == ([GOOD_ROW["text"]] if name == "inputs" and b"\xff" not in bad_line else [])
+    if (command, name) == ("decode", "predictions"):
+        assert scorers_made == []
+
+
+def test_decode_over_a_bad_resume_row_leaves_no_scorer_running(workspace, tmp_path, monkeypatch, capsys):
+    made = []
+    make = scorers.SubprocessScorer.__init__
+    monkeypatch.setattr(scorers.SubprocessScorer, "__init__", lambda self, *args, **kwargs: (
+        made.append(self), make(self, *args, **kwargs))[1])
+    assert run_cli("ingest", "--config", workspace["config"]) == 0
+    inputs = tmp_path / "inputs.jsonl"
+    inputs.write_text(json.dumps(GOOD_ROW) + "\n", encoding="utf-8")
+    predictions = workspace["out"] / "predictions.jsonl"
+    predictions.write_text(json.dumps({"id": [0], "triplets": []}) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    try:
+        assert run_cli("decode", "--config", workspace["config"], "--inputs", inputs, "--scorer-cmd", "exec sleep 7") == 1
+        assert f"{predictions}:1: 'id' must be a string or an integer, got [0]" in capsys.readouterr().err
+        assert [scorer for scorer in made if scorer._proc.poll() is None] == []
+    finally:
+        for scorer in made:
+            scorer.close()
+
+
 @pytest.mark.parametrize("command", ["encode", "prepare"])
 def test_datapoint_text_that_is_not_a_string_is_validation_error(command, workspace, tmp_path, capsys):
     code, rows, err = run_on_bad_row(command, {**GOOD_ROW, "id": "1", "text": 5}, workspace, tmp_path, capsys)
     assert code == 1
     assert f"{rows}:2: 'text' must be a string, got 5" in err
-
-
-def test_demonstration_text_that_is_not_a_string_is_validation_error(workspace, tmp_path, monkeypatch, capsys):
-    post = CountingPost()
-    monkeypatch.setattr(requests, "post", post)
-    template, demos, sets = tmp_path / "template.yaml", tmp_path / "demos.jsonl", tmp_path / "sets.jsonl"
-    template.write_text("instruction: x\nnum_demonstrations: 1\n", encoding="utf-8")
-    demos.write_text(json.dumps({**GOOD_ROW, "text": 5}) + "\n", encoding="utf-8")
-    sets.write_text(json.dumps(GOOD_ROW) + "\n", encoding="utf-8")
-    config = generation_config(workspace, tmp_path, "http://127.0.0.1:9/v1/completions",
-                               template=str(template), demonstrations=str(demos))
-    capsys.readouterr()
-    assert run_cli("generate", "--config", config, "--sets", sets) == 1
-    assert f"{demos}:1: 'text' must be a string, got 5" in capsys.readouterr().err
-    assert post.bodies == []
 
 
 @pytest.mark.parametrize("label", [1, ["Alpha"], None], ids=["int", "list", "null"])
@@ -1054,20 +1180,6 @@ def test_generation_record_without_a_key_fails_before_any_request(key, workspace
     capsys.readouterr()
     assert run_cli("generate", "--config", config, "--sets", workspace["out"] / "triplet_sets.jsonl") == 1
     assert f"{records}:2: missing key {key!r}" in capsys.readouterr().err
-    assert post.bodies == []
-
-
-def test_generation_record_whose_completion_is_not_a_string_fails_before_any_request(workspace, tmp_path, monkeypatch, capsys):
-    post = CountingPost()
-    monkeypatch.setattr(requests, "post", post)
-    run_cli("ingest", "--config", workspace["config"])
-    run_cli("sample", "--config", workspace["config"], "--n", 5)
-    records = workspace["out"] / "generation_records.jsonl"
-    records.write_text(json.dumps({"set_id": "0", "status": "ok", "completion": 5}) + "\n", encoding="utf-8")
-    config = generation_config(workspace, tmp_path, "http://127.0.0.1:9/v1/completions")
-    capsys.readouterr()
-    assert run_cli("generate", "--config", config, "--sets", workspace["out"] / "triplet_sets.jsonl") == 1
-    assert f"{records}:1: 'completion' must be a string, got 5" in capsys.readouterr().err
     assert post.bodies == []
 
 

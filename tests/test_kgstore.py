@@ -565,7 +565,7 @@ def test_ingest_peak_is_a_small_multiple_of_the_graph_it_returns(zipf_kg, tmp_pa
     graph, held, peak = traced(kgstore.ingest, *files)
     assert len(graph.edges) == len(zipf_kg.edges)
     # per-row tuples, flag sets and int lists made the peak 3.2x the graph;
-    # int32 columns and one dict per catalog make it 1.9x
+    # int32 columns and a dedupe holding two copies of its keys make it 2.0x
     assert peak <= 2.4 * held
 
 

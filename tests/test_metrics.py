@@ -279,7 +279,7 @@ def test_per_bucket_single_bucket_equals_global():
         pair("d2", {T("x", "r1", "y")}, {T("x", "r1", "y"), T("x", "r2", "z")}),
     ]
     train_counts = {"r1": 40, "r2": 40}  # both bucket 5
-    rows = metrics.per_bucket_f1(metrics.CountIndex(pairs), train_counts, n_bootstrap=10, seed=3)
+    rows = metrics.evaluate(pairs, n_bootstrap=10, seed=3, train_counts=train_counts).per_bucket
     assert len(rows) == 1
     assert rows[0].bucket == 5
     assert rows[0].f1_point == metrics.micro_scores(pairs)[2]
@@ -290,7 +290,7 @@ def test_per_bucket_two_buckets():
         pair("d1", {T("a", "rare", "b")}, {T("a", "rare", "b")}),
         pair("d2", set(), {T("x", "common", "y")}),
     ]
-    rows = metrics.per_bucket_f1(metrics.CountIndex(pairs), {"rare": 1, "common": 1000}, n_bootstrap=10, seed=0)
+    rows = metrics.evaluate(pairs, n_bootstrap=10, seed=0, train_counts={"rare": 1, "common": 1000}).per_bucket
     by_bucket = {row.bucket: row.f1_point for row in rows}
     assert by_bucket[metrics.bucketize(1)] == 1.0
     assert by_bucket[metrics.bucketize(1000)] == 0.0
@@ -298,12 +298,19 @@ def test_per_bucket_two_buckets():
 
 def test_per_bucket_missing_relation_goes_unseen():
     pairs = [pair("d1", {T("a", "novel", "b")}, {T("a", "novel", "b")})]
-    rows = metrics.per_bucket_f1(metrics.CountIndex(pairs), {}, n_bootstrap=5, seed=0)
+    rows = metrics.evaluate(pairs, n_bootstrap=5, seed=0, train_counts={}).per_bucket
     assert rows[0].bucket == metrics.UNSEEN_BUCKET
 
 
-def test_per_bucket_empty_pairs():
-    assert metrics.per_bucket_f1(metrics.CountIndex([]), {"r": 1}) == []
+def test_per_bucket_empty_pairs():  # pairs without facts: no bucket
+    pairs = [pair("d1", set(), set())]
+    assert metrics.evaluate(pairs, n_bootstrap=5, train_counts={"r": 1}).per_bucket == []
+
+
+def test_per_bucket_f1_scores_each_bucket_of_one_table():
+    table = {"r1": (1, 2, 1), "r2": (0, 1, 3), "r3": (2, 2, 2)}
+    members = [["r1", "r3"], ["r2"], ["r4"]]  # r4: in no document of this resample
+    assert metrics.per_bucket_f1(table, members) == (metrics.f1(3 / 4, 1.0), 0.0, 1.0)
 
 
 # --- relation stats ---
@@ -450,7 +457,7 @@ def test_evaluate_bootstraps_once_per_report_section(monkeypatch):
     monkeypatch.setattr(metrics, "bootstrap_ci", lambda *args, **kwargs: (calls.append(1), bootstrap(*args, **kwargs))[1])
     pairs = random_instance(random.Random(8))
     metrics.evaluate(pairs, n_bootstrap=10, train_counts={"r0": 3, "r1": 70})
-    assert len(calls) == 2
+    assert len(calls) == 1
     calls.clear()
     metrics.evaluate(pairs, n_bootstrap=10)
     assert len(calls) == 1
