@@ -62,44 +62,52 @@ def constrained_beam_search(scorer, input_context, engine, params):
     return search(scorer, input_context, engine, params)
 
 
-# Every config key the CLI reads, dotted as ``section.key``, with its kind and
-# its default: the one place either is written. A default of None means the
-# key must be given, except for ``generation.template`` and
-# ``decode.length_penalty``, where the layer picks one.
+# Every config key the CLI reads, dotted as ``section.key``, and its kind;
+# DEFAULTS holds the defaults the CLI applies. The sampler, decode and metrics
+# keys, and the generation keys that name a textgen parameter, have none there:
+# ``given`` hands a layer only the keys the file sets, and the layer defaults
+# the rest. Any other key without a default must be given (``generation.template``
+# may be left out: the packaged template for the preset).
 SETTINGS = {
-    "seed": (int, 0),
-    "schema": (str, "fe"),
-    "tokenizer": (str, "byte"),
-    "paths.edges": (str, None),
-    "paths.entity_labels": (str, None),
-    "paths.relation_labels": (str, None),
-    "paths.graph": (str, None),
-    "paths.workdir": (str, "out"),
-    "sampler.poisson_mean": (float, 3.0),
-    "sampler.bias_factor": (float, 7.0),
-    "sampler.dampening": (float, 0.01),
-    "sampler.reweight_interval": (int, 20_000),
-    "sampler.strategy": (str, "mixed"),
-    "generation.endpoint": (str, None),
-    "generation.model": (str, ""),
-    "generation.preset": (str, "code"),
-    "generation.template": (str, None),
-    "generation.demonstrations": (str, None),
-    "generation.api_key_env": (str, "KGSYNTH_API_KEY"),
-    "generation.requests_per_minute": (int, 20),
-    "generation.tokens_per_minute": (int, 150_000),
-    "generation.price_per_1k_tokens": (float, 0.0),
-    "generation.concurrency": (int, 4),
-    "generation.max_attempts": (int, 5),
-    "generation.backoff_base": (float, 2.0),
-    "prepare.max_input_tokens": (int, 256),
-    "prepare.max_target_tokens": (int, 256),
-    "decode.num_beams": (int, 10),
-    "decode.length_penalty": (float, None),
-    "decode.max_length": (int, 256),
-    "metrics.n_bootstrap": (int, 50),
-    "metrics.level": (float, 0.95),
-    "metrics.macro_f1_mode": (str, "mean_of_f1"),
+    "seed": int,
+    "schema": str,
+    "tokenizer": str,
+    "paths.edges": str,
+    "paths.entity_labels": str,
+    "paths.relation_labels": str,
+    "paths.graph": str,
+    "paths.workdir": str,
+    "sampler.poisson_mean": float,
+    "sampler.bias_factor": float,
+    "sampler.dampening": float,
+    "sampler.reweight_interval": int,
+    "sampler.strategy": str,
+    "generation.endpoint": str,
+    "generation.model": str,
+    "generation.preset": str,
+    "generation.template": str,
+    "generation.demonstrations": str,
+    "generation.api_key_env": str,
+    "generation.requests_per_minute": int,
+    "generation.tokens_per_minute": int,
+    "generation.price_per_1k_tokens": float,
+    "generation.concurrency": int,
+    "generation.max_attempts": int,
+    "generation.backoff_base": float,
+    "prepare.max_input_tokens": int,
+    "prepare.max_target_tokens": int,
+    "decode.num_beams": int,
+    "decode.length_penalty": float,
+    "decode.max_length": int,
+    "metrics.n_bootstrap": int,
+    "metrics.level": float,
+    "metrics.macro_f1_mode": str,
+}
+DEFAULTS = {
+    "seed": 0, "schema": "fe", "tokenizer": "byte", "paths.workdir": "out",
+    "generation.model": "", "generation.preset": "code",
+    "generation.requests_per_minute": 20, "generation.tokens_per_minute": 150_000,
+    "prepare.max_input_tokens": 256, "prepare.max_target_tokens": 256,
 }
 SECTIONS = {key.partition(".")[0] for key in SETTINGS if "." in key}
 
@@ -129,7 +137,7 @@ def load_config(path) -> dict:
         else:
             raise ConfigError(f"config section {name!r} must be a mapping, got {value!r}")
     for key, value, placed in values:
-        kind = SETTINGS.get(key, (None,))[0] if placed else None
+        kind = SETTINGS.get(key) if placed else None
         if kind is None:
             close = difflib.get_close_matches(key, [*SETTINGS, *SECTIONS], n=1)
             log.warning("config key %r is unknown and ignored%s", key, f"; the closest known key is {close[0]!r}" if close else "")
@@ -140,14 +148,22 @@ def load_config(path) -> dict:
 
 def setting(cfg: dict, key: str):
     """The value of the dotted config ``key`` in a config ``load_config``
-    checked, a float for a float key; its ``SETTINGS`` default when it is
-    absent or null."""
-    kind, default = SETTINGS[key]
+    checked, a float for a float key; its default in ``DEFAULTS`` (None if
+    it has none there) when it is absent or null."""
     section, _, name = key.rpartition(".")
     value = ((cfg.get(section) or {}) if section else cfg).get(name)
     if value is None:
-        return default
-    return float(value) if kind is float else value
+        return DEFAULTS.get(key)
+    return float(value) if SETTINGS[key] is float else value
+
+
+def given(cfg: dict, section: str, *names: str) -> dict:
+    """The keys of config ``section`` (only ``names``, if any are given) that
+    the file sets to a value, by name, each read as ``setting`` reads it:
+    the keyword arguments for the layer that owns them. A key not in
+    ``SETTINGS`` is never among them."""
+    return {name: setting(cfg, f"{section}.{name}") for name, value in (cfg.get(section) or {}).items()
+            if value is not None and f"{section}.{name}" in SETTINGS and (not names or name in names)}
 
 
 def existing(path, what: str) -> Path:
@@ -229,7 +245,10 @@ class Stage:
 
     @property
     def seed(self) -> int:
-        self.seed_read = self.args.seed if self.args.seed is not None else setting(self.cfg, "seed")
+        flag = self.args.seed is not None
+        self.seed_read = self.args.seed if flag else setting(self.cfg, "seed")
+        if self.seed_read < 0:
+            raise ConfigError(f"{'--seed' if flag else 'seed'} must be >= 0, got {self.seed_read}")
         return self.seed_read
 
 
@@ -261,14 +280,7 @@ def cmd_sample(stage: Stage) -> int:
     if n < 1:
         raise ConfigError(f"--n must be >= 1, got {n}")
     graph = load_graph(stage.input("paths.graph"))
-    scfg = sampler.SamplerConfig(
-        poisson_mean=setting(stage.cfg, "sampler.poisson_mean"),
-        bias_factor=setting(stage.cfg, "sampler.bias_factor"),
-        dampening=setting(stage.cfg, "sampler.dampening"),
-        reweight_interval=setting(stage.cfg, "sampler.reweight_interval"),
-        strategy=setting(stage.cfg, "sampler.strategy"),
-        seed=stage.seed,
-    )
+    scfg = sampler.SamplerConfig(**given(stage.cfg, "sampler"), seed=stage.seed)
     with open(stage.output("triplet_sets.jsonl"), "w", encoding="utf-8") as fh:
         summary = sampler.write_dataset_jsonl(graph, scfg, n, fh)
     stage.snapshot = {"sampler": stage.cfg.get("sampler") or {}, "n": n, "summary": summary}
@@ -276,8 +288,16 @@ def cmd_sample(stage: Stage) -> int:
     return EXIT_OK
 
 
+def _set_triplets(raw) -> list:
+    """The row's triplets to generate text for; an empty list is an InputError."""
+    triplets = raw.triplets()
+    if not triplets:
+        raise InputError(f"{raw.where}: 'triplets' must not be empty")
+    return triplets
+
+
 def _load_demonstrations(path, count: int) -> list:
-    demos = [(raw.triplets(), raw.get_as("text", str, "")) for raw in islice(read_jsonl(path), count)]
+    demos = [(_set_triplets(raw), raw.get_as("text", str, "")) for raw in islice(read_jsonl(path), count)]
     if len(demos) < count:
         raise ConfigError(f"demonstrations file has {len(demos)} usable rows, template needs {count}")
     return demos
@@ -309,14 +329,14 @@ def cmd_generate(stage: Stage) -> int:
     prompts = []
     sets = {}  # id -> (triplets, partial), read whole before any request
     for set_id, raw in _id_rows(sets_path):
-        triplets = raw.triplets()
+        triplets = _set_triplets(raw)
         sets[set_id] = triplets, raw.get_as("partial", bool, False)
         prompts.append((set_id, textgen.build_prompt(triplets, template, demos)))
 
     endpoint = textgen.EndpointConfig(
         url=setting(stage.cfg, "generation.endpoint"),
         model=setting(stage.cfg, "generation.model"),
-        api_key_env=setting(stage.cfg, "generation.api_key_env"),
+        **given(stage.cfg, "generation", "api_key_env"),
     )
     if not endpoint.url:
         raise ConfigError("generation.endpoint is required")
@@ -324,16 +344,9 @@ def cmd_generate(stage: Stage) -> int:
         setting(stage.cfg, "generation.requests_per_minute"),
         setting(stage.cfg, "generation.tokens_per_minute"),
     )
-    ledger = textgen.CostLedger(setting(stage.cfg, "generation.price_per_1k_tokens"))
-    client = textgen.CompletionClient(
-        endpoint,
-        params,
-        limiter,
-        ledger=ledger,
-        concurrency=setting(stage.cfg, "generation.concurrency"),
-        max_attempts=setting(stage.cfg, "generation.max_attempts"),
-        backoff_base=setting(stage.cfg, "generation.backoff_base"),
-    )
+    ledger = textgen.CostLedger(**given(stage.cfg, "generation", "price_per_1k_tokens"))
+    client = textgen.CompletionClient(endpoint, params, limiter, ledger=ledger,
+                                      **given(stage.cfg, "generation", "concurrency", "max_attempts", "backoff_base"))
     counts, completions = client.generate(prompts, stage.output("generation_records.jsonl"))
     # one row per set with an ok record, in the order of the sets file
     rows = [
@@ -395,6 +408,9 @@ def cmd_prepare(stage: Stage) -> int:
     tokenizer = make_tokenizer(stage.cfg)
     max_input = setting(stage.cfg, "prepare.max_input_tokens")
     max_target = setting(stage.cfg, "prepare.max_target_tokens")
+    for name, value in (("max_input_tokens", max_input), ("max_target_tokens", max_target)):
+        if value < 1:
+            raise ConfigError(f"prepare.{name} must be >= 1, got {value}")
 
     drops = {"empty": 0, "input_too_long": 0, "target_too_long": 0, "unencodable": 0, "unlinearizable": 0}
     kept = 0
@@ -461,11 +477,7 @@ def cmd_decode(stage: Stage) -> int:
     if dropped:
         log.warning("decode left catalog labels out: %s", json.dumps(dropped, sort_keys=True))
     engine = ConstraintEngine(variant, tokenizer, entity_trie, relation_trie)
-    params = DecodeParams(
-        num_beams=setting(stage.cfg, "decode.num_beams"),
-        length_penalty=setting(stage.cfg, "decode.length_penalty"),  # None: per variant
-        max_length=setting(stage.cfg, "decode.max_length"),
-    )
+    params = DecodeParams(**given(stage.cfg, "decode"))
 
     entity_labels = set(entities.labels)
     relation_labels = set(relations.labels)
@@ -544,14 +556,7 @@ def cmd_eval(stage: Stage) -> int:
     if not pairs:
         raise ConfigError("no evaluation pairs found")
     train_counts = _read_train_counts(stage.input("train_counts")) if stage.args.train_counts else None
-    report = metrics.evaluate(
-        pairs,
-        n_bootstrap=setting(stage.cfg, "metrics.n_bootstrap"),
-        level=setting(stage.cfg, "metrics.level"),
-        seed=stage.seed,
-        macro_f1_mode=setting(stage.cfg, "metrics.macro_f1_mode"),
-        train_counts=train_counts,
-    )
+    report = metrics.evaluate(pairs, **given(stage.cfg, "metrics"), seed=stage.seed, train_counts=train_counts)
     write_json(stage.output("eval_report.json"), report.to_json_dict())
     if report.per_bucket:
         with open(stage.output("buckets.tsv"), "w", encoding="utf-8") as fh:

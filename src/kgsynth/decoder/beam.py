@@ -15,12 +15,11 @@ from .constraints import ConstraintEngine, ConstraintState
 from .scorers import Scorer
 
 DEFAULT_LENGTH_PENALTY = {Variant.FE: 0.8, Variant.SC: 0.6}
-DEFAULT_NUM_BEAMS = 10
 
 
 @dataclass(frozen=True)
 class DecodeParams:
-    num_beams: int = DEFAULT_NUM_BEAMS
+    num_beams: int = 10
     length_penalty: float | None = None  # None: 0.8 for FE, 0.6 for SC
     max_length: int = 256  # emitted tokens, end-of-sequence not counted
 

@@ -224,14 +224,14 @@ class MetricsReport:
     """Full evaluation report: micro/macro point estimates with CIs, the
     per-relation table, optional per-bucket rows, and the conventions used."""
 
+    n_bootstrap: int
+    level: float
+    seed: int
+    macro_f1_mode: str
     micro: dict = field(default_factory=dict)
     macro: dict = field(default_factory=dict)
     per_relation: dict = field(default_factory=dict)
     per_bucket: list = field(default_factory=list)
-    n_bootstrap: int = 50
-    level: float = 0.95
-    seed: int = 0
-    macro_f1_mode: str = "mean_of_f1"
     conventions: str = ZERO_DENOMINATOR_CONVENTION
 
     def to_json_dict(self) -> dict:

@@ -57,10 +57,9 @@ class SamplerConfig:
 
 @dataclass
 class TripletSet:
-    """An ordered sample of KG edges plus its entities by first appearance."""
+    """An ordered sample of KG edges."""
 
     triplets: list[Triplet]
-    distinct_entities: list[int]
     partial: bool = False
 
     def to_record(self, graph: KnowledgeGraph, set_id) -> dict:
@@ -139,17 +138,10 @@ def sample_set_size(state: SamplerState, config: SamplerConfig) -> int:
             return size
 
 
-def coherence_weight(entity: int, distinct: list[int], bias_factor: float) -> float:
-    """(N+1-r)^bf for the entity's 1-based first-appearance rank r among a
-    set's N ``distinct`` entities; 1 for entities outside the set."""
-    if entity not in distinct:
-        return 1.0
-    return _rank_weights(len(distinct), bias_factor)[distinct.index(entity)]
-
-
 def _rank_weights(n: int, bias_factor: float) -> list[float]:
-    """``coherence_weight`` of each of a set's ``n`` distinct entities, in
-    first-appearance order."""
+    """The coherence weight (n+1-r)^bf of each of a set's ``n`` distinct
+    entities, by its 1-based first-appearance rank r; an entity outside the
+    set keeps weight 1."""
     return [float((n - i) ** bias_factor) for i in range(n)]
 
 
@@ -187,10 +179,11 @@ def _draw_biased_subject(
     bias_factor: float,
     exclude: set[int],
 ) -> int | None:
-    """Sample an entity with probability proportional to
-    coherence_weight(e) * entity_dist(e), decomposed as a two-part mixture so
-    the draw costs O(set size + log |entities|). Entities in ``exclude``
-    (dead-ended within the current walk) are rejected."""
+    """Sample an entity with probability proportional to its coherence
+    weight (``_rank_weights``) times entity_dist(e), decomposed as a
+    two-part mixture so the draw costs O(set size + log |entities|).
+    Entities in ``exclude`` (dead-ended within the current walk) are
+    rejected."""
     candidates, extra = [], []
     for e, weight in zip(distinct, _rank_weights(len(distinct), bias_factor)):
         if e not in exclude:
@@ -305,7 +298,7 @@ def sample_triplet_set(
         state.entity_counts[t.object] += 1
         state.relation_counts[t.relation] += 1
     state.sets_sampled += 1
-    return TripletSet(triplets, distinct, partial=len(triplets) < target_size)
+    return TripletSet(triplets, partial=len(triplets) < target_size)
 
 
 def sample_dataset(graph: KnowledgeGraph, config: SamplerConfig, n_sets: int) -> Iterator[TripletSet]:

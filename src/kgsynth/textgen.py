@@ -27,7 +27,6 @@ from .pipeline import JsonlSink, Row, ValidationError
 TRIPLETS_PLACEHOLDER = "{triplets}"
 TEXT_PLACEHOLDER = "{text}"
 
-DEFAULT_API_KEY_ENV = "KGSYNTH_API_KEY"
 RATE_WINDOW_S = 60.0  # the rate limits are per minute
 BACKOFF_CAP_S = 60.0  # longest backoff before jitter
 REQUEST_TIMEOUT_S = 60.0
@@ -248,7 +247,7 @@ def _default_transport(url: str, body: dict, headers: dict, timeout: float) -> t
 class EndpointConfig:
     url: str
     model: str
-    api_key_env: str = DEFAULT_API_KEY_ENV
+    api_key_env: str = "KGSYNTH_API_KEY"
 
     def headers(self) -> dict:
         key = os.environ.get(self.api_key_env, "")

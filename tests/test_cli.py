@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import random
@@ -478,6 +479,7 @@ WRONG_KIND = [("decode.num_beams", "ten"), ("decode.length_penalty", "abc"), ("p
     ("sampler.poisson_mean", -1), ("decode.num_beams", 0), ("metrics.level", 2), ("metrics.n_bootstrap", 0),
     ("metrics.n_bootstrap", -3), ("decode", 5), ("generation.concurrency", 0), ("generation.price_per_1k_tokens", -1),
     ("generation.backoff_base", -1), ("generation.max_attempts", 0), ("metrics.macro_f1_mode", "nope"), *WRONG_KIND,
+    ("prepare.max_input_tokens", -3), ("prepare.max_target_tokens", 0),
 ])
 def test_config_value_a_layer_rejects_exits_1(key, value, workspace, tmp_path, monkeypatch, capsys):
     post = CountingPost()
@@ -492,7 +494,8 @@ def test_config_value_a_layer_rejects_exits_1(key, value, workspace, tmp_path, m
     row = {"id": "q1", "text": "some context", "triplets": [{"s": "Alpha", "r": "linked to", "o": "Beta"}]}
     inputs.write_text(json.dumps(row) + "\n", encoding="utf-8")
     argv = {"sampler": ["sample", "--n", 5], "metrics": ["eval", "--predictions", inputs, "--gold", inputs],
-            "generation": ["generate", "--sets", inputs], "paths": ["ingest"]}.get(section, ["decode", "--inputs", inputs])
+            "generation": ["generate", "--sets", inputs], "paths": ["ingest"],
+            "prepare": ["prepare", "--datapoints", inputs]}.get(section, ["decode", "--inputs", inputs])
     capsys.readouterr()
     assert run_cli(argv[0], "--config", config, *argv[1:], "--out", tmp_path / "o") == 1
     err = capsys.readouterr().err
@@ -513,6 +516,21 @@ def test_misspelt_config_key_warns_naming_the_closest_known_key(workspace, tmp_p
     assert run_cli("decode", "--config", config, "--inputs", inputs, "--out", tmp_path / "o") == 0
     warnings = [r.getMessage() for r in caplog.records if "num_beam" in r.getMessage()]
     assert len(warnings) == 1 and "'decode.num_beam'" in warnings[0] and "'decode.num_beams'" in warnings[0]
+
+
+@pytest.mark.parametrize("command", ["sample", "eval"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_negative_seed_exits_1_naming_it(command, flag, workspace, tmp_path, capsys):
+    run_cli("ingest", "--config", workspace["config"])
+    config = tmp_path / "seeded.yaml"
+    config.write_text(yaml.safe_dump(dict(workspace["raw"], seed=11 if flag else -1)), encoding="utf-8")
+    gold = tmp_path / "gold.jsonl"
+    write_datapoints(gold, [{"id": "1", "text": "", "triplets": [("Alpha", "linked to", "Beta")]}])
+    argv = ["--n", 5] if command == "sample" else ["--predictions", gold, "--gold", gold]
+    capsys.readouterr()
+    assert run_cli(command, "--config", config, *argv, *(["--seed", -1] if flag else []), "--out", tmp_path / "o") == 1
+    assert capsys.readouterr().err == f"error: {'--seed' if flag else 'seed'} must be >= 0, got -1\n"
+    assert not (tmp_path / "o" / f"{command}.manifest.json").exists()
 
 
 def test_sample_with_n_0_exits_1_and_writes_nothing(workspace, tmp_path, capsys):
@@ -950,12 +968,13 @@ def test_decode_resumed_over_a_prediction_with_a_list_id_exits_1(workspace, tmp_
 TRIPLETS = GOOD_ROW["triplets"]
 # per (command, row file): where the command finds the file (a flag, a config
 # key, or a sink in the output directory), a good row, and each field the
-# command reads with its kind; a kind ending in "?" may be left out
+# command reads with its kind; a kind ending in "?" may be left out, and a
+# list of kind "triplets!" may not be empty
 ROW_FILES = {
     ("generate", "sets"): ("--sets", {"id": "0", "triplets": TRIPLETS, "partial": False},
-                           {"id": "id", "triplets": "triplets", "partial": "flag?"}),
+                           {"id": "id", "triplets": "triplets!", "partial": "flag?"}),
     ("generate", "demonstrations"): ("generation.demonstrations", {"text": GOOD_ROW["text"], "triplets": TRIPLETS},
-                                     {"text": "text?", "triplets": "triplets"}),
+                                     {"text": "text?", "triplets": "triplets!"}),
     ("generate", "records"): ("generation_records.jsonl", {"set_id": "9", "status": "ok", "completion": "A sentence."},
                               {"set_id": "id", "status": "status", "completion": "text"}),
     **{(command, "datapoints"): ("--datapoints", GOOD_ROW, {"id": "id", "text": "text?", "triplets": "triplets"})
@@ -1000,11 +1019,13 @@ def row_faults(where, good, fields):
         base = {k: v for k, v in other.items() if (field, k) != ("context", "text")}
         if not kind.endswith("?"):
             yield f"{field}-missing", row_line({k: v for k, v in base.items() if k != field}), f"missing key {field!r}"
-        expected, values = KINDS[kind.rstrip("?")]
+        expected, values = KINDS[kind.rstrip("?!")]
         for type_name, value in values.items():
             yield (f"{field}={type_name}", row_line({**base, field: value}),
                    f"{field!r} must be {expected}, got {json.dumps(value)}")
-        if kind == "triplets":
+        if kind == "triplets!":
+            yield "triplets=empty", row_line({**base, "triplets": []}), "'triplets' must not be empty"
+        if kind.startswith("triplets"):
             yield ("r-missing", row_line({**base, "triplets": [{"s": "Alpha", "o": "Beta"}]}),
                    "missing key 'r' in a triplet")
             for type_name, value in KINDS["text"][1].items():
@@ -1140,14 +1161,26 @@ def test_input_that_is_not_utf8_is_validation_error(bad_file, workspace, tmp_pat
 
 
 class CountingPost(ConstantPost):
-    """``ConstantPost`` that keeps the body of every request it answers."""
+    """``ConstantPost`` that keeps the body and headers of every request it answers."""
 
     def __init__(self):
-        self.bodies = []
+        self.bodies, self.headers = [], []
 
     def __call__(self, url, json, headers, timeout):
         self.bodies.append(json)
+        self.headers.append(headers)
         return self
+
+
+def test_generate_sends_the_key_of_the_configured_variable(workspace, tmp_path, monkeypatch):
+    post = CountingPost()
+    monkeypatch.setattr(requests, "post", post)
+    monkeypatch.setenv("OTHER_KEY", "secret")
+    config = generation_config(workspace, tmp_path, "http://127.0.0.1:9/v1/completions", api_key_env="OTHER_KEY")
+    sets = tmp_path / "sets.jsonl"
+    sets.write_text(json.dumps(GOOD_ROW) + "\n", encoding="utf-8")
+    assert run_cli("generate", "--config", config, "--sets", sets) == 0
+    assert [headers.get("Authorization") for headers in post.headers] == ["Bearer secret"]
 
 
 def test_non_json_generation_record_fails_before_any_request(workspace, tmp_path, monkeypatch, capsys):
@@ -1367,6 +1400,23 @@ def test_every_layer_error_is_a_validation_error():
     assert issubclass(pipeline.ValidationError, ValueError)
 
 
+def layer_default(key):
+    """The default of the layer parameter the CLI hands config ``key`` to, or
+    ``cli.DEFAULTS``' when no layer owns it (None: it has none)."""
+    from kgsynth import metrics, sampler, textgen
+    from kgsynth.decoder import DecodeParams
+
+    owners = {"sampler": sampler.SamplerConfig, "decode": DecodeParams, "metrics": metrics.evaluate,
+              "generation.api_key_env": textgen.EndpointConfig, "generation.price_per_1k_tokens": textgen.CostLedger,
+              **dict.fromkeys(("generation.concurrency", "generation.max_attempts", "generation.backoff_base"),
+                              textgen.CompletionClient)}
+    owner = owners.get(key) or owners.get(key.partition(".")[0])
+    if owner is None:
+        return cli.DEFAULTS.get(key)
+    assert key not in cli.DEFAULTS  # a default is written in one place
+    return inspect.signature(owner).parameters[key.rpartition(".")[2]].default
+
+
 def test_readme_config_example_lists_every_key_the_cli_reads(tmp_path, caplog):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     example = tmp_path / "pipeline.yaml"
@@ -1376,8 +1426,10 @@ def test_readme_config_example_lists_every_key_the_cli_reads(tmp_path, caplog):
     documented = {f"{name}.{key}": value for name, section in cfg.items() if isinstance(section, dict) for key, value in section.items()}
     documented |= {name: value for name, value in cfg.items() if not isinstance(value, dict)}
     assert set(documented) == set(cli.SETTINGS)
-    # every key is set to its default but those without one, which the example fills in
-    given = {key for key, (_, default) in cli.SETTINGS.items() if documented[key] != default}
+    # every key is set to the default the program applies but those without
+    # one, which the example fills in
+    defaults = {key: layer_default(key) for key in cli.SETTINGS}
+    given = {key for key in cli.SETTINGS if documented[key] != defaults[key]}
     assert given == {"paths.edges", "paths.entity_labels", "paths.relation_labels", "paths.graph",
                      "generation.endpoint", "generation.demonstrations"}
-    assert all(cli.SETTINGS[key][1] is None for key in given)
+    assert all(defaults[key] is None for key in given)

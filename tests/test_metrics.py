@@ -470,7 +470,7 @@ def reference_report(pairs, n, seed, mode, train_counts):
         table = recount_relations(ps)
         return (*metrics._prf(*metrics._sums(table.values())), *metrics._macro(table, mode))
 
-    report = metrics.MetricsReport(n_bootstrap=n, seed=seed, macro_f1_mode=mode)
+    report = metrics.MetricsReport(n_bootstrap=n, level=0.95, seed=seed, macro_f1_mode=mode)
     cis = metrics.bootstrap_ci(pairs, scores, n=n, seed=seed)
     names = ("precision", "recall", "f1")
     report.micro = {name: dict(zip(("point", "lower", "upper"), ci)) for name, ci in zip(names, cis[:3])}

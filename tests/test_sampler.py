@@ -77,23 +77,18 @@ def test_set_size_empirical_mean(tiny_graph):
 # --- coherence weights ---
 
 def test_coherence_weight_formula():
-    distinct = [10, 20, 30]  # ranks 1, 2, 3
-    assert sampler.coherence_weight(10, distinct, 7.0) == 2187  # (3+1-1)^7
-    assert sampler.coherence_weight(20, distinct, 7.0) == 128  # 2^7
-    assert sampler.coherence_weight(30, distinct, 7.0) == 1  # 1^7
-    assert sampler.coherence_weight(99, distinct, 7.0) == 1.0
+    # ranks 1, 2, 3 of three distinct entities: (3+1-1)^7, 2^7, 1^7
+    assert sampler._rank_weights(3, 7.0) == [2187, 128, 1]
 
 
 def test_coherence_weight_unbiased():
-    distinct = [1, 2, 3, 4]
-    assert all(sampler.coherence_weight(e, distinct, 0.0) == 1.0 for e in distinct)
+    assert sampler._rank_weights(4, 0.0) == [1.0] * 4
 
 
 @pytest.mark.parametrize("n,bf", [(2, 1.0), (5, 7.0), (9, 3.0)])
 def test_coherence_ratio_scale(n, bf):
-    distinct = list(range(n))
-    ratio = sampler.coherence_weight(0, distinct, bf) / sampler.coherence_weight(n - 1, distinct, bf)
-    assert ratio == pytest.approx(n**bf)
+    weights = sampler._rank_weights(n, bf)
+    assert weights[0] / weights[-1] == pytest.approx(n**bf)
 
 
 # --- reweighting ---
@@ -214,7 +209,6 @@ def test_edge_start_target_one(tiny_graph):
     start = Triplet(0, 0, 1)
     ts = sampler.sample_triplet_set(state, tiny_graph, cfg, start, target_size=1)
     assert ts.triplets == [start]
-    assert ts.distinct_entities == [0, 1]
     assert not ts.partial
 
 
