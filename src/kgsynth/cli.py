@@ -464,31 +464,28 @@ def cmd_decode(stage: Stage) -> int:
     from .catalog import read_graph_file
     from .decoder import ConstraintEngine, DecodeParams, ScorerError, SubprocessScorer, UniformScorer
 
-    # the output depends on the catalogs alone: only the header line is read
-    entities, relations = read_graph_file(stage.input("paths.graph"))[:2]
+    graph_path = stage.input("paths.graph")
     inputs_path = stage.input("inputs")
     variant = make_schema(stage.cfg)
     tokenizer = make_tokenizer(stage.cfg)
-
-    entity_trie, entity_counts = catalog_trie(entities.labels, tokenizer, entity=True)
-    relation_trie, relation_counts = catalog_trie(relations.labels, tokenizer, entity=False)
-    catalog = {"entities": entity_counts, "relations": relation_counts}
-    dropped = {name: counts["dropped"] for name, counts in catalog.items() if any(counts["dropped"].values())}
-    if dropped:
-        log.warning("decode left catalog labels out: %s", json.dumps(dropped, sort_keys=True))
-    engine = ConstraintEngine(variant, tokenizer, entity_trie, relation_trie)
     params = DecodeParams(**given(stage.cfg, "decode"))
-
-    entity_labels = set(entities.labels)
-    relation_labels = set(relations.labels)
     decoded = 0
     with JsonlSink(stage.output("predictions.jsonl")) as sink:
         done = {row.row_id() for row in sink.rows}  # read whole before the scorer starts
-        if stage.args.scorer_cmd:
-            scorer = SubprocessScorer(stage.args.scorer_cmd, tokenizer.vocab_size, shell=True)
-        else:
-            scorer = UniformScorer(tokenizer.vocab_size)
-        try:
+        # the scorer starts up while the catalogs are read and their tries built
+        with (SubprocessScorer(stage.args.scorer_cmd, tokenizer.vocab_size) if stage.args.scorer_cmd
+              else UniformScorer(tokenizer.vocab_size)) as scorer:
+            # the output depends on the catalogs alone: only the header line is read
+            entities, relations = read_graph_file(graph_path)[:2]
+            entity_trie, entity_counts = catalog_trie(entities.labels, tokenizer, entity=True)
+            relation_trie, relation_counts = catalog_trie(relations.labels, tokenizer, entity=False)
+            catalog = {"entities": entity_counts, "relations": relation_counts}
+            dropped = {name: counts["dropped"] for name, counts in catalog.items() if any(counts["dropped"].values())}
+            if dropped:
+                log.warning("decode left catalog labels out: %s", json.dumps(dropped, sort_keys=True))
+            engine = ConstraintEngine(variant, tokenizer, entity_trie, relation_trie)
+            entity_labels = set(entities.labels)
+            relation_labels = set(relations.labels)
             for doc_id, raw in _id_rows(inputs_path):
                 if doc_id in done:
                     continue
@@ -507,9 +504,6 @@ def cmd_decode(stage: Stage) -> int:
                     "truncated": not best.finished,
                 })
                 decoded += 1
-        finally:
-            if isinstance(scorer, SubprocessScorer):
-                scorer.close()
     stage.snapshot = {"schema": variant.value, "decode": stage.cfg.get("decode") or {}, "catalog": catalog}
     print(f"decoded {decoded} inputs ({len(done)} predictions kept from an earlier run)")
     return EXIT_OK

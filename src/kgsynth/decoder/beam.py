@@ -7,6 +7,7 @@ log-probabilities (end-of-sequence included) by length**length_penalty.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from ..codec import Variant
@@ -84,24 +85,23 @@ def constrained_beam_search(
             break
         at_limit = step == params.max_length
         rows = scorer.score_many(input_context, [b.tokens for b in beams])
-        candidates: list[tuple[float, int, int, int]] = []  # (score, 0 for eos, token, beam)
+        candidates: list[tuple[float, int, int, int]] = []  # (-score, 0 for eos, token, beam): its sort key
         for bi, beam in enumerate(beams):
             allowed, eos_ok = engine.allowed_next(beam.state)
             row = rows[bi]
             if eos_ok:
-                candidates.append((beam.score + float(row[eos_id]), 0, eos_id, bi))
+                candidates.append((-(beam.score + float(row[eos_id])), 0, eos_id, bi))
             if not at_limit:
                 for token in allowed:
-                    candidates.append((beam.score + float(row[token]), 1, token, bi))
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2], c[3]))
+                    candidates.append((-(beam.score + float(row[token])), 1, token, bi))
         next_beams: list[_Beam] = []
-        for score, eos_rank, token, bi in candidates[: params.num_beams]:
+        for negated, eos_rank, token, bi in heapq.nsmallest(params.num_beams, candidates):
             parent = beams[bi]
             if eos_rank == 0:
-                hypothesis = ranked(parent.tokens, score, True)
+                hypothesis = ranked(parent.tokens, -negated, True)
                 best = hypothesis if best is None else min(best, hypothesis)
             else:
-                next_beams.append(_Beam(parent.tokens + (token,), score, engine.advance(parent.state, token)))
+                next_beams.append(_Beam(parent.tokens + (token,), -negated, engine.advance(parent.state, token)))
         if not at_limit:
             beams = next_beams  # at the limit, unfinished beams stay as the truncated fallback
 

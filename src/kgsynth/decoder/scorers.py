@@ -3,7 +3,8 @@
 A scorer maps (input context, generated prefixes) to finite log-probabilities
 over the full vocabulary, one list of floats per prefix. The engine queries
 all live beams in one ``score_many`` call per step, which hands the batch to
-the ``_score_batch`` each scorer implements. The ``SubprocessScorer`` speaks a
+the ``_score_batch`` each scorer implements. Every scorer is a context
+manager that closes it on exit. The ``SubprocessScorer`` speaks a
 newline-delimited JSON protocol, which lets an external model process in any
 ecosystem serve the probabilities.
 """
@@ -40,6 +41,15 @@ class Scorer(ABC):
         # Scorer.score_many (bench/spans.py) times every scorer's steps
         ...
 
+    def close(self):
+        """Release what the scorer holds; only a process-backed one holds anything."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
 
 class UniformScorer(Scorer):
     """Equal mass on every token."""
@@ -65,15 +75,15 @@ class SubprocessScorer(Scorer):
     of all its prefixes before it reads the first reply; while the scorer's
     input pipe is full, replies are read as they come, so neither side
     blocks on the other. A scorer that sends nothing for ``READ_TIMEOUT_S``
-    has hung, which is a ``ScorerError``. The scorer runs in a process
-    group of its own, which ``close`` ends as a whole, so a scorer that a
-    shell started does not outlive its shell.
+    has hung, which is a ``ScorerError``. ``command`` is a shell command
+    line, run by ``/bin/sh`` in a process group of its own, which ``close``
+    ends as a whole, so a scorer that the shell started does not outlive it.
     """
 
-    def __init__(self, command: Sequence[str] | str, vocab_size: int, shell: bool = False):
+    def __init__(self, command: str, vocab_size: int):
         self.vocab_size = vocab_size
         self._proc = subprocess.Popen(
-            command, shell=shell, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0, start_new_session=True
+            command, shell=True, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0, start_new_session=True
         )
         self._in = self._proc.stdin.fileno()
         self._out = self._proc.stdout.fileno()
@@ -176,10 +186,3 @@ class SubprocessScorer(Scorer):
             pass  # the group has ended
         self._proc.wait()
         self._proc.stdout.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False

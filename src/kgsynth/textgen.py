@@ -91,8 +91,8 @@ class PromptTemplate:
     def from_file(cls, path) -> "PromptTemplate":
         """The template in the YAML file ``path``, a filesystem path or an
         importlib.resources traversable. A file that is not UTF-8 or not
-        YAML, has no ``instruction``, or has a ``num_demonstrations`` that
-        is not an int is a TemplateError naming ``path``."""
+        YAML, has no ``instruction``, or has a field that is not a string
+        (``num_demonstrations``: an int) is a TemplateError naming ``path``."""
         source = path if hasattr(path, "read_text") else Path(path)
         try:
             raw = yaml.safe_load(source.read_text(encoding="utf-8"))
@@ -102,14 +102,14 @@ class PromptTemplate:
             raise TemplateError(f"{path}: not valid YAML ({exc})") from None
         if not isinstance(raw, dict) or "instruction" not in raw:
             raise TemplateError(f"{path}: expected a mapping with an 'instruction' key")
-        count = raw.get("num_demonstrations", 0)
-        if isinstance(count, bool) or not isinstance(count, int):
-            raise TemplateError(f"{path}: num_demonstrations must be an int, got {count!r}")
-        return cls(
-            instruction=str(raw["instruction"]),
-            demonstration_format=str(raw.get("demonstration_format", cls.demonstration_format)),
-            num_demonstrations=count,
-        )
+        fields = {"instruction": raw["instruction"],
+                  "demonstration_format": raw.get("demonstration_format", cls.demonstration_format),
+                  "num_demonstrations": raw.get("num_demonstrations", 0)}
+        for key, value in fields.items():
+            kind, name = (int, "an int") if key == "num_demonstrations" else (str, "a string")
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise TemplateError(f"{path}: {key} must be {name}, got {value!r}")
+        return cls(**fields)
 
     def render_demo(self, triplets: Iterable[tuple[str, str, str]], text: str) -> str:
         return self.demonstration_format.replace(TRIPLETS_PLACEHOLDER, render_triplets(triplets)).replace(
@@ -329,12 +329,12 @@ class CompletionClient:
                 choice = payload["choices"][0]
                 completion = self._strip_stop(str(choice.get("text", "")))
                 finish_reason = str(choice.get("finish_reason", ""))
-            except (KeyError, IndexError, TypeError):
+                usage = payload.get("usage") or {}
+                prompt_tokens = int(usage.get("prompt_tokens", estimate_tokens(prompt)))
+                completion_tokens = int(usage.get("completion_tokens", estimate_tokens(completion)))
+                total = int(usage.get("total_tokens", prompt_tokens + completion_tokens))
+            except (KeyError, IndexError, TypeError, AttributeError, ValueError, OverflowError):
                 return self._failed(set_id, prompt, "malformed response", attempt)
-            usage = payload.get("usage") or {}
-            prompt_tokens = int(usage.get("prompt_tokens", estimate_tokens(prompt)))
-            completion_tokens = int(usage.get("completion_tokens", estimate_tokens(completion)))
-            total = int(usage.get("total_tokens", prompt_tokens + completion_tokens))
             self.ledger.add(total, requests=0)
             return GenerationRecord(
                 set_id=str(set_id),

@@ -628,6 +628,34 @@ def test_generate_partial_failure_exit_code(workspace, tmp_path, mock_endpoint):
     assert (code == 3) == bool(failed)
 
 
+@pytest.mark.parametrize("payload", [
+    {"choices": ["oops"]},
+    {"choices": [{"text": "x"}], "usage": ["x"]},
+    {"choices": [{"text": "x"}], "usage": {"prompt_tokens": None}},
+    {"choices": [{"text": "x"}], "usage": {"total_tokens": "many"}},
+], ids=["choice-not-object", "usage-not-object", "count-null", "count-not-a-number"])
+def test_malformed_200_response_is_a_failed_record(payload, workspace, tmp_path, monkeypatch):
+    # the set about Gamma is answered with the malformed payload, the other well
+    class Post(ConstantPost):
+        def __call__(self, url, json, headers, timeout):
+            return ConstantPost() if "Gamma" not in json["prompt"] else self
+
+        def json(self):
+            return payload
+
+    monkeypatch.setattr(requests, "post", Post())
+    config = generation_config(workspace, tmp_path, "http://127.0.0.1:9/v1/completions")
+    sets = tmp_path / "sets.jsonl"
+    sets.write_text(json.dumps(GOOD_ROW) + "\n" + json.dumps(
+        {"id": "1", "triplets": [{"s": "Beta", "r": "part of", "o": "Gamma"}]}) + "\n", encoding="utf-8")
+    assert run_cli("generate", "--config", config, "--sets", sets) == 3
+    out = workspace["out"]
+    records = {r["set_id"]: r for r in map(json.loads, (out / "generation_records.jsonl").read_text().splitlines())}
+    assert (records["1"]["status"], records["1"]["error"], records["1"]["attempts"]) == ("failed", "malformed response", 1)
+    assert [json.loads(line)["id"] for line in (out / "datapoints.jsonl").read_text().splitlines()] == ["0"]
+    assert (out / "generate.manifest.json").exists()
+
+
 def test_unknown_tokenizer_is_validation_error(workspace, tmp_path):
     cfg = dict(workspace["raw"], tokenizer="quantum")
     path = tmp_path / "bad_tok.yaml"
@@ -694,7 +722,12 @@ def test_delimiter_the_tokenizer_cannot_encode_is_validation_error(workspace, tm
     (b"instruction: [x\n", "not valid YAML"),
     (b"instruction: x\nnum_demonstrations: two\n", "num_demonstrations must be an int, got 'two'"),
     (b"instruction: x\nnum_demonstrations: true\n", "num_demonstrations must be an int, got True"),
-], ids=["not-utf8", "not-yaml", "count-not-int", "count-bool"])
+    (b"instruction: null\n", "instruction must be a string, got None"),
+    (b"instruction: [a, b]\n", "instruction must be a string, got ['a', 'b']"),
+    (b"instruction: x\ndemonstration_format: 5\n", "demonstration_format must be a string, got 5"),
+    (b"instruction: x\ndemonstration_format: null\n", "demonstration_format must be a string, got None"),
+], ids=["not-utf8", "not-yaml", "count-not-int", "count-bool", "instruction-null", "instruction-list",
+        "format-int", "format-null"])
 def test_malformed_template_is_validation_error_naming_the_file(content, message, workspace, tmp_path, capsys):
     template = tmp_path / "template.yaml"
     template.write_bytes(content)
@@ -1099,6 +1132,30 @@ def test_decode_over_a_bad_resume_row_leaves_no_scorer_running(workspace, tmp_pa
         assert run_cli("decode", "--config", workspace["config"], "--inputs", inputs, "--scorer-cmd", "exec sleep 7") == 1
         assert f"{predictions}:1: 'id' must be a string or an integer, got [0]" in capsys.readouterr().err
         assert [scorer for scorer in made if scorer._proc.poll() is None] == []
+    finally:
+        for scorer in made:
+            scorer.close()
+
+
+def test_decode_over_an_unreadable_graph_file_leaves_no_scorer_running(workspace, tmp_path, monkeypatch, capsys):
+    # the scorer starts before the graph header is read: the error must end it
+    made = []
+    make = scorers.SubprocessScorer.__init__
+    monkeypatch.setattr(scorers.SubprocessScorer, "__init__", lambda self, *args, **kwargs: (
+        made.append(self), make(self, *args, **kwargs))[1])
+    graph = tmp_path / "graph.json"
+    graph.write_text("edges\tnot a graph file\n", encoding="utf-8")
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump({**workspace["raw"], "paths": {**workspace["raw"]["paths"], "graph": str(graph)}}),
+                      encoding="utf-8")
+    inputs = tmp_path / "inputs.jsonl"
+    inputs.write_text(json.dumps(GOOD_ROW) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    try:
+        assert run_cli("decode", "--config", config, "--inputs", inputs, "--scorer-cmd", "exec sleep 7") == 1
+        assert f"{graph}: not a readable graph file" in capsys.readouterr().err
+        assert not (workspace["out"] / "decode.manifest.json").exists()
+        assert len(made) == 1 and made[0]._proc.poll() is not None
     finally:
         for scorer in made:
             scorer.close()

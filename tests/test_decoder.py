@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -767,7 +768,7 @@ def test_subprocess_scorer_protocol(tmp_path, fe_engine):
     script = tmp_path / "scorer.py"
     script.write_text(SCORER_SCRIPT, encoding="utf-8")
     vocab = fe_engine.tokenizer.vocab_size
-    with SubprocessScorer([sys.executable, str(script), str(vocab)], vocab) as scorer:
+    with SubprocessScorer(shlex.join([sys.executable, str(script), str(vocab)]), vocab) as scorer:
         rows = scorer.score_many("ctx", [[1, 2, 3]])
         assert len(rows) == 1 and len(rows[0]) == vocab
         row = rows[0]
@@ -786,7 +787,7 @@ def test_subprocess_scorer_rejects_bad_row(tmp_path):
         "    sys.stdout.flush()\n",
         encoding="utf-8",
     )
-    with SubprocessScorer([sys.executable, str(script)], vocab_size=5) as scorer:
+    with SubprocessScorer(shlex.join([sys.executable, str(script)]), vocab_size=5) as scorer:
         with pytest.raises(RuntimeError, match="expected 5"):
             scorer.score_many("", [[]])[0]
 
@@ -798,7 +799,7 @@ def test_subprocess_scorer_rejects_bad_row(tmp_path):
 ], ids=["replies", "input-pipe-room", "ignores-sigterm"])
 def test_silent_scorer_times_out_and_is_reaped(command, context_bytes, monkeypatch):
     monkeypatch.setattr(scorers, "READ_TIMEOUT_S", 1.0)
-    with SubprocessScorer(command, vocab_size=5, shell=True) as scorer:
+    with SubprocessScorer(command, vocab_size=5) as scorer:
         with pytest.raises(ScorerError, match="scorer process sent nothing for 1 s"):
             scorer.score_many("x" * context_bytes, [[]])
     assert scorer._proc.returncode is not None
@@ -807,7 +808,7 @@ def test_silent_scorer_times_out_and_is_reaped(command, context_bytes, monkeypat
 def test_close_ends_every_process_a_shell_scorer_started():
     # the shell forks sleep before it echoes; SIGTERM to the shell alone
     # would leave sleep running
-    scorer = SubprocessScorer("sleep 37 & echo started; wait", vocab_size=5, shell=True)
+    scorer = SubprocessScorer("sleep 37 & echo started; wait", vocab_size=5)
     assert os.read(scorer._out, 8) == b"started\n"
     group = os.getpgid(scorer._proc.pid)
     scorer.close()
@@ -850,7 +851,7 @@ def test_pipelined_scores_equal_row_by_row(tmp_path):
     vocab = 11
     rng = np.random.default_rng(5)
     contexts = ["", "plain", 'Zürich – 東京 "quoted" back\\slash\nnew line   🎉']
-    with SubprocessScorer([sys.executable, str(script), str(vocab)], vocab) as scorer:
+    with SubprocessScorer(shlex.join([sys.executable, str(script), str(vocab)]), vocab) as scorer:
         previous = [()]
         for step in range(60):
             context = contexts[step % len(contexts)]
@@ -870,6 +871,7 @@ def test_pipelined_scores_equal_row_by_row(tmp_path):
 
 
 DEADLOCK_PROBE = """\
+import shlex
 import sys
 import time
 from kgsynth.decoder import SubprocessScorer
@@ -877,7 +879,7 @@ from kgsynth.decoder import SubprocessScorer
 script, vocab, beams, context_bytes = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
 context = "x" * context_bytes
 prefixes = [tuple(range(b + 1)) for b in range(beams)]
-with SubprocessScorer([sys.executable, script, str(vocab)], vocab) as scorer:
+with SubprocessScorer(shlex.join([sys.executable, script, str(vocab)]), vocab) as scorer:
     for _ in range(2):
         rows = scorer.score_many(context, prefixes)
         assert len(rows) == beams and all(len(row) == vocab for row in rows)
