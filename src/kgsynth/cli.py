@@ -168,12 +168,14 @@ def given(cfg: dict, section: str, *names: str) -> dict:
 
 def existing(path, what: str) -> Path:
     """``path``, which ``what`` (a flag or a config key) names, if it is
-    given and exists."""
+    given and is a regular file."""
     if path is None:
         raise ConfigError(f"{what} is required")
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"{what}: file not found: {path}")
+    if not path.is_file():
+        raise ConfigError(f"{what}: not a file: {path}")
     return path
 
 
@@ -279,7 +281,10 @@ def cmd_sample(stage: Stage) -> int:
     n = stage.args.n
     if n < 1:
         raise ConfigError(f"--n must be >= 1, got {n}")
-    graph = load_graph(stage.input("paths.graph"))
+    graph_path = stage.input("paths.graph")
+    graph = load_graph(graph_path)
+    if not len(graph.edges):
+        raise InputError(f"{graph_path}: the graph has no edges to sample")
     scfg = sampler.SamplerConfig(**given(stage.cfg, "sampler"), seed=stage.seed)
     with open(stage.output("triplet_sets.jsonl"), "w", encoding="utf-8") as fh:
         summary = sampler.write_dataset_jsonl(graph, scfg, n, fh)

@@ -13,7 +13,7 @@ import logging
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -190,21 +190,6 @@ class KnowledgeGraph:
         for array in index:
             array.flags.writeable = False  # accessors hand out views
         return index
-
-    @classmethod
-    def from_triples(
-        cls,
-        entity_labels: Sequence[str],
-        relation_labels: Sequence[str],
-        triples: Iterable[tuple[int, int, int]],
-    ) -> "KnowledgeGraph":
-        """Build a graph directly from dense-index triples (fixtures, tests),
-        with external ids ``E<i>`` and ``R<i>``; repeated triples keep their
-        first appearance."""
-        ents = Catalog(tuple(entity_labels), tuple(f"E{i}" for i in range(len(entity_labels))))
-        rels = Catalog(tuple(relation_labels), tuple(f"R{i}" for i in range(len(relation_labels))))
-        edges = _checked_edges(np.array(list(triples), dtype=np.int64).reshape(-1, 3), len(ents), len(rels))
-        return cls(ents, rels, _first_occurrences(edges, len(ents), len(rels)))
 
     def triplet(self, edge_id: int) -> Triplet:
         """The (subject, relation, object) of edge ``edge_id``."""

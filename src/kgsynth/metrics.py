@@ -90,12 +90,6 @@ class CountIndex:
         return {r: tuple(row) for r, row in zip(self.relations, rows) if row[1] or row[2]}
 
 
-def relation_counts(pairs: Sequence[EvalPair]) -> dict[Hashable, tuple[int, int, int]]:
-    """``relation -> (correct, predicted, gold)`` fact counts over all pairs,
-    in the order and with the omissions of ``CountIndex.table``."""
-    return CountIndex(pairs).table(range(len(pairs)))
-
-
 def _sums(rows: Iterable[tuple[int, int, int]]) -> tuple[int, int, int]:
     """Column sums of (correct, predicted, gold) rows."""
     return tuple(map(sum, zip((0, 0, 0), *rows)))
@@ -114,21 +108,6 @@ def _macro(table: Mapping[Hashable, tuple[int, int, int]], f1_mode: str) -> tupl
     else:
         macro_f = f1(macro_p, macro_r)
     return macro_p, macro_r, macro_f
-
-
-def micro_scores(pairs: Sequence[EvalPair]) -> tuple[float, float, float]:
-    """Corpus-level precision/recall/F1 weighting every fact equally."""
-    return _prf(*_sums(relation_counts(pairs).values()))
-
-
-def macro_scores(pairs: Sequence[EvalPair], f1_mode: str = "mean_of_f1") -> tuple[float, float, float]:
-    """Relation-averaged precision/recall/F1.
-
-    Only relations occurring in gold or predictions enter the average.
-    ``f1_mode`` selects the mean of per-relation F1 values (default) or the
-    harmonic mean of macro-P and macro-R.
-    """
-    return _macro(relation_counts(pairs), f1_mode)
 
 
 def bootstrap_ci(
@@ -195,9 +174,6 @@ class RelationStats:
     q3: float
     maximum: float
     cdf: list[tuple[int, float]]
-
-    def summary(self) -> tuple[float, float, float, float, float]:
-        return (self.minimum, self.q1, self.median, self.q3, self.maximum)
 
 
 def relation_stats(triplet_sets: Iterable[Iterable[Fact]]) -> RelationStats:

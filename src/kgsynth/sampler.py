@@ -301,13 +301,14 @@ def sample_triplet_set(
     return TripletSet(triplets, partial=len(triplets) < target_size)
 
 
-def sample_dataset(graph: KnowledgeGraph, config: SamplerConfig, n_sets: int) -> Iterator[TripletSet]:
-    """Stream ``n_sets`` triplet sets, recomputing the reweighted
-    distributions after every reweight_interval sampled sets. Fully
-    deterministic for a fixed (graph, config) pair."""
+def sample_dataset(graph: KnowledgeGraph, state: SamplerState, n_sets: int) -> Iterator[TripletSet]:
+    """Stream ``n_sets`` triplet sets drawn with ``state``, which counts
+    them, recomputing the reweighted distributions after every
+    reweight_interval sampled sets. Fully deterministic for a fixed graph
+    and a fresh state of a fixed config."""
     if n_sets < 1:
         raise ValueError("n_sets must be >= 1")
-    state = SamplerState(graph, config)
+    config = state.config
     for _ in range(n_sets):
         start = sample_start(state, graph, config)
         yield sample_triplet_set(state, graph, config, start)
@@ -317,25 +318,18 @@ def sample_dataset(graph: KnowledgeGraph, config: SamplerConfig, n_sets: int) ->
 
 def write_dataset_jsonl(graph: KnowledgeGraph, config: SamplerConfig, n_sets: int, fh) -> dict:
     """Sample to an open text stream as one JSON object per line; returns
-    coverage summary statistics."""
-    entity_cover = np.zeros(len(graph.entities), dtype=np.int64)
-    relation_cover = np.zeros(len(graph.relations), dtype=np.int64)
+    coverage summary statistics, read from the sampler's own counts."""
+    state = SamplerState(graph, config)
     n_partial = 0
-    sizes = []
-    for i, ts in enumerate(sample_dataset(graph, config, n_sets)):
+    for i, ts in enumerate(sample_dataset(graph, state, n_sets)):
         fh.write(jsonl_line(ts.to_record(graph, i)))
-        sizes.append(len(ts.triplets))
-        n_partial += int(ts.partial)
-        for t in ts.triplets:
-            entity_cover[t.subject] += 1
-            entity_cover[t.object] += 1
-            relation_cover[t.relation] += 1
-    rc = relation_cover.astype(float)
+        n_partial += ts.partial
+    rc = state.relation_counts.astype(float)
     return {
         "sets": n_sets,
         "partial_sets": n_partial,
-        "mean_set_size": float(np.mean(sizes)),
-        "entities_covered": int((entity_cover > 0).sum()),
-        "relations_covered": int((relation_cover > 0).sum()),
+        "mean_set_size": float(state.relation_counts.sum() / n_sets),  # one relation per triplet
+        "entities_covered": int(np.count_nonzero(state.entity_counts)),
+        "relations_covered": int(np.count_nonzero(state.relation_counts)),
         "relation_count_cv": float(rc.std() / rc.mean()) if rc.mean() > 0 else math.nan,
     }

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from graph_builder import from_triples
 from kgsynth import kgstore, sampler
 from kgsynth.pipeline import triplet_rows
 
@@ -31,7 +32,7 @@ def graph_file_bytes(graph, rows=None, **header) -> bytes:
 @pytest.fixture
 def tiny_graph():
     """4 entities, 2 relations, 4 hand-enumerable edges."""
-    return kgstore.KnowledgeGraph.from_triples(
+    return from_triples(
         ["Alpha", "Beta", "Gamma", "Delta"],
         ["linked to", "part of"],
         [
@@ -46,7 +47,7 @@ def tiny_graph():
 @pytest.fixture
 def path_graph():
     """A - B - C chain with distinct relations."""
-    return kgstore.KnowledgeGraph.from_triples(
+    return from_triples(
         ["A", "B", "C"],
         ["r1", "r2"],
         [(0, 0, 1), (1, 1, 2)],
@@ -91,7 +92,7 @@ def make_zipf_kg(
                     count += 1
                     if count == n_edges_r:
                         break
-    graph = kgstore.KnowledgeGraph.from_triples(
+    graph = from_triples(
         [f"Entity {i}" for i in range(n_entities)],
         [f"relation {j}" for j in range(n_relations)],
         triples,
@@ -123,7 +124,7 @@ def make_datapoints(n: int, seed: int):
         return f"that {label.split()[-1]}" if rng.random() < PARAPHRASE_SHARE else label
 
     graph = default_zipf_kg()
-    for i, ts in enumerate(sampler.sample_dataset(graph, sampler.SamplerConfig(seed=seed), n)):
+    for i, ts in enumerate(sampler.sample_dataset(graph, sampler.SamplerState(graph, sampler.SamplerConfig(seed=seed)), n)):
         triplets = [graph.triplet_labels(t) for t in ts.triplets]
         text = " ".join(f"{mention(s)} {r} {mention(o)}." for s, r, o in triplets)
         yield {"id": str(i), "text": text, "triplets": triplet_rows(triplets)}

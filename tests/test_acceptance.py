@@ -30,7 +30,8 @@ from kgsynth.metrics import EvalPair
 from conftest import make_zipf_kg
 from engine_replay import accepts
 from fake_scorers import AdversarialScorer
-from test_metrics import brute_force_macro, brute_force_micro, random_instance, sort_oracle_quartiles
+from score_points import macro_scores, micro_scores
+from test_metrics import brute_force_macro, brute_force_micro, five_numbers, random_instance, sort_oracle_quartiles
 
 FE = Variant.FE
 SC = Variant.SC
@@ -103,8 +104,8 @@ def test_criterion_03_metrics_oracle_equivalence():
     rng = random.Random(31337)
     for _ in range(1000):
         pairs = random_instance(rng, max_docs=8, max_triplets=6)
-        assert metrics.micro_scores(pairs) == brute_force_micro(pairs)
-        assert metrics.macro_scores(pairs) == brute_force_macro(pairs)
+        assert micro_scores(pairs) == brute_force_micro(pairs)
+        assert macro_scores(pairs) == brute_force_macro(pairs)
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
     report("3 metrics oracle", f"1000 instances, all six scores exactly equal, {elapsed:.1f}s < 30s")
@@ -118,7 +119,7 @@ def test_criterion_04_bootstrap_determinism_and_degeneracy():
         EvalPair.make("d2", {("c", "r", "d")}, {("c", "r", "e")}),
         EvalPair.make("d3", set(), {("x", "q", "y")}),
     ]
-    fn = lambda ps: metrics.micro_scores(ps)[2]
+    fn = lambda ps: micro_scores(ps)[2]
     first = metrics.bootstrap_ci(pairs, fn, seed=17)
     second = metrics.bootstrap_ci(pairs, fn, seed=17)
     assert first == second
@@ -148,14 +149,14 @@ def test_criterion_05_bucketing_and_summaries():
     rebel_counts = [1, 4, 34, 432, 716679]
     flattened = [[("e", f"r{i}", "e")] for i, c in enumerate(rebel_counts) for _ in range(c)]
     stats = metrics.relation_stats(flattened)
-    assert stats.summary() == (1, 4, 34, 432, 716679)
-    assert stats.summary() == pytest.approx(sort_oracle_quartiles(rebel_counts))
+    assert five_numbers(stats) == (1, 4, 34, 432, 716679)
+    assert five_numbers(stats) == pytest.approx(sort_oracle_quartiles(rebel_counts))
 
     rng = random.Random(55)
     for _ in range(50):
         counts = [rng.randint(1, 10_000) for _ in range(rng.randint(2, 12))]
         flattened = [[("e", f"r{i}", "e")] for i, c in enumerate(counts) for _ in range(c)]
-        assert metrics.relation_stats(flattened).summary() == pytest.approx(sort_oracle_quartiles(counts))
+        assert five_numbers(metrics.relation_stats(flattened)) == pytest.approx(sort_oracle_quartiles(counts))
     report("5 bucketing", "34->5, 32->5, 1->0, monotone over spot grid, summaries match sort oracle")
 
 
@@ -168,7 +169,7 @@ def test_criterion_06_sampler_statistics(zipf_kg):
     def run(cfg):
         rel_counts = np.zeros(len(zipf_kg.relations))
         sizes = []
-        for ts in sampler.sample_dataset(zipf_kg, cfg, n_sets):
+        for ts in sampler.sample_dataset(zipf_kg, sampler.SamplerState(zipf_kg, cfg), n_sets):
             sizes.append(len(ts.triplets))
             for t in ts.triplets:
                 rel_counts[t.relation] += 1

@@ -135,6 +135,22 @@ def test_graph_file_with_a_repeated_edge_row_exits_1(workspace, tmp_path, capsys
     assert (tmp_path / "d" / "predictions.jsonl").read_bytes() == (tmp_path / "good" / "predictions.jsonl").read_bytes()
 
 
+@pytest.mark.parametrize("catalogs", [False, True], ids=["empty-export", "catalogs-without-edges"])
+def test_sample_over_a_graph_without_edges_exits_1_naming_it(catalogs, workspace, capsys):
+    graph_path = workspace["out"] / "graph.json"
+    if catalogs:
+        assert run_cli("ingest", "--config", workspace["config"]) == 0
+        graph_path.write_bytes(graph_file_bytes(kgstore.load_graph(graph_path), []))
+    else:
+        (workspace["data"] / "edges.tsv").write_text("", encoding="utf-8")
+        assert run_cli("ingest", "--config", workspace["config"]) == 0
+    capsys.readouterr()
+    assert run_cli("sample", "--config", workspace["config"], "--n", 2) == 1
+    assert capsys.readouterr().err == f"error: {graph_path}: the graph has no edges to sample\n"
+    assert not (workspace["out"] / "triplet_sets.jsonl").exists()
+    assert not (workspace["out"] / "sample.manifest.json").exists()
+
+
 def write_datapoints(path, rows):
     path.write_text(
         "".join(
@@ -695,6 +711,17 @@ def test_prepare_and_decode_under_a_wordpiece_vocab(workspace, tmp_path):
     assert prediction["triplets"] and not prediction["truncated"]
 
 
+# the empty path names the working directory
+@pytest.mark.parametrize("spec, shown", [("wordpiece:", "."), ("wordpiece:{tmp}", "{tmp}")], ids=["empty", "directory"])
+def test_wordpiece_vocab_path_that_is_not_a_file_is_validation_error(spec, shown, workspace, tmp_path, capsys):
+    config = tmp_path / "wordpiece.yaml"
+    config.write_text(yaml.safe_dump(dict(workspace["raw"], tokenizer=spec.format(tmp=tmp_path))), encoding="utf-8")
+    dp = tmp_path / "dp.jsonl"
+    write_datapoints(dp, [{"id": "a", "text": "t", "triplets": [("Alpha", "linked to", "Beta")]}])
+    assert run_cli("prepare", "--config", config, "--datapoints", dp) == 1
+    assert capsys.readouterr().err == f"error: tokenizer: not a file: {shown.format(tmp=tmp_path)}\n"
+
+
 @pytest.mark.parametrize("vocab, message", [("a\nb\na\n", "duplicate pieces in vocabulary"),
                                             ("\n\n", "piece list must be non-empty")])
 def test_bad_wordpiece_vocab_is_validation_error_naming_the_file(vocab, message, workspace, tmp_path, capsys):
@@ -847,20 +874,21 @@ def test_every_stage_checks_its_inputs_and_reruns_to_the_same_manifest(command, 
     assert set(manifest["inputs"]) == hashed
     assert manifest["seed"] == (11 if seeded else None)
 
-    missing = tmp_path / "missing" / "file"
-    if missing_input.startswith("--"):
-        argv = list(argv)
-        argv[argv.index(missing_input) + 1] = missing
-    else:
-        cfg = yaml.safe_load(config.read_text(encoding="utf-8"))
-        cfg["paths"][missing_input.split(".")[1]] = str(missing)
-        config = tmp_path / "missing.yaml"
-        config.write_text(yaml.safe_dump(cfg), encoding="utf-8")
-    capsys.readouterr()
-    assert run_cli(command, "--config", config, *argv) == 1
-    err = capsys.readouterr().err
-    assert f"{missing_input}: file not found: {missing}" in err
-    assert not (out / f"{command}.manifest.json").exists()  # no manifest of the earlier run is left
+    directory = tmp_path / "a directory"
+    directory.mkdir()
+    for bad, message in ((tmp_path / "missing" / "file", "file not found"), (directory, "not a file")):
+        bad_argv, bad_config = list(argv), config
+        if missing_input.startswith("--"):
+            bad_argv[bad_argv.index(missing_input) + 1] = bad
+        else:
+            cfg = yaml.safe_load(config.read_text(encoding="utf-8"))
+            cfg["paths"][missing_input.split(".")[1]] = str(bad)
+            bad_config = tmp_path / "bad.yaml"
+            bad_config.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli(command, "--config", bad_config, *bad_argv) == 1
+        assert f"{missing_input}: {message}: {bad}" in capsys.readouterr().err
+        assert not (out / f"{command}.manifest.json").exists()  # no manifest of the earlier run is left
 
 
 @pytest.mark.parametrize("bad_line", ['{"id": "b", "text": "torn', "[1, 2]"])
@@ -891,97 +919,7 @@ def test_malformed_train_counts_line_is_validation_error(workspace, tmp_path, ca
     assert f"{train_counts}:2:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("repeated", ["predictions", "gold"])
-def test_repeated_eval_id_is_validation_error(workspace, tmp_path, capsys, repeated):
-    row = {"id": "1", "text": "", "triplets": [("Alpha", "linked to", "Beta")]}
-    rows = {"predictions": [row], "gold": [row]}
-    rows[repeated] = [row, {"id": "1", "text": "", "triplets": []}]  # the later row used to win silently
-    preds, gold = eval_files(tmp_path, rows["predictions"], rows["gold"])
-    assert run_cli("eval", "--config", workspace["config"], "--predictions", preds, "--gold", gold) == 1
-    err = capsys.readouterr().err
-    assert "'1'" in err and str(preds if repeated == "predictions" else gold) in err
-    assert not (workspace["out"] / "eval_report.json").exists()
-
-
 GOOD_ROW = {"id": "0", "text": "Alpha is linked to Beta.", "triplets": [{"s": "Alpha", "r": "linked to", "o": "Beta"}]}
-# per subcommand: the flag naming the file that holds the bad row
-ROW_INPUT = {"generate": "--sets", "prepare": "--datapoints", "encode": "--datapoints", "decode": "--inputs",
-             "eval": "--gold", "stats": "--dataset"}
-
-
-def run_on_bad_row(command, bad_row, workspace, tmp_path, capsys):
-    """Run ``command`` on a file whose second row is ``bad_row``, with every
-    other input good; return the exit code, the file and standard error."""
-    config = generation_config(workspace, tmp_path, "http://127.0.0.1:9/v1/completions")
-    if command == "decode":
-        assert run_cli("ingest", "--config", config) == 0
-    rows = tmp_path / "rows.jsonl"
-    rows.write_text(json.dumps(GOOD_ROW) + "\n" + json.dumps(bad_row) + "\n", encoding="utf-8")
-    argv = [ROW_INPUT[command], rows]
-    if command == "eval":
-        preds = tmp_path / "preds.jsonl"
-        preds.write_text(json.dumps(GOOD_ROW) + "\n", encoding="utf-8")
-        argv += ["--predictions", preds]
-    capsys.readouterr()
-    code = run_cli(command, "--config", config, *argv)
-    return code, rows, capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command, bad_row, key", [
-    pytest.param(command, bad_row, key, id=f"{command}-{key}")
-    for command in sorted(ROW_INPUT)
-    for bad_row, key in (({"text": "Gamma is part of Delta."}, "id"), ({"id": "a", "triplets": [{"s": "Alpha"}]}, "r"))
-    # decode reads no triplets
-    if (command, key) != ("decode", "r")
-])
-def test_row_without_a_key_is_validation_error(command, bad_row, key, workspace, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(requests, "post", ConstantPost())
-    searched = []
-    search = cli.constrained_beam_search
-    monkeypatch.setattr(cli, "constrained_beam_search", lambda scorer, context, *args: (
-        searched.append(context), search(scorer, context, *args))[1])
-    code, rows, err = run_on_bad_row(command, bad_row, workspace, tmp_path, capsys)
-    assert code == 1
-    assert f"{rows}:2: missing key '{key}'" in err
-    assert searched == ([GOOD_ROW["text"]] if command == "decode" else [])  # the bad row is never searched
-
-
-@pytest.mark.parametrize("bad_row, message", [
-    ({"id": "x"}, "missing key 'text'"),
-    ({"id": "y", "text": None}, "'text' must be a string, got null"),
-    ({"id": "z", "context": 5}, "'context' must be a string, got 5"),
-], ids=["no-text", "null-text", "int-context"])
-def test_decode_row_without_text_is_validation_error(bad_row, message, workspace, tmp_path, monkeypatch, capsys):
-    searched = []
-    search = cli.constrained_beam_search
-    monkeypatch.setattr(cli, "constrained_beam_search", lambda scorer, context, *args: (
-        searched.append(context), search(scorer, context, *args))[1])
-    code, rows, err = run_on_bad_row("decode", bad_row, workspace, tmp_path, capsys)
-    assert code == 1
-    assert f"{rows}:2: {message}" in err
-    assert searched == [GOOD_ROW["text"]]  # the bad row is never searched
-
-
-@pytest.mark.parametrize("command", ["decode", "encode", "generate", "prepare", "stats"])
-def test_repeated_input_id_is_validation_error(command, workspace, tmp_path, monkeypatch, capsys):
-    post = CountingPost()
-    monkeypatch.setattr(requests, "post", post)
-    repeated = {**GOOD_ROW, "triplets": [{"s": "Beta", "r": "linked to", "o": "Gamma"}]}
-    code, rows, err = run_on_bad_row(command, repeated, workspace, tmp_path, capsys)
-    assert code == 1
-    assert f"{rows}:2: id '0' appears more than once" in err
-    assert post.bodies == []
-
-
-@pytest.mark.parametrize("bad_id", [[1], None, True, 1.5], ids=["list", "null", "bool", "float"])
-@pytest.mark.parametrize("command", sorted(ROW_INPUT))
-def test_row_id_that_is_not_a_string_or_an_integer_is_validation_error(command, bad_id, workspace, tmp_path, monkeypatch, capsys):
-    post = CountingPost()
-    monkeypatch.setattr(requests, "post", post)
-    code, rows, err = run_on_bad_row(command, {**GOOD_ROW, "id": bad_id}, workspace, tmp_path, capsys)
-    assert code == 1
-    assert f"{rows}:2: 'id' must be a string or an integer, got {json.dumps(bad_id)}" in err
-    assert post.bodies == []
 
 
 def test_decode_resumed_over_a_prediction_with_a_list_id_exits_1(workspace, tmp_path, capsys):
@@ -1032,6 +970,10 @@ KINDS = {
 }
 
 
+# the file a command writes only once it has read every row
+REPORTS = {"generate": "datapoints.jsonl", "eval": "eval_report.json", "stats": "relation_stats.json"}
+
+
 def row_line(row) -> bytes:
     return json.dumps(row).encode() + b"\n"
 
@@ -1077,8 +1019,9 @@ ROW_FAULTS = [
 def test_every_row_fault_exits_1_naming_the_line(command, name, bad_line, message, workspace, tmp_path, monkeypatch, capsys):
     """Each row file the command reads holds one good row, and the file
     ``name`` a bad second line: the command exits 1 naming ``path:2`` and
-    the fault, writes no manifest, sends no request, never searches the bad
-    row, and starts no scorer before it has read the rows it resumes from."""
+    the fault, writes no manifest and no report, sends no request, never
+    searches the bad row, and starts no scorer before it has read the rows
+    it resumes from."""
     post, searched, scorers_made = CountingPost(), [], []
     monkeypatch.setattr(requests, "post", post)
     search = cli.constrained_beam_search
@@ -1109,6 +1052,8 @@ def test_every_row_fault_exits_1_naming_the_line(command, name, bad_line, messag
     assert run_cli(command, "--config", config, *argv) == 1
     assert f"{paths[name]}:2: {message}" in capsys.readouterr().err
     assert not (out / f"{command}.manifest.json").exists()
+    if command in REPORTS:
+        assert not (out / REPORTS[command]).exists()
     assert post.bodies == []
     # a decode input before the bad line is searched, unless reading it fails
     # (a file that is not UTF-8 fails at its first read)
@@ -1159,25 +1104,6 @@ def test_decode_over_an_unreadable_graph_file_leaves_no_scorer_running(workspace
     finally:
         for scorer in made:
             scorer.close()
-
-
-@pytest.mark.parametrize("command", ["encode", "prepare"])
-def test_datapoint_text_that_is_not_a_string_is_validation_error(command, workspace, tmp_path, capsys):
-    code, rows, err = run_on_bad_row(command, {**GOOD_ROW, "id": "1", "text": 5}, workspace, tmp_path, capsys)
-    assert code == 1
-    assert f"{rows}:2: 'text' must be a string, got 5" in err
-
-
-@pytest.mark.parametrize("label", [1, ["Alpha"], None], ids=["int", "list", "null"])
-@pytest.mark.parametrize("command", sorted(set(ROW_INPUT) - {"decode"}))  # decode reads no triplets
-def test_triplet_label_that_is_not_a_string_is_validation_error(command, label, workspace, tmp_path, monkeypatch, capsys):
-    post = CountingPost()
-    monkeypatch.setattr(requests, "post", post)
-    bad_row = {"id": "a", "text": "Alpha x Beta", "triplets": [{"s": "Alpha", "r": "x", "o": label}]}
-    code, rows, err = run_on_bad_row(command, bad_row, workspace, tmp_path, capsys)
-    assert code == 1
-    assert f"{rows}:2: triplet key 'o' must be a string, got {json.dumps(label)}" in err
-    assert post.bodies == []
 
 
 BAD_UTF8_LINE = {

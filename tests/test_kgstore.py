@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import BASE64_LAYOUT, graph_file_bytes
+from graph_builder import from_triples
 from kgsynth import catalog, kgstore
 from kgsynth.kgstore import KgError, Triplet
 from kgsynth.pipeline import InputError
@@ -200,7 +201,7 @@ def test_ingest_ignores_entity_flags_and_drops_literal_edges_unchecked(tmp_path)
 
 
 def test_filter_zero_degree_removes_isolated_entity():
-    graph = kgstore.KnowledgeGraph.from_triples(
+    graph = from_triples(
         ["A", "B", "Isolated"], ["r"], [(0, 0, 1)]
     )
     filtered = kgstore.filter_zero_degree(graph)
@@ -214,7 +215,7 @@ def test_filter_zero_degree_is_identity_without_isolated(tiny_graph):
 
 def test_filter_zero_degree_counts():
     # 5 entities, 2 edges touching 3 of them
-    graph = kgstore.KnowledgeGraph.from_triples(
+    graph = from_triples(
         ["A", "B", "C", "D", "E"], ["r"], [(0, 0, 1), (1, 0, 2)]
     )
     filtered = kgstore.filter_zero_degree(graph)
@@ -227,7 +228,7 @@ def test_edges_are_a_read_only_int32_array(tiny_graph):
     assert tiny_graph.edges.dtype == np.int32 and tiny_graph.edges.shape == (4, 3)
     assert not tiny_graph.edges.flags.writeable
     assert tiny_graph.edges.tolist() == [[0, 0, 1], [0, 1, 2], [1, 0, 2], [3, 1, 0]]
-    empty = kgstore.KnowledgeGraph.from_triples(["A"], ["r"], [])
+    empty = from_triples(["A"], ["r"], [])
     assert empty.edges.shape == (0, 3)
     with pytest.raises(KgError, match="integer array"):
         kgstore.KnowledgeGraph(tiny_graph.entities, tiny_graph.relations, np.zeros((2, 2), dtype=np.int32))
@@ -262,7 +263,7 @@ def test_neighbors_outgoing_only(tiny_graph):
 
 def test_neighbors_star_center():
     k = 5
-    graph = kgstore.KnowledgeGraph.from_triples(
+    graph = from_triples(
         ["Center"] + [f"Leaf{i}" for i in range(k)],
         ["spoke"],
         [(0, 0, i + 1) for i in range(k)],
@@ -280,7 +281,7 @@ def test_neighbors_sorted_and_exact(tiny_graph):
     assert others.tolist() == [1, 2, 3]
 
 
-def test_neighbors_invalid_index(tiny_graph):
+def test_incident_refuses_an_entity_outside_the_catalog(tiny_graph):
     for bad in (99, -1, 4, "0"):
         with pytest.raises(KgError):
             tiny_graph.incident(bad)
@@ -293,7 +294,7 @@ def test_triples_of_relation(tiny_graph):
 
 
 def test_triples_of_relation_absent_and_singleton():
-    graph = kgstore.KnowledgeGraph.from_triples(
+    graph = from_triples(
         ["A", "B"], ["used", "unused"], [(0, 0, 1)]
     )
     assert edges_of(graph, graph.relation_edges(1)) == []
@@ -305,7 +306,7 @@ def test_triples_of_relation_absent_and_singleton():
 
 def test_triples_of_relation_selects_all_and_only():
     edges = [(0, 0, 1), (1, 0, 2), (2, 0, 3), (0, 1, 2), (1, 1, 3), (2, 1, 0), (3, 1, 1)]
-    graph = kgstore.KnowledgeGraph.from_triples(["A", "B", "C", "D"], ["r", "q"], edges)
+    graph = from_triples(["A", "B", "C", "D"], ["r", "q"], edges)
     got = edges_of(graph, graph.relation_edges(0))
     assert got == sorted(Triplet(*e) for e in edges if e[1] == 0)
     assert len(got) == 3
@@ -328,7 +329,7 @@ def test_incident_preserves_stored_orientation(tiny_graph):
 
 
 def test_self_loops_permitted():
-    graph = kgstore.KnowledgeGraph.from_triples(["A"], ["r"], [(0, 0, 0)])
+    graph = from_triples(["A"], ["r"], [(0, 0, 0)])
     assert len(graph.incident(0)[0]) == 2
     assert len(graph.edges) == 1
     edge_ids, others = graph.incident(0)
@@ -344,11 +345,12 @@ def test_refs_expose_index_external_id_label(tiny_graph):
         tiny_graph.relation_edges(40)
 
 
-def test_edge_outside_catalogs_rejected():
-    with pytest.raises(KgError, match="outside the catalogs"):
-        kgstore.KnowledgeGraph.from_triples(["A", "B"], ["r"], [(0, 0, 1), (0, 1, 1)])
-    with pytest.raises(KgError, match="outside the catalogs"):
-        kgstore.KnowledgeGraph.from_triples(["A", "B"], ["r"], [(0, 0, -1)])
+def test_edge_outside_catalogs_rejected(tiny_graph):
+    # tiny_graph has 4 entities and 2 relations
+    for row in ((0, 2, 1), (0, 0, -1), (4, 0, 1), (0, 0, 4)):
+        edges = np.array([(0, 0, 1), row])
+        with pytest.raises(KgError, match=re.escape(f"edge {row} references an index outside the catalogs")):
+            kgstore.KnowledgeGraph(tiny_graph.entities, tiny_graph.relations, edges)
 
 
 def test_edge_key_overflow_is_refused():
@@ -368,7 +370,7 @@ def small_graphs(draw):
         st.integers(0, n_entities - 1), st.integers(0, n_relations - 1), st.integers(0, n_entities - 1)
     )
     triples = draw(st.lists(triple, max_size=40))
-    return kgstore.KnowledgeGraph.from_triples(
+    return from_triples(
         [f"Entity {i}" for i in range(n_entities)], [f"relation {j}" for j in range(n_relations + 1)], triples
     )
 
@@ -419,15 +421,15 @@ def indexed_graphs(draw):
     # each pair under one or more relations
     relations = st.sets(st.integers(0, n_relations - 1), min_size=1)
     triples = [(s, r, o) for s, o in pairs for r in sorted(draw(relations))]
-    return kgstore.KnowledgeGraph.from_triples(
+    return from_triples(
         [f"Entity {i}" for i in range(n_entities)], [f"relation {j}" for j in range(n_relations)], triples
     )
 
 
 @settings(max_examples=300, deadline=None)
 @given(indexed_graphs())
-@example(kgstore.KnowledgeGraph.from_triples(["A", "B", "C"], ["r"], [(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1)]))
-@example(kgstore.KnowledgeGraph.from_triples(["A"], ["r", "s"], []))
+@example(from_triples(["A", "B", "C"], ["r"], [(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1)]))
+@example(from_triples(["A"], ["r", "s"], []))
 def test_packed_key_index_equals_the_lexsort_index(graph):
     n_ent, n_rel = len(graph.entities), len(graph.relations)
     # uint64 throughout: numpy 1.x promotes an int64/uint64 mix to float64
@@ -498,17 +500,17 @@ def labelled_graphs(draw):
     triple = st.tuples(st.integers(0, n_ent - 1), st.integers(0, n_rel - 1), st.integers(0, n_ent - 1))
     # repeated triples and self-loops are drawn often at these sizes
     triples = draw(st.lists(triple, max_size=30))
-    edges = kgstore.KnowledgeGraph.from_triples(entity_labels, relation_labels, triples).edges  # repeats dropped
+    edges = from_triples(entity_labels, relation_labels, triples).edges  # repeats dropped
     return kgstore.KnowledgeGraph(kgstore.Catalog(tuple(entity_labels), tuple(entity_ids)),
                                   kgstore.Catalog(tuple(relation_labels), tuple(relation_ids)), edges)
 
 
 @settings(max_examples=150, deadline=None)
 @given(labelled_graphs())
-@example(kgstore.KnowledgeGraph.from_triples(["Zürich", "東京", "a\"b\\c\n"], ["près de"], [(0, 0, 1), (2, 0, 2), (0, 0, 1)]))
-@example(kgstore.KnowledgeGraph.from_triples(["Solo"], ["never used"], []))
+@example(from_triples(["Zürich", "東京", "a\"b\\c\n"], ["près de"], [(0, 0, 1), (2, 0, 2), (0, 0, 1)]))
+@example(from_triples(["Solo"], ["never used"], []))
 # a LINE SEPARATOR that JSON leaves unescaped stays inside the header line
-@example(kgstore.KnowledgeGraph.from_triples(["one\u2028line", "B"], ["r\u2029s"], [(0, 0, 1), (1, 0, 0)]))
+@example(from_triples(["one\u2028line", "B"], ["r\u2029s"], [(0, 0, 1), (1, 0, 0)]))
 def test_graph_file_round_trip_is_exact_and_byte_stable(graph):
     with tempfile.TemporaryDirectory() as tmp:
         first, second, again = (Path(tmp) / name for name in ("first.json", "second.json", "again.json"))
@@ -526,7 +528,7 @@ def test_graph_file_round_trip_is_exact_and_byte_stable(graph):
 
 def test_graph_file_bytes_are_pinned(zipf_kg, tmp_path):
     path = tmp_path / "graph.json"
-    graph = kgstore.KnowledgeGraph.from_triples(["Zürich", "東京", "a\"b\\c\n"], ["près de"], [(0, 0, 1), (2, 0, 2)])
+    graph = from_triples(["Zürich", "東京", "a\"b\\c\n"], ["près de"], [(0, 0, 1), (2, 0, 2)])
     kgstore.save_graph(graph, path)
     assert path.read_bytes() == (
         '{"edges": 2, "entities": {"external_ids": ["E0", "E1", "E2"], "labels": ["Zürich", "東京", "a\\"b\\\\c\\n"]}, '

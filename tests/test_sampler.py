@@ -9,6 +9,8 @@ from kgsynth import kgstore, sampler
 from kgsynth.kgstore import Triplet
 from kgsynth.sampler import SamplerConfig, SamplerState
 
+from graph_builder import from_triples
+
 ZTP_MEAN = 3.0 / (1.0 - math.exp(-3.0))  # zero-truncated Poisson(3) mean
 
 
@@ -124,13 +126,13 @@ def test_reweight_updates_state(tiny_graph):
 # --- starts ---
 
 def test_start_single_entity():
-    graph = kgstore.KnowledgeGraph.from_triples(["Only"], ["r"], [(0, 0, 0)])
+    graph = from_triples(["Only"], ["r"], [(0, 0, 0)])
     state, cfg = make_state(graph, strategy=sampler.ENTITY_CENTRIC)
     assert all(sampler.sample_start(state, graph, cfg) == 0 for _ in range(20))
 
 
 def test_relation_centric_renormalizes_over_subjects():
-    graph = kgstore.KnowledgeGraph.from_triples(
+    graph = from_triples(
         ["A", "B", "C"], ["r"], [(0, 0, 2), (1, 0, 2)]
     )
     state, cfg = make_state(graph, strategy=sampler.RELATION_CENTRIC, seed=77)
@@ -141,7 +143,7 @@ def test_relation_centric_renormalizes_over_subjects():
 
 
 def test_relation_centric_resamples_empty_relations():
-    graph = kgstore.KnowledgeGraph.from_triples(
+    graph = from_triples(
         ["A", "B"], ["empty", "used"], [(0, 1, 1)]
     )
     state, cfg = make_state(graph, strategy=sampler.RELATION_CENTRIC, seed=3)
@@ -173,7 +175,7 @@ class TopRng:
 
 
 def ring_graph(n_entities, n_relations):
-    return kgstore.KnowledgeGraph.from_triples(
+    return from_triples(
         [f"E{i}" for i in range(n_entities)],
         [f"r{j}" for j in range(n_relations)],
         [(i, i % n_relations, (i + 1) % n_entities) for i in range(n_entities)],
@@ -258,7 +260,7 @@ def test_counts_incremented_per_mention(tiny_graph):
 
 def test_partial_set_flagged():
     # single edge, target 5: only one triplet can ever be found
-    graph = kgstore.KnowledgeGraph.from_triples(["A", "B"], ["r"], [(0, 0, 1)])
+    graph = from_triples(["A", "B"], ["r"], [(0, 0, 1)])
     state, cfg = make_state(graph, seed=1)
     ts = sampler.sample_triplet_set(state, graph, cfg, 0, target_size=5)
     assert ts.triplets == [Triplet(0, 0, 1)]
@@ -281,13 +283,13 @@ def test_dataset_reweight_schedule(tiny_graph, monkeypatch):
     calls = []
     original = sampler.reweight
     monkeypatch.setattr(sampler, "reweight", lambda state: (calls.append(state.sets_sampled), original(state))[1])
-    list(sampler.sample_dataset(tiny_graph, SamplerConfig(seed=2, reweight_interval=25), 50))
+    list(sampler.sample_dataset(tiny_graph, SamplerState(tiny_graph, SamplerConfig(seed=2, reweight_interval=25)), 50))
     assert calls == [25, 50]
 
 
 def test_dataset_rejects_nonpositive_n(tiny_graph):
     with pytest.raises(ValueError):
-        list(sampler.sample_dataset(tiny_graph, SamplerConfig(), 0))
+        list(sampler.sample_dataset(tiny_graph, SamplerState(tiny_graph, SamplerConfig()), 0))
 
 
 def test_dataset_record_format(tiny_graph):
@@ -306,21 +308,48 @@ def test_dataset_record_format(tiny_graph):
     assert summary["mean_set_size"] >= 1
 
 
-# sha256 of write_dataset_jsonl's stream on the Zipf KG: 1000 sets, seed 1,
-# reweighting every 100 sets (so mixed switches strategy five times)
-DATASET_SHA256 = {
-    (sampler.ENTITY_CENTRIC, 7.0): "54881b3b2203cc20dae9ac94130fcc8996480a3d5cd888b1a33a787696c07d4d",
-    (sampler.ENTITY_CENTRIC, 0.0): "016b7ff63d071cc348923abbe1903e4369eb25c4237f7b8cca60321e8f0863ac",
-    (sampler.RELATION_CENTRIC, 7.0): "c74373bd01e9adce78beca15529706cf311e19f9752be8f97054b271ebaee198",
-    (sampler.RELATION_CENTRIC, 0.0): "14e32b465c41a17868fe7e1301947fc6134d00ce0f95c0c164734c1a878820c2",
-    (sampler.MIXED, 7.0): "ea86e62edf58dde08526e1d592b449643b047db3dced7b3731daace06cca65fa",
-    (sampler.MIXED, 0.0): "98afacc3766bcd1d43062c0fe893f183d881bd1fb4a0c37fdf9ded37ad2ba0c3",
+# sha256 of write_dataset_jsonl's stream on the Zipf KG, and the summary it
+# returns: 1000 sets, seed 1, reweighting every 100 sets (so mixed switches
+# strategy five times)
+DATASET_PINS = {
+    (sampler.ENTITY_CENTRIC, 7.0): (
+        "54881b3b2203cc20dae9ac94130fcc8996480a3d5cd888b1a33a787696c07d4d",
+        {"sets": 1000, "partial_sets": 0, "mean_set_size": 3.158, "entities_covered": 2931,
+         "relations_covered": 200, "relation_count_cv": 2.320521925078947},
+    ),
+    (sampler.ENTITY_CENTRIC, 0.0): (
+        "016b7ff63d071cc348923abbe1903e4369eb25c4237f7b8cca60321e8f0863ac",
+        {"sets": 1000, "partial_sets": 0, "mean_set_size": 3.132, "entities_covered": 3377,
+         "relations_covered": 200, "relation_count_cv": 1.9486779875620195},
+    ),
+    (sampler.RELATION_CENTRIC, 7.0): (
+        "c74373bd01e9adce78beca15529706cf311e19f9752be8f97054b271ebaee198",
+        {"sets": 1000, "partial_sets": 0, "mean_set_size": 3.192, "entities_covered": 2763,
+         "relations_covered": 200, "relation_count_cv": 1.1021130496864224},
+    ),
+    (sampler.RELATION_CENTRIC, 0.0): (
+        "14e32b465c41a17868fe7e1301947fc6134d00ce0f95c0c164734c1a878820c2",
+        {"sets": 1000, "partial_sets": 0, "mean_set_size": 3.144, "entities_covered": 3240,
+         "relations_covered": 200, "relation_count_cv": 1.3886516382126224},
+    ),
+    (sampler.MIXED, 7.0): (
+        "ea86e62edf58dde08526e1d592b449643b047db3dced7b3731daace06cca65fa",
+        {"sets": 1000, "partial_sets": 0, "mean_set_size": 3.165, "entities_covered": 2813,
+         "relations_covered": 200, "relation_count_cv": 1.5632811557325368},
+    ),
+    (sampler.MIXED, 0.0): (
+        "98afacc3766bcd1d43062c0fe893f183d881bd1fb4a0c37fdf9ded37ad2ba0c3",
+        {"sets": 1000, "partial_sets": 0, "mean_set_size": 3.162, "entities_covered": 3295,
+         "relations_covered": 200, "relation_count_cv": 1.6904902904788714},
+    ),
 }
 
 
-@pytest.mark.parametrize(("strategy", "bias_factor"), list(DATASET_SHA256))
+@pytest.mark.parametrize(("strategy", "bias_factor"), list(DATASET_PINS))
 def test_dataset_bytes_are_pinned(zipf_kg, strategy, bias_factor):
     out = io.StringIO()
     cfg = SamplerConfig(seed=1, bias_factor=bias_factor, strategy=strategy, reweight_interval=100)
-    sampler.write_dataset_jsonl(zipf_kg, cfg, 1000, out)
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == DATASET_SHA256[strategy, bias_factor]
+    summary = sampler.write_dataset_jsonl(zipf_kg, cfg, 1000, out)
+    digest, expected_summary = DATASET_PINS[strategy, bias_factor]
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+    assert summary == expected_summary
