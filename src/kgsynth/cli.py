@@ -114,9 +114,10 @@ SECTIONS = {key.partition(".")[0] for key in SETTINGS if "." in key}
 
 def load_config(path) -> dict:
     """The config file at ``path``, checked against ``SETTINGS``: a value of
-    the wrong kind (no bool is a number; a float key takes an int) or a
-    section that is not a mapping is a ConfigError naming it, and a key not
-    in the table is logged with the closest known key."""
+    the wrong kind (no bool is a number; a float key takes an int), a float
+    key's value that is not finite (NaN, ±inf, or an int past the float
+    range) or a section that is not a mapping is a ConfigError naming it,
+    and a key not in the table is logged with the closest known key."""
     try:
         with open(existing(path, "--config"), encoding="utf-8") as fh:
             cfg = yaml.safe_load(fh) or {}
@@ -143,6 +144,8 @@ def load_config(path) -> dict:
             log.warning("config key %r is unknown and ignored%s", key, f"; the closest known key is {close[0]!r}" if close else "")
         elif value is not None and (isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind)):
             raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
+        elif kind is float and value is not None and not abs(value) <= sys.float_info.max:  # NaN compares false
+            raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
     return cfg
 
 

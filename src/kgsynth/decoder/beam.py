@@ -4,6 +4,10 @@ Candidate expansion is restricted to the automaton's allowed-token sets, so
 every emitted sequence is structurally valid and catalog-resolvable no matter
 what the scorer prefers. Final ranking divides each hypothesis' summed token
 log-probabilities (end-of-sequence included) by length**length_penalty.
+
+Every score a scorer returns is at most 0, so a beam's summed score only
+falls as it grows; once a hypothesis has finished, a beam whose best
+reachable normalized score is below that hypothesis' is dropped unscored.
 """
 from __future__ import annotations
 
@@ -64,10 +68,11 @@ def constrained_beam_search(
     Ties are broken in favor of the end-of-sequence candidate (a complete,
     automaton-accepted hypothesis beats an equal-scored continuation), then by
     token id ascending, then beam index, making the search fully deterministic
-    for a deterministic scorer. The search runs until the beams are exhausted
-    or hold max_length tokens (end-of-sequence not counted). If no beam
-    finishes within max_length tokens, the best partial hypothesis is returned
-    with ``finished=False``.
+    for a deterministic scorer. The search runs until the beams are exhausted,
+    hold max_length tokens (end-of-sequence not counted), or can no longer
+    beat the best finished hypothesis, which needs the scorer's values to be
+    at most 0. If no beam finishes within max_length tokens, the best partial
+    hypothesis is returned with ``finished=False``.
     """
     length_penalty = params.resolve_length_penalty(engine.variant)
     eos_id = engine.eos_id
@@ -78,9 +83,25 @@ def constrained_beam_search(
         length = len(tokens) + (1 if with_eos else 0)
         return (-(score / (length**length_penalty) if length else score), tokens, score)
 
+    def live(beams: list[_Beam], step: int, to_beat: float) -> list[_Beam]:
+        """The beams of ``step`` (each holds ``step`` tokens) that may still
+        finish with a normalized score of at least ``to_beat``. A beam with
+        score s ends at a length L from step + 1 to max_length + 1 with a
+        score of at most s <= 0, so its normalized score is at most
+        s / max(L**length_penalty), taken at either end of that range."""
+        try:
+            normalizer = float(max((step + 1) ** length_penalty, (params.max_length + 1) ** length_penalty))
+        except OverflowError:
+            return beams  # no bound to prune by
+        if not normalizer > 0:  # underflowed to 0
+            return beams
+        return [b for b in beams if b.score / normalizer >= to_beat]
+
     # max_length bounds the emitted tokens; the step that may add the
     # end-of-sequence token after the last of them is one more
     for step in range(params.max_length + 1):
+        if best is not None:
+            beams = live(beams, step, -best[0])
         if not beams:
             break
         at_limit = step == params.max_length

@@ -1,12 +1,13 @@
 """Scorer boundary for constrained search.
 
 A scorer maps (input context, generated prefixes) to finite log-probabilities
-over the full vocabulary, one list of floats per prefix. The engine queries
-all live beams in one ``score_many`` call per step, which hands the batch to
-the ``_score_batch`` each scorer implements. Every scorer is a context
-manager that closes it on exit. The ``SubprocessScorer`` speaks a
-newline-delimited JSON protocol, which lets an external model process in any
-ecosystem serve the probabilities.
+over the full vocabulary, one list of floats per prefix; being
+log-probabilities, none is above 0, which lets the search stop early. The
+engine queries all live beams in one ``score_many`` call per step, which
+hands the batch to the ``_score_batch`` each scorer implements. Every
+scorer is a context manager that closes it on exit. The ``SubprocessScorer``
+speaks a newline-delimited JSON protocol, which lets an external model
+process in any ecosystem serve the probabilities.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from abc import ABC, abstractmethod
 from typing import Iterator, Sequence
 
 READ_TIMEOUT_S = 600.0  # a scorer that sends nothing for this long has hung
+NUMBERS = {float, int}  # the types json gives a number; true and false are bools
 
 
 class ScorerError(RuntimeError):
@@ -30,9 +32,10 @@ class Scorer(ABC):
     vocab_size: int
 
     def score_many(self, context: str, prefixes: Sequence[Sequence[int]]) -> list[list[float]]:
-        """Finite log-probabilities: one list of floats per prefix (the live
-        beams of one step), one value per vocabulary token. Rows may be
-        shared with each other and with later calls; callers only read them."""
+        """Finite log-probabilities, each at most 0: one list of floats per
+        prefix (the live beams of one step), one value per vocabulary token.
+        Rows may be shared with each other and with later calls; callers only
+        read them."""
         return self._score_batch(context, prefixes)
 
     @abstractmethod
@@ -66,18 +69,34 @@ class UniformScorer(Scorer):
     score_many = Scorer.score_many
 
 
+def _fault(values: list) -> str | None:
+    """What makes a reply's values no log-probabilities, if anything does."""
+    if not set(map(type, values)) <= NUMBERS:  # null, a string, a list, an object, true, false
+        return "scorer returned log-probabilities that are not numbers"
+    try:
+        finite = all(map(math.isfinite, values))
+    except OverflowError:  # an integer past the float range
+        finite = False
+    if not finite:
+        return "scorer returned non-finite log-probabilities"
+    if max(values) > 0:
+        return "scorer returned log-probabilities above 0"
+    return None  # sound: finite values whose sum is not, or "true" outside them
+
+
 class SubprocessScorer(Scorer):
     """Bridge to an external scorer process over stdin/stdout.
 
     Protocol: one JSON request per line, ``{"context": ..., "prefix_tokens":
     [...]}``, answered by one JSON line ``{"logprobs": [...]}`` with exactly
-    vocab_size finite values, in request order. A step writes the requests
-    of all its prefixes before it reads the first reply; while the scorer's
-    input pipe is full, replies are read as they come, so neither side
-    blocks on the other. A scorer that sends nothing for ``READ_TIMEOUT_S``
-    has hung, which is a ``ScorerError``. ``command`` is a shell command
-    line, run by ``/bin/sh`` in a process group of its own, which ``close``
-    ends as a whole, so a scorer that the shell started does not outlive it.
+    vocab_size finite numbers, none above 0, in request order. A step writes
+    the requests of all its prefixes before it reads the first reply; while
+    the scorer's input pipe is full, replies are read as they come, so
+    neither side blocks on the other. A scorer that sends nothing for
+    ``READ_TIMEOUT_S`` has hung, which is a ``ScorerError``. ``command`` is a
+    shell command line, run by ``/bin/sh`` in a process group of its own,
+    which ``close`` ends as a whole, so a scorer that the shell started does
+    not outlive it.
     """
 
     def __init__(self, command: str, vocab_size: int):
@@ -120,14 +139,15 @@ class SubprocessScorer(Scorer):
                 raise ScorerError(f"scorer reply {line[:80]!r} is not {{\"logprobs\": [...]}}") from None
             if n != self.vocab_size:
                 raise ScorerError(f"scorer returned {n} values, expected {self.vocab_size}")
+            # one cheap screen (a sum is NaN or infinite if a value is); a
+            # reply that fails it is looked at value by value
             try:
-                finite = all(map(math.isfinite, values))
-            except TypeError:  # null, a string, a list, an object
-                raise ScorerError("scorer returned log-probabilities that are not numbers") from None
-            except OverflowError:  # an integer past the float range
-                finite = False
-            if not finite:
-                raise ScorerError("scorer returned non-finite log-probabilities")
+                sound = math.isfinite(sum(values)) and max(values) <= 0 and b"true" not in line and b"false" not in line
+            except (TypeError, OverflowError):  # a value that is not a number, an integer past the float range
+                sound = False
+            fault = None if sound else _fault(values)
+            if fault:
+                raise ScorerError(fault)
             rows.append(values)
         return rows
 

@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import json
+import math
 import os
 import random
 import subprocess
@@ -519,6 +520,16 @@ def test_config_value_a_layer_rejects_exits_1(key, value, workspace, tmp_path, m
     if (key, value) in WRONG_KIND:
         assert f"config key {key!r} must be " in err
     assert post.bodies == []
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=[".nan", ".inf", "-.inf"])
+@pytest.mark.parametrize("key", [key for key, kind in cli.SETTINGS.items() if kind is float])
+def test_float_config_value_that_is_not_finite_exits_1(key, value, tmp_path, capsys):
+    section, _, name = key.partition(".")
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump({section: {name: value}}), encoding="utf-8")
+    assert run_cli("stats", "--config", config, "--dataset", config) == 1
+    assert capsys.readouterr().err == f"error: config key {key!r} must be finite, got {value!r}\n"
 
 
 def test_misspelt_config_key_warns_naming_the_closest_known_key(workspace, tmp_path, caplog):
@@ -1221,7 +1232,8 @@ FAILING_SCORERS.update({
     name: "import sys\n"
           "for line in sys.stdin:\n"
           f"    print('{{\"logprobs\": [' + '-1.0, ' * 256 + '{value}]}}', flush=True)\n"
-    for name, value in [("overflow", "1e999"), ("huge_int", "1" + "0" * 400), ("null", "null"), ("string", '"-1.0"')]
+    for name, value in [("overflow", "1e999"), ("huge_int", "1" + "0" * 400), ("null", "null"), ("string", '"-1.0"'),
+                        ("true", "true"), ("false", "false"), ("above_0", "0.5")]
 })
 
 
@@ -1234,6 +1246,9 @@ FAILING_SCORERS.update({
     ("huge_int", "scorer returned non-finite log-probabilities"),
     ("null", "scorer returned log-probabilities that are not numbers"),
     ("string", "scorer returned log-probabilities that are not numbers"),
+    ("true", "scorer returned log-probabilities that are not numbers"),
+    ("false", "scorer returned log-probabilities that are not numbers"),
+    ("above_0", "scorer returned log-probabilities above 0"),
 ])
 def test_failing_scorer_is_runtime_error_naming_the_input(failure, message, workspace, tmp_path, capsys):
     run_cli("ingest", "--config", workspace["config"])

@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kgsynth
@@ -35,8 +35,9 @@ from kgsynth.decoder import (
 from kgsynth.decoder import scorers
 from kgsynth.pipeline import ValidationError
 
+from beam_reference import reference_beam_search
 from engine_replay import accepts, is_accepting, replay
-from fake_scorers import AdversarialScorer, OracleScorer
+from fake_scorers import AdversarialScorer, CountingScorer, OracleScorer, TiedScorer
 
 FE = Variant.FE
 SC = Variant.SC
@@ -502,6 +503,70 @@ def test_soundness_finished_outputs_fully_parse(sc_engine):
             assert parsed.triplets
 
 
+# --- pruning: the search stops scoring beams that cannot beat a finished one ---
+
+def byte_engine(variant):
+    tokenizer = ByteTokenizer()
+    return ConstraintEngine(variant, tokenizer, build_trie(["Ada", "Bo"], tokenizer), build_trie(["knows"], tokenizer))
+
+
+SEARCH_ENGINES = [ConstraintEngine(v, *toy_world(ENTITIES, RELATIONS)) for v in (FE, SC)] + [byte_engine(v) for v in (FE, SC)]
+
+
+@given(
+    engine=st.sampled_from(SEARCH_ENGINES),
+    seed=st.integers(0, 2**32),
+    # a few values, so that scores tie, or any at most 0
+    values=st.lists(st.sampled_from([0.0, -0.5, -1.0, -2.0, -4.0]) | st.floats(-8.0, 0.0), min_size=2, max_size=5),
+    num_beams=st.integers(1, 10),
+    length_penalty=st.none() | st.just(0.0) | st.floats(0.1, 3.0) | st.floats(-3.0, -0.1),
+    max_length=st.integers(1, 80),  # short ones truncate
+)
+# every score ties: a beam whose bound equals the best finished score may
+# still finish ahead of it on tokens, so it is kept
+@example(engine=SEARCH_ENGINES[2], seed=0, values=[0.0, 0.0], num_beams=4, length_penalty=None, max_length=28)
+# a negative length penalty: the bound is taken at step + 1 tokens
+@example(engine=SEARCH_ENGINES[2], seed=0, values=[0.0, -0.5], num_beams=3, length_penalty=-3.0, max_length=31)
+@settings(max_examples=300, deadline=None)
+def test_pruned_search_returns_what_the_unpruned_one_does(engine, seed, values, num_beams, length_penalty, max_length):
+    params = DecodeParams(num_beams=num_beams, length_penalty=length_penalty, max_length=max_length)
+    rows = TiedScorer(engine.tokenizer.vocab_size, seed, values)
+    pruned, unpruned = CountingScorer(rows), CountingScorer(rows)
+    assert constrained_beam_search(pruned, "", engine, params) == reference_beam_search(unpruned, "", engine, params)
+    assert pruned.prefixes <= unpruned.prefixes
+
+
+def test_search_stops_one_step_after_the_oracle_target_ends():
+    tokenizer, et, rt = toy_world(ENTITIES, RELATIONS)
+    engine = ConstraintEngine(FE, tokenizer, et, rt)
+    target = tuple(tokenizer.try_encode(codec.linearize([("Ada", "knows", "Bob"), ("Bob", "works at", "Lab")], FE)))
+    scorer = CountingScorer(OracleScorer(tokenizer.vocab_size, target, tokenizer.eos_id))
+    unpruned = CountingScorer(scorer.inner)
+    params = DecodeParams(num_beams=4, max_length=40)
+    best = constrained_beam_search(scorer, "", engine, params)
+    assert best == reference_beam_search(unpruned, "", engine, params) and best.tokens == target
+    # steps 0..len(target); the one after the target's end-of-sequence finds
+    # every beam below its score 0 and scores nothing
+    assert len(target) == 14 and scorer.calls == 15 and scorer.prefixes == 50
+    assert unpruned.calls == 22 and unpruned.prefixes == 76
+
+
+@pytest.mark.parametrize("length_penalty", [150.0, -150.0])
+def test_length_penalty_whose_bound_overflows_decodes_as_before(length_penalty):
+    # (max_length + 1)**150 overflows a float and (max_length + 1)**-150
+    # underflows to 0, while the hypotheses this search reaches are short
+    # enough for neither
+    tokenizer, et, rt = toy_world(ENTITIES, RELATIONS)
+    engine = ConstraintEngine(FE, tokenizer, et, rt)
+    target = tuple(tokenizer.try_encode(codec.linearize([("Ada", "knows", "Bob")], FE)))
+    scorer = OracleScorer(tokenizer.vocab_size, target, tokenizer.eos_id)
+    params = DecodeParams(num_beams=4, length_penalty=length_penalty, max_length=257)
+    with pytest.raises(OverflowError):
+        258.0 ** abs(length_penalty)
+    best = constrained_beam_search(scorer, "", engine, params)
+    assert best == reference_beam_search(scorer, "", engine, params) and best.finished
+
+
 # one plain label, so that decode has something to admit, and labels built
 # from pieces that can break a linearization: delimiters, parts of them,
 # underscores, and spaces and tabs anywhere in the label
@@ -790,6 +855,19 @@ def test_subprocess_scorer_rejects_bad_row(tmp_path):
     with SubprocessScorer(shlex.join([sys.executable, str(script)]), vocab_size=5) as scorer:
         with pytest.raises(RuntimeError, match="expected 5"):
             scorer.score_many("", [[]])[0]
+
+
+def test_subprocess_scorer_accepts_sound_rows_that_fail_the_cheap_screen(tmp_path):
+    # finite values whose sum is not, and "true" and "false" outside the values
+    script = tmp_path / "scorer.py"
+    script.write_text(
+        "import sys\n"
+        "for line in sys.stdin:\n"
+        "    print('{\"logprobs\": [-1e308, -1e308, 0], \"note\": \"true or false\"}', flush=True)\n",
+        encoding="utf-8",
+    )
+    with SubprocessScorer(shlex.join([sys.executable, str(script)]), vocab_size=3) as scorer:
+        assert scorer.score_many("", [[], [1]]) == [[-1e308, -1e308, 0]] * 2
 
 
 @pytest.mark.parametrize("command, context_bytes", [
