@@ -83,25 +83,22 @@ def constrained_beam_search(
         length = len(tokens) + (1 if with_eos else 0)
         return (-(score / (length**length_penalty) if length else score), tokens, score)
 
-    def live(beams: list[_Beam], step: int, to_beat: float) -> list[_Beam]:
-        """The beams of ``step`` (each holds ``step`` tokens) that may still
-        finish with a normalized score of at least ``to_beat``. A beam with
-        score s ends at a length L from step + 1 to max_length + 1 with a
-        score of at most s <= 0, so its normalized score is at most
-        s / max(L**length_penalty), taken at either end of that range."""
-        try:
-            normalizer = float(max((step + 1) ** length_penalty, (params.max_length + 1) ** length_penalty))
-        except OverflowError:
-            return beams  # no bound to prune by
-        if not normalizer > 0:  # underflowed to 0
-            return beams
-        return [b for b in beams if b.score / normalizer >= to_beat]
-
     # max_length bounds the emitted tokens; the step that may add the
     # end-of-sequence token after the last of them is one more
     for step in range(params.max_length + 1):
         if best is not None:
-            beams = live(beams, step, -best[0])
+            # each beam holds `step` tokens and ends at a length L from step + 1
+            # to max_length + 1 with a score of at most its own (<= 0), so its
+            # normalized score is at most score / max(L**length_penalty), which
+            # either end of that range gives. Only beams strictly below the best
+            # go, so ties still resolve by tokens; a normalizer past the float
+            # range, or one that underflowed to 0, prunes nothing.
+            try:
+                normalizer = float(max((step + 1) ** length_penalty, (params.max_length + 1) ** length_penalty))
+            except OverflowError:
+                normalizer = 0.0
+            if normalizer > 0:
+                beams = [b for b in beams if b.score / normalizer >= -best[0]]
         if not beams:
             break
         at_limit = step == params.max_length
