@@ -559,14 +559,14 @@ def cmd_eval(stage: Stage) -> int:
         raise ConfigError("no evaluation pairs found")
     train_counts = _read_train_counts(stage.input("train_counts")) if stage.args.train_counts else None
     report = metrics.evaluate(pairs, **given(stage.cfg, "metrics"), seed=stage.seed, train_counts=train_counts)
-    write_json(stage.output("eval_report.json"), report.to_json_dict())
-    if report.per_bucket:
+    write_json(stage.output("eval_report.json"), report)
+    if report["per_bucket"]:
         with open(stage.output("buckets.tsv"), "w", encoding="utf-8") as fh:
             fh.write("bucket\tn_gold\tn_predicted\tf1\tlower\tupper\n")
-            for row in report.per_bucket:
-                fh.write(f"{row.bucket}\t{row.n_gold}\t{row.n_predicted}\t{row.f1_point:.6f}\t{row.f1_lower:.6f}\t{row.f1_upper:.6f}\n")
+            for row in report["per_bucket"]:
+                fh.write("{bucket}\t{n_gold}\t{n_predicted}\t{f1_point:.6f}\t{f1_lower:.6f}\t{f1_upper:.6f}\n".format(**row))
     stage.snapshot = {"metrics": stage.cfg.get("metrics") or {}}
-    micro = report.micro["f1"]
+    micro = report["micro"]["f1"]
     print(f"micro-F1 {micro['point']:.4f} [{micro['lower']:.4f}, {micro['upper']:.4f}]")
     return EXIT_OK
 
@@ -574,18 +574,14 @@ def cmd_eval(stage: Stage) -> int:
 def cmd_stats(stage: Stage) -> int:
     from . import metrics
 
-    stats = metrics.relation_stats(raw.triplets() for _, raw in _id_rows(stage.input("dataset")))
-    write_json(stage.output("relation_stats.json"), {
-        "summary": {"min": stats.minimum, "q1": stats.q1, "median": stats.median, "q3": stats.q3, "max": stats.maximum},
-        "n_relations": len(stats.counts),
-        "counts": {str(k): v for k, v in sorted(stats.counts.items())},
-    })
+    stats, cdf = metrics.relation_stats(raw.triplets() for _, raw in _id_rows(stage.input("dataset")))
+    write_json(stage.output("relation_stats.json"), stats)
     with open(stage.output("relation_cdf.tsv"), "w", encoding="utf-8") as fh:
         fh.write("count\tfraction_relations_leq\n")
-        for count, fraction in stats.cdf:
+        for count, fraction in cdf:
             fh.write(f"{count}\t{fraction:.6f}\n")
-    print(f"relation stats over {len(stats.counts)} relations: "
-          f"min={stats.minimum:g} q1={stats.q1:g} median={stats.median:g} q3={stats.q3:g} max={stats.maximum:g}")
+    summary = " ".join(f"{name}={value:g}" for name, value in stats["summary"].items())
+    print(f"relation stats over {stats['n_relations']} relations: {summary}")
     return EXIT_OK
 
 

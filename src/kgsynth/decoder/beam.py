@@ -12,6 +12,7 @@ reachable normalized score is below that hypothesis' is dropped unscored.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 from ..codec import Variant
@@ -33,6 +34,16 @@ class DecodeParams:
             raise ValidationError("num_beams must be >= 1")
         if self.max_length < 1:
             raise ValidationError("max_length must be >= 1")
+        # every length L <= max_length + 1 the search divides by then has a
+        # finite L**length_penalty above 0
+        length_penalty = max(DEFAULT_LENGTH_PENALTY.values()) if self.length_penalty is None else self.length_penalty
+        try:
+            finite = math.isfinite(float(self.max_length + 1) ** abs(length_penalty))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValidationError(f"length_penalty {length_penalty!r} is out of range for max_length {self.max_length}: "
+                                  "(max_length + 1) ** |length_penalty| must be a finite float")
 
     def resolve_length_penalty(self, variant: Variant) -> float:
         if self.length_penalty is not None:
@@ -91,14 +102,9 @@ def constrained_beam_search(
             # to max_length + 1 with a score of at most its own (<= 0), so its
             # normalized score is at most score / max(L**length_penalty), which
             # either end of that range gives. Only beams strictly below the best
-            # go, so ties still resolve by tokens; a normalizer past the float
-            # range, or one that underflowed to 0, prunes nothing.
-            try:
-                normalizer = float(max((step + 1) ** length_penalty, (params.max_length + 1) ** length_penalty))
-            except OverflowError:
-                normalizer = 0.0
-            if normalizer > 0:
-                beams = [b for b in beams if b.score / normalizer >= -best[0]]
+            # go, so ties still resolve by tokens.
+            normalizer = max((step + 1) ** length_penalty, (params.max_length + 1) ** length_penalty)
+            beams = [b for b in beams if b.score / normalizer >= -best[0]]
         if not beams:
             break
         at_limit = step == params.max_length

@@ -1,6 +1,9 @@
 """Evaluation suite: micro/macro precision/recall/F1 over predicted vs gold
 triplet sets, percentile-bootstrap confidence intervals, relation-frequency
-buckets, and relation-occurrence distribution statistics.
+buckets, and relation-occurrence distribution statistics. ``evaluate`` and
+``relation_stats`` return the documents their stages write: the report of
+``eval_report.json``, and the statistics of ``relation_stats.json`` with the
+rows of ``relation_cdf.tsv``.
 
 Zero-denominator convention (documented in every report): a score whose
 denominator is 0 is 0 when the opposing side is non-empty, and 1 when both
@@ -10,7 +13,7 @@ predictions; macro-F1 defaults to the mean of per-relation F1 values.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -96,8 +99,8 @@ def _sums(rows: Iterable[tuple[int, int, int]]) -> tuple[int, int, int]:
 
 
 def _macro(table: Mapping[Hashable, tuple[int, int, int]], f1_mode: str) -> tuple[float, float, float]:
-    if f1_mode not in ("mean_of_f1", "harmonic_of_means"):
-        raise ValidationError(f"macro_f1_mode must be 'mean_of_f1' or 'harmonic_of_means', got {f1_mode!r}")
+    """Relation-averaged precision/recall/F1 under ``f1_mode``, which
+    ``evaluate`` checks."""
     if not table:
         return 1.0, 1.0, 1.0  # no facts anywhere: vacuously perfect, as in micro
     scores = [_prf(*row) for row in table.values()]
@@ -149,35 +152,15 @@ def bucketize(relation_count: int) -> int:
     return relation_count.bit_length() - 1
 
 
-@dataclass
-class BucketRow:
-    bucket: int
-    n_gold: int
-    n_predicted: int
-    f1_point: float
-    f1_lower: float
-    f1_upper: float
-
-
 def per_bucket_f1(table: Mapping[Hashable, tuple[int, int, int]], members: Sequence[Sequence[Hashable]]) -> tuple[float, ...]:
     """Micro-F1 of each bucket over the count ``table`` of one resample, a
     bucket being the list of its relations in ``members``."""
     return tuple(_prf(*_sums(table[r] for r in relations if r in table))[2] for relations in members)
 
 
-@dataclass
-class RelationStats:
-    counts: dict
-    minimum: float
-    q1: float
-    median: float
-    q3: float
-    maximum: float
-    cdf: list[tuple[int, float]]
-
-
-def relation_stats(triplet_sets: Iterable[Iterable[Fact]]) -> RelationStats:
-    """Occurrence counts per relation with a five-number summary and CDF points.
+def relation_stats(triplet_sets: Iterable[Iterable[Fact]]) -> tuple[dict, list[tuple[int, float]]]:
+    """Occurrence counts per relation with a five-number summary, and the
+    CDF points ``(count, share of relations with at most that count)``.
 
     Counts cover every triplet of every set; only observed relations enter
     the count vector.
@@ -192,36 +175,9 @@ def relation_stats(triplet_sets: Iterable[Iterable[Fact]]) -> RelationStats:
     q = np.quantile(vec, [0.0, 0.25, 0.5, 0.75, 1.0])
     total = len(vec)
     cdf = [(int(c), float(np.searchsorted(vec, c, side="right")) / total) for c in sorted(set(int(v) for v in vec))]
-    return RelationStats(dict(counts), float(q[0]), float(q[1]), float(q[2]), float(q[3]), float(q[4]), cdf)
-
-
-@dataclass
-class MetricsReport:
-    """Full evaluation report: micro/macro point estimates with CIs, the
-    per-relation table, optional per-bucket rows, and the conventions used."""
-
-    n_bootstrap: int
-    level: float
-    seed: int
-    macro_f1_mode: str
-    micro: dict = field(default_factory=dict)
-    macro: dict = field(default_factory=dict)
-    per_relation: dict = field(default_factory=dict)
-    per_bucket: list = field(default_factory=list)
-    conventions: str = ZERO_DENOMINATOR_CONVENTION
-
-    def to_json_dict(self) -> dict:
-        return {
-            "micro": self.micro,
-            "macro": self.macro,
-            "per_relation": {str(k): list(v) for k, v in self.per_relation.items()},
-            "per_bucket": [vars(row) for row in self.per_bucket],
-            "n_bootstrap": self.n_bootstrap,
-            "level": self.level,
-            "seed": self.seed,
-            "macro_f1_mode": self.macro_f1_mode,
-            "conventions": self.conventions,
-        }
+    summary = dict(zip(("min", "q1", "median", "q3", "max"), map(float, q)))
+    stats = {"summary": summary, "n_relations": len(counts), "counts": {str(r): n for r, n in sorted(counts.items())}}
+    return stats, cdf
 
 
 def evaluate(
@@ -231,13 +187,17 @@ def evaluate(
     seed: int = 0,
     macro_f1_mode: str = "mean_of_f1",
     train_counts: Mapping[Hashable, int] | None = None,
-) -> MetricsReport:
-    """Compute the full report over evaluation pairs."""
+) -> dict:
+    """The full report over evaluation pairs: micro and macro precision,
+    recall and F1, each a ``{"point", "lower", "upper"}`` interval; each
+    relation's (precision, recall, F1); with ``train_counts``, one F1 row
+    per relation-frequency bucket; and the settings and conventions used."""
     if n_bootstrap < 1:
         raise ValidationError("n_bootstrap must be >= 1")
     if not 0 < level < 1:
         raise ValidationError("level must lie in (0, 1)")
-    report = MetricsReport(n_bootstrap=n_bootstrap, level=level, seed=seed, macro_f1_mode=macro_f1_mode)
+    if macro_f1_mode not in ("mean_of_f1", "harmonic_of_means"):
+        raise ValidationError(f"macro_f1_mode must be 'mean_of_f1' or 'harmonic_of_means', got {macro_f1_mode!r}")
 
     index = CountIndex(pairs)
     table = index.table(range(len(pairs)))
@@ -254,9 +214,16 @@ def evaluate(
     # one pass: every interval of the report comes from the same resamples
     cis = bootstrap_ci(range(len(pairs)), scores, n=n_bootstrap, level=level, seed=seed)
     names = ("precision", "recall", "f1")
-    report.micro = {name: dict(zip(("point", "lower", "upper"), ci)) for name, ci in zip(names, cis[:3])}
-    report.macro = {name: dict(zip(("point", "lower", "upper"), ci)) for name, ci in zip(names, cis[3:6])}
-    report.per_relation = {r: _prf(*row) for r, row in table.items()}
-    report.per_bucket = [BucketRow(b, gold, predicted, *ci) for b, (_, predicted, gold), ci
-                         in zip(sorted(buckets), (_sums(table[r] for r in rs) for rs in members), cis[6:])]
-    return report
+    row_keys = ("bucket", "n_gold", "n_predicted", "f1_point", "f1_lower", "f1_upper")
+    return {
+        "micro": {name: dict(zip(("point", "lower", "upper"), ci)) for name, ci in zip(names, cis[:3])},
+        "macro": {name: dict(zip(("point", "lower", "upper"), ci)) for name, ci in zip(names, cis[3:6])},
+        "per_relation": {str(r): list(_prf(*row)) for r, row in table.items()},
+        "per_bucket": [dict(zip(row_keys, (b, gold, predicted, *ci))) for b, (_, predicted, gold), ci
+                       in zip(sorted(buckets), (_sums(table[r] for r in rs) for rs in members), cis[6:])],
+        "n_bootstrap": n_bootstrap,
+        "level": level,
+        "seed": seed,
+        "macro_f1_mode": macro_f1_mode,
+        "conventions": ZERO_DENOMINATOR_CONVENTION,
+    }

@@ -327,12 +327,17 @@ class CompletionClient:
                 return self._failed(set_id, prompt, f"HTTP {status}", attempt)
             try:
                 choice = payload["choices"][0]
-                completion = self._strip_stop(str(choice.get("text", "")))
+                text = choice.get("text", "")
+                if not isinstance(text, str):
+                    raise TypeError("completion text is not a string")
+                completion = self._strip_stop(text)
                 finish_reason = str(choice.get("finish_reason", ""))
                 usage = payload.get("usage") or {}
                 prompt_tokens = int(usage.get("prompt_tokens", estimate_tokens(prompt)))
                 completion_tokens = int(usage.get("completion_tokens", estimate_tokens(completion)))
                 total = int(usage.get("total_tokens", prompt_tokens + completion_tokens))
+                if min(prompt_tokens, completion_tokens, total) < 0:
+                    raise ValueError("negative token count")
             except (KeyError, IndexError, TypeError, AttributeError, ValueError, OverflowError):
                 return self._failed(set_id, prompt, "malformed response", attempt)
             self.ledger.add(total, requests=0)

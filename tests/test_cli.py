@@ -273,10 +273,15 @@ EVAL_OUTPUT_SHA256 = {
     "eval_report.json": "70296938fafb6d46c84df41a966db4770d1e9534c34edcf56c4b71167956db63",
     "buckets.tsv": "85768c1fc288e87a3d5948dbd737585df4498438d59eb4577f5671df9ec3085d",
 }
+STATS_OUTPUT_SHA256 = {
+    "relation_stats.json": "f9179a731c9024a6516466afff07a46eccee622ae3ea57142fd935d424850093",
+    "relation_cdf.tsv": "fada9c80fc81f4dfdb615599ca38775ca5b0b7a192daa16cf093fe538cc85470",
+}
 
 
-def test_eval_report_is_byte_identical_across_hash_seeds(workspace, tmp_path):
-    # many relations with uneven scores, so the macro sums depend on their order
+def sixty_documents(tmp_path):
+    """Gold and prediction files of 60 documents over 25 relations with
+    uneven scores, so that the macro sums depend on the relations' order."""
     rng = random.Random(4)
     gold_rows, pred_rows = [], []
     for d in range(60):
@@ -288,6 +293,20 @@ def test_eval_report_is_byte_identical_across_hash_seeds(workspace, tmp_path):
     gold, preds = tmp_path / "gold.jsonl", tmp_path / "preds.jsonl"
     write_datapoints(gold, gold_rows)
     write_datapoints(preds, pred_rows)
+    return gold, preds
+
+
+def test_stats_outputs_are_pinned(workspace, tmp_path, capsys):
+    gold, _ = sixty_documents(tmp_path)
+    capsys.readouterr()
+    assert run_cli("stats", "--config", workspace["config"], "--dataset", gold) == 0
+    assert capsys.readouterr().out == "relation stats over 25 relations: min=4 q1=7 median=9 q3=11 max=19\n"
+    out = workspace["out"]
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in STATS_OUTPUT_SHA256} == STATS_OUTPUT_SHA256
+
+
+def test_eval_report_is_byte_identical_across_hash_seeds(workspace, tmp_path):
+    gold, preds = sixty_documents(tmp_path)
     # every fourth relation stays unseen; the rest spread over several buckets
     train_counts = tmp_path / "train_counts.tsv"
     train_counts.write_text("".join(f"relation {r}\t{3 * r * r}\n" for r in range(25) if r % 4), encoding="utf-8")
@@ -497,6 +516,7 @@ WRONG_KIND = [("decode.num_beams", "ten"), ("decode.length_penalty", "abc"), ("p
     ("metrics.n_bootstrap", -3), ("decode", 5), ("generation.concurrency", 0), ("generation.price_per_1k_tokens", -1),
     ("generation.backoff_base", -1), ("generation.max_attempts", 0), ("metrics.macro_f1_mode", "nope"), *WRONG_KIND,
     ("prepare.max_input_tokens", -3), ("prepare.max_target_tokens", 0),
+    ("decode.length_penalty", 150), ("decode.length_penalty", -150),
 ])
 def test_config_value_a_layer_rejects_exits_1(key, value, workspace, tmp_path, monkeypatch, capsys):
     post = CountingPost()
@@ -660,7 +680,13 @@ def test_generate_partial_failure_exit_code(workspace, tmp_path, mock_endpoint):
     {"choices": [{"text": "x"}], "usage": ["x"]},
     {"choices": [{"text": "x"}], "usage": {"prompt_tokens": None}},
     {"choices": [{"text": "x"}], "usage": {"total_tokens": "many"}},
-], ids=["choice-not-object", "usage-not-object", "count-null", "count-not-a-number"])
+    {"choices": [{"text": None}]},
+    {"choices": [{"text": 5}]},
+    {"choices": [{"text": ["a"]}]},
+    {"choices": [{"text": "x"}], "usage": {"total_tokens": -500}},
+    {"choices": [{"text": "x"}], "usage": {"prompt_tokens": -1, "total_tokens": 5}},
+], ids=["choice-not-object", "usage-not-object", "count-null", "count-not-a-number", "text-null", "text-a-number",
+        "text-a-list", "total-negative", "prompt-count-negative"])
 def test_malformed_200_response_is_a_failed_record(payload, workspace, tmp_path, monkeypatch):
     # the set about Gamma is answered with the malformed payload, the other well
     class Post(ConstantPost):
@@ -671,7 +697,7 @@ def test_malformed_200_response_is_a_failed_record(payload, workspace, tmp_path,
             return payload
 
     monkeypatch.setattr(requests, "post", Post())
-    config = generation_config(workspace, tmp_path, "http://127.0.0.1:9/v1/completions")
+    config = generation_config(workspace, tmp_path, "http://127.0.0.1:9/v1/completions", price_per_1k_tokens=0.02)
     sets = tmp_path / "sets.jsonl"
     sets.write_text(json.dumps(GOOD_ROW) + "\n" + json.dumps(
         {"id": "1", "triplets": [{"s": "Beta", "r": "part of", "o": "Gamma"}]}) + "\n", encoding="utf-8")
@@ -884,6 +910,12 @@ def test_every_stage_checks_its_inputs_and_reruns_to_the_same_manifest(command, 
     assert manifest["command"] == command
     assert set(manifest["inputs"]) == hashed
     assert manifest["seed"] == (11 if seeded else None)
+    # every output and manifest is strict JSON; graph.json is a JSON header line, then binary edges
+    for path in [*out.glob("*.json"), *out.glob("*.jsonl")]:
+        data = path.read_bytes()
+        documents = [data.split(b"\n", 1)[0]] if path.name == "graph.json" else data.splitlines() if path.suffix == ".jsonl" else [data]
+        for document in documents:
+            json.loads(document, parse_constant=lambda name: pytest.fail(f"{path.name} holds {name}, which is not JSON"))
 
     directory = tmp_path / "a directory"
     directory.mkdir()

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -551,20 +552,44 @@ def test_search_stops_one_step_after_the_oracle_target_ends():
     assert unpruned.calls == 22 and unpruned.prefixes == 76
 
 
+def largest_length_penalty(max_length):
+    """The largest float ``p`` for which ``float(max_length + 1) ** p`` is finite."""
+    def finite(p):
+        try:
+            return math.isfinite(float(max_length + 1) ** p)
+        except OverflowError:
+            return False
+
+    p = math.log(sys.float_info.max) / math.log(max_length + 1)
+    while not finite(p):
+        p = math.nextafter(p, 0)
+    while finite(math.nextafter(p, math.inf)):
+        p = math.nextafter(p, math.inf)
+    return p
+
+
 @pytest.mark.parametrize("length_penalty", [150.0, -150.0])
-def test_length_penalty_whose_bound_overflows_decodes_as_before(length_penalty):
-    # (max_length + 1)**150 overflows a float and (max_length + 1)**-150
-    # underflows to 0, while the hypotheses this search reaches are short
-    # enough for neither
-    tokenizer, et, rt = toy_world(ENTITIES, RELATIONS)
-    engine = ConstraintEngine(FE, tokenizer, et, rt)
-    target = tuple(tokenizer.try_encode(codec.linearize([("Ada", "knows", "Bob")], FE)))
-    scorer = OracleScorer(tokenizer.vocab_size, target, tokenizer.eos_id)
-    params = DecodeParams(num_beams=4, length_penalty=length_penalty, max_length=257)
+def test_length_penalty_whose_bound_overflows_is_refused(length_penalty):
     with pytest.raises(OverflowError):
         258.0 ** abs(length_penalty)
+    with pytest.raises(ValidationError, match=rf"length_penalty {length_penalty} .*max_length 257"):
+        DecodeParams(length_penalty=length_penalty, max_length=257)
+    sign, largest = math.copysign(1, length_penalty), largest_length_penalty(257)
+    assert DecodeParams(length_penalty=sign * largest, max_length=257).length_penalty == sign * largest
+    with pytest.raises(ValidationError):
+        DecodeParams(length_penalty=sign * math.nextafter(largest, math.inf), max_length=257)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_truncating_search_at_the_largest_accepted_length_penalty(sign):
+    # no hypothesis finishes within 200 bytes, so every beam is ranked at length 200
+    tokenizer = ByteTokenizer()
+    engine = ConstraintEngine(FE, tokenizer, build_trie(["a" * 300, "b" * 300], tokenizer), build_trie(["knows"], tokenizer))
+    params = DecodeParams(num_beams=3, length_penalty=sign * largest_length_penalty(200), max_length=200)
+    scorer = TiedScorer(tokenizer.vocab_size, seed=5, values=[-1.0, -2.5])
     best = constrained_beam_search(scorer, "", engine, params)
-    assert best == reference_beam_search(scorer, "", engine, params) and best.finished
+    assert not best.finished and len(best.tokens) == 200
+    assert best == reference_beam_search(scorer, "", engine, params)
 
 
 # one plain label, so that decode has something to admit, and labels built

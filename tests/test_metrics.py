@@ -173,8 +173,8 @@ def test_macro_f1_modes_differ():
     harmonic = macro_scores(pairs, f1_mode="harmonic_of_means")[2]
     assert mean_of_f1 == 0.5
     assert harmonic == 0.5  # 2*0.5*0.5/(0.5+0.5)
-    with pytest.raises(ValueError):
-        macro_scores(pairs, f1_mode="nope")
+    with pytest.raises(ValueError, match="macro_f1_mode"):
+        metrics.evaluate(pairs, macro_f1_mode="nope")
 
 
 def test_oracle_equivalence_on_random_instances():
@@ -281,10 +281,10 @@ def test_per_bucket_single_bucket_equals_global():
         pair("d2", {T("x", "r1", "y")}, {T("x", "r1", "y"), T("x", "r2", "z")}),
     ]
     train_counts = {"r1": 40, "r2": 40}  # both bucket 5
-    rows = metrics.evaluate(pairs, n_bootstrap=10, seed=3, train_counts=train_counts).per_bucket
+    rows = metrics.evaluate(pairs, n_bootstrap=10, seed=3, train_counts=train_counts)["per_bucket"]
     assert len(rows) == 1
-    assert rows[0].bucket == 5
-    assert rows[0].f1_point == micro_scores(pairs)[2]
+    assert rows[0]["bucket"] == 5
+    assert rows[0]["f1_point"] == micro_scores(pairs)[2]
 
 
 def test_per_bucket_two_buckets():
@@ -292,21 +292,21 @@ def test_per_bucket_two_buckets():
         pair("d1", {T("a", "rare", "b")}, {T("a", "rare", "b")}),
         pair("d2", set(), {T("x", "common", "y")}),
     ]
-    rows = metrics.evaluate(pairs, n_bootstrap=10, seed=0, train_counts={"rare": 1, "common": 1000}).per_bucket
-    by_bucket = {row.bucket: row.f1_point for row in rows}
+    rows = metrics.evaluate(pairs, n_bootstrap=10, seed=0, train_counts={"rare": 1, "common": 1000})["per_bucket"]
+    by_bucket = {row["bucket"]: row["f1_point"] for row in rows}
     assert by_bucket[metrics.bucketize(1)] == 1.0
     assert by_bucket[metrics.bucketize(1000)] == 0.0
 
 
 def test_per_bucket_missing_relation_goes_unseen():
     pairs = [pair("d1", {T("a", "novel", "b")}, {T("a", "novel", "b")})]
-    rows = metrics.evaluate(pairs, n_bootstrap=5, seed=0, train_counts={}).per_bucket
-    assert rows[0].bucket == metrics.UNSEEN_BUCKET
+    rows = metrics.evaluate(pairs, n_bootstrap=5, seed=0, train_counts={})["per_bucket"]
+    assert rows[0]["bucket"] == metrics.UNSEEN_BUCKET
 
 
 def test_per_bucket_empty_pairs():  # pairs without facts: no bucket
     pairs = [pair("d1", set(), set())]
-    assert metrics.evaluate(pairs, n_bootstrap=5, train_counts={"r": 1}).per_bucket == []
+    assert metrics.evaluate(pairs, n_bootstrap=5, train_counts={"r": 1})["per_bucket"] == []
 
 
 def test_per_bucket_f1_scores_each_bucket_of_one_table():
@@ -318,7 +318,10 @@ def test_per_bucket_f1_scores_each_bucket_of_one_table():
 # --- relation stats ---
 
 def five_numbers(stats):
-    return (stats.minimum, stats.q1, stats.median, stats.q3, stats.maximum)
+    """The summary of what ``relation_stats`` returns, in the order min, q1,
+    median, q3, max."""
+    summary = stats[0]["summary"]
+    return (summary["min"], summary["q1"], summary["median"], summary["q3"], summary["max"])
 
 
 def test_relation_stats_all_once():
@@ -360,8 +363,8 @@ def test_relation_stats_matches_sort_oracle():
 
 def test_relation_stats_cdf():
     flattened = [[("e", "r1", "e")], [("e", "r1", "e")], [("e", "r2", "e")]]
-    stats = metrics.relation_stats(flattened)
-    assert stats.cdf == [(1, 0.5), (2, 1.0)]
+    _, cdf = metrics.relation_stats(flattened)
+    assert cdf == [(1, 0.5), (2, 1.0)]
 
 
 def test_relation_stats_empty_dataset():
@@ -374,8 +377,7 @@ def test_relation_stats_empty_dataset():
 def test_evaluate_report_shape():
     rng = random.Random(3)
     pairs = random_instance(rng)
-    report = metrics.evaluate(pairs, n_bootstrap=10, seed=9, train_counts={"r0": 10, "r1": 100})
-    payload = report.to_json_dict()
+    payload = metrics.evaluate(pairs, n_bootstrap=10, seed=9, train_counts={"r0": 10, "r1": 100})
     for block in ("micro", "macro"):
         for name in ("precision", "recall", "f1"):
             entry = payload[block][name]
@@ -411,8 +413,9 @@ def per_component_report(pairs, train_counts, n, seed, mode):
             return micro_scores(ps)[2]
 
         point, lower, upper = metrics.bootstrap_ci(restricted, bucket_f1, n=n, seed=seed)
-        rows.append(metrics.BucketRow(b, sum(len(p.gold) for p in restricted),
-                                      sum(len(p.predicted) for p in restricted), point, lower, upper))
+        rows.append({"bucket": b, "n_gold": sum(len(p.gold) for p in restricted),
+                     "n_predicted": sum(len(p.predicted) for p in restricted),
+                     "f1_point": point, "f1_lower": lower, "f1_upper": upper})
     return micro, macro, rows, saw_empty
 
 
@@ -425,9 +428,9 @@ def assert_evaluate_equals_per_component_path(pairs, train_counts, seed):
     for mode in ("mean_of_f1", "harmonic_of_means"):
         report = metrics.evaluate(pairs, n_bootstrap=20, seed=seed, macro_f1_mode=mode, train_counts=train_counts)
         micro, macro, rows, saw_empty = per_component_report(pairs, train_counts, 20, seed, mode)
-        assert report.micro == micro
-        assert report.macro == macro
-        assert report.per_bucket == rows
+        assert report["micro"] == micro
+        assert report["macro"] == macro
+        assert report["per_bucket"] == rows
     return saw_empty
 
 
@@ -476,13 +479,20 @@ def reference_report(pairs, n, seed, mode, train_counts):
         table = recount_relations(ps)
         return (*metrics._prf(*metrics._sums(table.values())), *metrics._macro(table, mode))
 
-    report = metrics.MetricsReport(n_bootstrap=n, level=0.95, seed=seed, macro_f1_mode=mode)
     cis = metrics.bootstrap_ci(pairs, scores, n=n, seed=seed)
     names = ("precision", "recall", "f1")
-    report.micro = {name: dict(zip(("point", "lower", "upper"), ci)) for name, ci in zip(names, cis[:3])}
-    report.macro = {name: dict(zip(("point", "lower", "upper"), ci)) for name, ci in zip(names, cis[3:])}
     table = recount_relations(pairs)
-    report.per_relation = {r: metrics._prf(*row) for r, row in table.items()}
+    report = {
+        "micro": {name: dict(zip(("point", "lower", "upper"), ci)) for name, ci in zip(names, cis[:3])},
+        "macro": {name: dict(zip(("point", "lower", "upper"), ci)) for name, ci in zip(names, cis[3:])},
+        "per_relation": {r: list(metrics._prf(*row)) for r, row in table.items()},
+        "per_bucket": [],
+        "n_bootstrap": n,
+        "level": 0.95,
+        "seed": seed,
+        "macro_f1_mode": mode,
+        "conventions": metrics.ZERO_DENOMINATOR_CONVENTION,
+    }
     if train_counts is not None:
         members = {}
         for r in table:
@@ -494,8 +504,9 @@ def reference_report(pairs, n, seed, mode, train_counts):
 
         bucket_cis = metrics.bootstrap_ci(
             pairs, lambda ps: tuple(metrics._prf(*sums)[2] for sums in bucket_sums(recount_relations(ps))), n=n, seed=seed)
-        report.per_bucket = [metrics.BucketRow(b, gold, predicted, *ci)
-                             for b, (_, predicted, gold), ci in zip(buckets, bucket_sums(table), bucket_cis)]
+        report["per_bucket"] = [
+            {"bucket": b, "n_gold": gold, "n_predicted": predicted, "f1_point": point, "f1_lower": lower, "f1_upper": upper}
+            for b, (_, predicted, gold), (point, lower, upper) in zip(buckets, bucket_sums(table), bucket_cis)]
     return report
 
 
@@ -508,5 +519,5 @@ def test_evaluate_equals_the_pair_list_bootstrap(seed, with_train_counts):
     for mode in ("mean_of_f1", "harmonic_of_means"):
         report = metrics.evaluate(pairs, n_bootstrap=30, seed=seed, macro_f1_mode=mode, train_counts=train_counts)
         expected = reference_report(pairs, 30, seed, mode, train_counts)
-        assert report.to_json_dict() == expected.to_json_dict()
-        assert json.dumps(report.to_json_dict()) == json.dumps(expected.to_json_dict())
+        assert report == expected
+        assert json.dumps(report) == json.dumps(expected)
