@@ -14,6 +14,7 @@ import argparse
 import difflib
 import json
 import logging
+import math
 import sys
 from itertools import islice
 from pathlib import Path
@@ -107,6 +108,7 @@ DEFAULTS = {
     "seed": 0, "schema": "fe", "tokenizer": "byte", "paths.workdir": "out",
     "generation.model": "", "generation.preset": "code",
     "generation.requests_per_minute": 20, "generation.tokens_per_minute": 150_000,
+    "generation.price_per_1k_tokens": 0.0,
     "prepare.max_input_tokens": 256, "prepare.max_target_tokens": 256,
 }
 SECTIONS = {key.partition(".")[0] for key in SETTINGS if "." in key}
@@ -341,20 +343,19 @@ def cmd_generate(stage: Stage) -> int:
         sets[set_id] = triplets, raw.get_as("partial", bool, False)
         prompts.append((set_id, textgen.build_prompt(triplets, template, demos)))
 
-    endpoint = textgen.EndpointConfig(
-        url=setting(stage.cfg, "generation.endpoint"),
-        model=setting(stage.cfg, "generation.model"),
-        **given(stage.cfg, "generation", "api_key_env"),
-    )
-    if not endpoint.url:
+    url = setting(stage.cfg, "generation.endpoint")
+    if not url:
         raise ConfigError("generation.endpoint is required")
     limiter = textgen.RateLimiter(
         setting(stage.cfg, "generation.requests_per_minute"),
         setting(stage.cfg, "generation.tokens_per_minute"),
     )
-    ledger = textgen.CostLedger(**given(stage.cfg, "generation", "price_per_1k_tokens"))
-    client = textgen.CompletionClient(endpoint, params, limiter, ledger=ledger,
-                                      **given(stage.cfg, "generation", "concurrency", "max_attempts", "backoff_base"))
+    price = setting(stage.cfg, "generation.price_per_1k_tokens")
+    if price < 0:
+        raise ConfigError(f"generation.price_per_1k_tokens must be >= 0, got {price}")
+    client = textgen.CompletionClient(
+        url, setting(stage.cfg, "generation.model"), params, limiter,
+        **given(stage.cfg, "generation", "api_key_env", "concurrency", "max_attempts", "backoff_base"))
     counts, completions = client.generate(prompts, stage.output("generation_records.jsonl"))
     # one row per set with an ok record, in the order of the sets file
     rows = [
@@ -369,9 +370,10 @@ def cmd_generate(stage: Stage) -> int:
         if set_id in completions
     ]
     write_jsonl(stage.output("datapoints.jsonl"), rows)
+    cost = textgen.estimate_cost(client.tokens_consumed, price)
     stage.snapshot = {"generation": {k: v for k, v in gen_cfg.items() if k != "endpoint"}, "counts": counts,
-                      "tokens_consumed": ledger.tokens_consumed, "cost": ledger.cost}
-    print(json.dumps({**counts, "cost": ledger.cost}, sort_keys=True))
+                      "tokens_consumed": client.tokens_consumed, "cost": cost}
+    print(json.dumps({**counts, "cost": cost}, sort_keys=True))
     return EXIT_PARTIAL if counts["failed"] else EXIT_OK
 
 
@@ -503,6 +505,9 @@ def cmd_decode(stage: Stage) -> int:
                     best = constrained_beam_search(scorer, context, engine, params)
                 except ScorerError as exc:
                     raise ScorerError(f"{raw.where}: input {doc_id!r}: {exc}") from None
+                if not math.isfinite(best.normalized_score):
+                    raise RuntimeError(f"{raw.where}: input {doc_id!r}: normalized score {best.normalized_score} is not "
+                                       f"finite under decode.length_penalty {params.resolve_length_penalty(variant)}")
                 parsed = codec.parse(best.text, variant, entity_labels, relation_labels)
                 sink.append({
                     "id": doc_id,

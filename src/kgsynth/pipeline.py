@@ -150,8 +150,9 @@ def read_jsonl(path) -> Iterator[Row]:
 
 
 def jsonl_line(row: dict) -> str:
-    """``row`` as a JSONL line: the one encoding of every JSONL output."""
-    return json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
+    """``row`` as a JSONL line: the one encoding of every JSONL output. A
+    float that is not finite, which JSON cannot hold, is a ValueError."""
+    return json.dumps(row, ensure_ascii=False, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_jsonl(path, rows: Iterable[dict]) -> int:

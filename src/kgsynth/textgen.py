@@ -16,7 +16,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -150,27 +150,6 @@ def estimate_tokens(text: str) -> int:
     return max(1, math.ceil(len(text) / 4))
 
 
-class CostLedger:
-    """Thread-safe token and request accounting."""
-
-    def __init__(self, price_per_1k_tokens: float = 0.0):
-        if price_per_1k_tokens < 0:
-            raise ValidationError("price_per_1k_tokens must be >= 0")
-        self.price_per_1k_tokens = price_per_1k_tokens
-        self.tokens_consumed = 0
-        self.requests_sent = 0
-        self._lock = threading.Lock()
-
-    def add(self, tokens: int, requests: int = 1) -> None:
-        with self._lock:
-            self.tokens_consumed += tokens
-            self.requests_sent += requests
-
-    @property
-    def cost(self) -> float:
-        return estimate_cost(self.tokens_consumed, self.price_per_1k_tokens)
-
-
 class RateLimiter:
     """Sliding-window limiter over both requests/minute and tokens/minute.
 
@@ -229,7 +208,6 @@ class GenerationRecord:
     total_tokens: int = 0
     error: str = ""
     attempts: int = 1
-    timestamp: float = 0.0
 
 
 def _default_transport(url: str, body: dict, headers: dict, timeout: float) -> tuple[int, dict]:
@@ -243,37 +221,24 @@ def _default_transport(url: str, body: dict, headers: dict, timeout: float) -> t
     return response.status_code, payload
 
 
-@dataclass
-class EndpointConfig:
-    url: str
-    model: str
-    api_key_env: str = "KGSYNTH_API_KEY"
-
-    def headers(self) -> dict:
-        key = os.environ.get(self.api_key_env, "")
-        headers = {"Content-Type": "application/json"}
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-        return headers
-
-
 class CompletionClient:
-    """Batch driver with retries, rate limiting, cost accounting, and
-    append-only record persistence keyed by set id."""
+    """Batch driver with retries, rate limiting, and append-only record
+    persistence keyed by set id. ``tokens_consumed`` sums ``total_tokens``
+    over the records ``generate`` appends; the key in the environment
+    variable ``api_key_env``, if it is set, is sent as a bearer token."""
 
     def __init__(
         self,
-        endpoint: EndpointConfig,
+        url: str,
+        model: str,
         params: GenerationParams,
         rate_limiter: RateLimiter,
-        ledger: CostLedger | None = None,
+        api_key_env: str = "KGSYNTH_API_KEY",
         transport: Callable[[str, dict, dict, float], tuple[int, dict]] = _default_transport,
         max_attempts: int = 5,
         backoff_base: float = 2.0,
         concurrency: int = 4,
-        time_fn: Callable[[], float] = time.time,
         sleep_fn: Callable[[float], None] = time.sleep,
-        jitter_rng: random.Random | None = None,
     ):
         if max_attempts < 1:
             raise ValidationError("max_attempts must be >= 1")
@@ -281,21 +246,23 @@ class CompletionClient:
             raise ValidationError("backoff_base must be >= 0")
         if concurrency < 1:
             raise ValidationError("concurrency must be >= 1")
-        self.endpoint = endpoint
+        self.url, self.model = url, model
         self.params = params
         self.rate_limiter = rate_limiter
-        self.ledger = ledger if ledger is not None else CostLedger()
+        key = os.environ.get(api_key_env, "")
+        self.headers = {"Content-Type": "application/json"}
+        if key:
+            self.headers["Authorization"] = f"Bearer {key}"
         self.transport = transport
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self.concurrency = concurrency
-        self.time_fn = time_fn
         self.sleep_fn = sleep_fn
-        self.jitter_rng = jitter_rng if jitter_rng is not None else random.Random()
+        self.tokens_consumed = 0
 
     def _backoff(self, attempt: int) -> float:
         base = min(self.backoff_base * (2**attempt), BACKOFF_CAP_S)
-        return base * (1.0 + 0.25 * self.jitter_rng.random())
+        return base * (1.0 + 0.25 * random.random())
 
     def _strip_stop(self, text: str) -> str:
         stop = self.params.stop
@@ -304,7 +271,7 @@ class CompletionClient:
         return text
 
     def generate_one(self, set_id: str, prompt: str) -> GenerationRecord:
-        body = {"model": self.endpoint.model, "prompt": prompt, **asdict(self.params)}
+        body = {"model": self.model, "prompt": prompt, **asdict(self.params)}
         estimate = estimate_tokens(prompt) + self.params.max_tokens * self.params.best_of
         last_error = ""
         for attempt in range(1, self.max_attempts + 1):
@@ -315,11 +282,10 @@ class CompletionClient:
             except ValueError as exc:
                 return self._failed(set_id, prompt, str(exc), attempt)
             try:
-                status, payload = self.transport(self.endpoint.url, body, self.endpoint.headers(), REQUEST_TIMEOUT_S)
+                status, payload = self.transport(self.url, body, self.headers, REQUEST_TIMEOUT_S)
             except Exception as exc:  # network-level failure: retry
                 last_error = f"transport error: {exc}"
                 continue
-            self.ledger.add(0, requests=1)
             if status == 429 or status >= 500:
                 last_error = f"HTTP {status}"
                 continue
@@ -331,7 +297,10 @@ class CompletionClient:
                 if not isinstance(text, str):
                     raise TypeError("completion text is not a string")
                 completion = self._strip_stop(text)
-                finish_reason = str(choice.get("finish_reason", ""))
+                finish_reason = choice.get("finish_reason")
+                finish_reason = "" if finish_reason is None else finish_reason
+                if not isinstance(finish_reason, str):
+                    raise TypeError("finish reason is not a string")
                 usage = payload.get("usage") or {}
                 prompt_tokens = int(usage.get("prompt_tokens", estimate_tokens(prompt)))
                 completion_tokens = int(usage.get("completion_tokens", estimate_tokens(completion)))
@@ -340,9 +309,8 @@ class CompletionClient:
                     raise ValueError("negative token count")
             except (KeyError, IndexError, TypeError, AttributeError, ValueError, OverflowError):
                 return self._failed(set_id, prompt, "malformed response", attempt)
-            self.ledger.add(total, requests=0)
             return GenerationRecord(
-                set_id=str(set_id),
+                set_id=set_id,
                 prompt=prompt,
                 completion=completion,
                 finish_reason=finish_reason,
@@ -351,12 +319,11 @@ class CompletionClient:
                 total_tokens=total,
                 status="ok",
                 attempts=attempt,
-                timestamp=self.time_fn(),
             )
         return self._failed(set_id, prompt, last_error, self.max_attempts)
 
     def _failed(self, set_id, prompt, error, attempts) -> GenerationRecord:
-        return GenerationRecord(str(set_id), prompt, "failed", error=error, attempts=attempts, timestamp=self.time_fn())
+        return GenerationRecord(set_id, prompt, "failed", error=error, attempts=attempts)
 
     def generate(self, prompts: Sequence[tuple[str, str]], out_path) -> tuple[dict, dict[str, str]]:
         """Answer every (set_id, prompt), appending records to ``out_path`` as
@@ -368,7 +335,7 @@ class CompletionClient:
         held, this run's for the others."""
         with JsonlSink(out_path) as sink:
             completions = completed_ids(sink.rows)
-            todo = [(str(sid), prompt) for sid, prompt in prompts if str(sid) not in completions]
+            todo = [(sid, prompt) for sid, prompt in prompts if sid not in completions]
             counts = {"ok": 0, "failed": 0, "skipped": len(prompts) - len(todo)}
 
             def run(item):
@@ -379,6 +346,7 @@ class CompletionClient:
             with ThreadPoolExecutor(max_workers=self.concurrency) as pool:
                 for record in pool.map(run, todo):
                     counts[record.status] += 1
+                    self.tokens_consumed += record.total_tokens
                     if record.status == "ok":
                         completions.setdefault(record.set_id, record.completion)
         return counts, completions

@@ -339,11 +339,10 @@ def test_criterion_09_generation_client(tmp_path):
 
     clock = FakeClock()
     limiter = RecordingLimiter(20, 150_000, time_fn=clock.time, sleep_fn=clock.sleep)
-    endpoint = textgen.EndpointConfig(url="http://mock/v1", model="mock")
     client = textgen.CompletionClient(
-        endpoint, textgen.PRESETS["text"], limiter, ledger=textgen.CostLedger(0.02),
+        "http://mock/v1", "mock", textgen.PRESETS["text"], limiter,
         transport=transport, max_attempts=3, backoff_base=0.5, concurrency=4,
-        time_fn=clock.time, sleep_fn=clock.sleep,
+        sleep_fn=clock.sleep,
     )
     out = tmp_path / "records.jsonl"
 

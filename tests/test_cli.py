@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -481,6 +482,37 @@ def test_decode_admits_only_labels_parse_reads_back(workspace, tmp_path, caplog)
         assert row["triplets"] == [{"s": s, "r": r, "o": o} for s, r, o in parsed.triplets]
 
 
+def test_decode_refuses_a_score_that_is_not_finite(workspace, tmp_path, monkeypatch, capsys):
+    # no hypothesis finishes within 200 bytes, and 200 ** 133 times a truncated
+    # hypothesis's log-probability overflows to -inf
+    data = workspace["data"]
+    (data / "entities.tsv").write_text(f"Q1\t{'a' * 300}\nQ2\t{'b' * 300}\n", encoding="utf-8")
+    (data / "relations.tsv").write_text("P1\tknows\n", encoding="utf-8")
+    (data / "edges.tsv").write_text("Q1\tP1\tQ2\n", encoding="utf-8")
+    config = tmp_path / "penalty.yaml"
+    config.write_text(yaml.safe_dump(dict(workspace["raw"], decode={"num_beams": 2, "length_penalty": -133, "max_length": 200})),
+                      encoding="utf-8")
+    assert run_cli("ingest", "--config", config) == 0
+    inputs = tmp_path / "inputs.jsonl"
+    inputs.write_text("".join(json.dumps({"id": f"q{n}", "text": "some context"}) + "\n" for n in (1, 2)), encoding="utf-8")
+
+    searched = []
+
+    def search(scorer, context, engine, params):
+        searched.append(context)
+        if len(searched) == 1:  # the first input at a penalty whose score stays finite
+            params = dataclasses.replace(params, length_penalty=0.8)
+        return SEARCH(scorer, context, engine, params)
+
+    monkeypatch.setattr(cli, "constrained_beam_search", search)
+    capsys.readouterr()
+    assert run_cli("decode", "--config", config, "--inputs", inputs) == cli.EXIT_RUNTIME
+    assert (f"runtime error: {inputs}:2: input 'q2': normalized score -inf is not finite under decode.length_penalty -133.0"
+            in capsys.readouterr().err)
+    rows = [json.loads(line) for line in (workspace["out"] / "predictions.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert [row["id"] for row in rows] == ["q1"] and math.isfinite(rows[0]["score"])
+
+
 def test_decode_with_no_admissible_relation_exits_1(workspace, tmp_path, capsys):
     (workspace["data"] / "relations.tsv").write_text("P1\tlinked [e]\nP2\tpart of \nP3\tpopulation\tliteral\n", encoding="utf-8")
     assert run_cli("ingest", "--config", workspace["config"]) == 0
@@ -685,8 +717,10 @@ def test_generate_partial_failure_exit_code(workspace, tmp_path, mock_endpoint):
     {"choices": [{"text": ["a"]}]},
     {"choices": [{"text": "x"}], "usage": {"total_tokens": -500}},
     {"choices": [{"text": "x"}], "usage": {"prompt_tokens": -1, "total_tokens": 5}},
+    {"choices": [{"text": "x", "finish_reason": 5}]},
+    {"choices": [{"text": "x", "finish_reason": ["stop"]}]},
 ], ids=["choice-not-object", "usage-not-object", "count-null", "count-not-a-number", "text-null", "text-a-number",
-        "text-a-list", "total-negative", "prompt-count-negative"])
+        "text-a-list", "total-negative", "prompt-count-negative", "finish-reason-a-number", "finish-reason-a-list"])
 def test_malformed_200_response_is_a_failed_record(payload, workspace, tmp_path, monkeypatch):
     # the set about Gamma is answered with the malformed payload, the other well
     class Post(ConstantPost):
@@ -707,6 +741,57 @@ def test_malformed_200_response_is_a_failed_record(payload, workspace, tmp_path,
     assert (records["1"]["status"], records["1"]["error"], records["1"]["attempts"]) == ("failed", "malformed response", 1)
     assert [json.loads(line)["id"] for line in (out / "datapoints.jsonl").read_text().splitlines()] == ["0"]
     assert (out / "generate.manifest.json").exists()
+
+
+class TokenCountingPost:
+    """``requests.post`` stand-in whose usage counts one token per prompt
+    character, and that answers HTTP 400 to a prompt about Gamma while
+    ``refuse_gamma``."""
+
+    def __init__(self):
+        self.refuse_gamma = True
+
+    def __call__(self, url, json, headers, timeout):
+        refused = self.refuse_gamma and "Gamma" in json["prompt"]
+        return TokenCountingPost.Response(400 if refused else 200, len(json["prompt"]))
+
+    class Response:
+        def __init__(self, status_code, tokens):
+            self.status_code, self.tokens = status_code, tokens
+
+        def json(self):
+            return {"choices": [{"text": "A sentence.", "finish_reason": "stop"}], "usage": {"total_tokens": self.tokens}}
+
+
+def test_generate_manifest_prices_the_ok_records_the_run_appended(workspace, tmp_path, monkeypatch):
+    post = TokenCountingPost()
+    monkeypatch.setattr(requests, "post", post)
+    run_cli("ingest", "--config", workspace["config"])
+    run_cli("sample", "--config", workspace["config"], "--n", 8)
+    config = generation_config(workspace, tmp_path, "http://127.0.0.1:9/v1/completions", price_per_1k_tokens=0.02)
+    sets, out = workspace["out"] / "triplet_sets.jsonl", workspace["out"]
+    records = out / "generation_records.jsonl"
+    for resumed in (False, True):  # the fresh run fails the sets about Gamma, the resumed one answers them
+        before = len(records.read_text(encoding="utf-8").splitlines()) if resumed else 0
+        assert run_cli("generate", "--config", config, "--sets", sets) == (0 if resumed else 3)
+        rows = [json.loads(line) for line in records.read_text(encoding="utf-8").splitlines()[before:]]
+        tokens = sum(row["total_tokens"] for row in rows if row["status"] == "ok")
+        manifest = json.loads((out / "generate.manifest.json").read_text(encoding="utf-8"))["config"]
+        assert tokens > 0 and (manifest["tokens_consumed"], manifest["cost"]) == (tokens, tokens / 1000 * 0.02)
+        post.refuse_gamma = False
+
+
+def test_two_fresh_generate_runs_write_equal_records(workspace, tmp_path, monkeypatch):
+    monkeypatch.setattr(requests, "post", ConstantPost())
+    run_cli("ingest", "--config", workspace["config"])
+    run_cli("sample", "--config", workspace["config"], "--n", 8)
+    config = generation_config(workspace, tmp_path, "http://127.0.0.1:9/v1/completions")
+    records = []
+    for out in ("a", "b"):
+        assert run_cli("generate", "--config", config, "--sets", workspace["out"] / "triplet_sets.jsonl",
+                       "--out", tmp_path / out) == 0
+        records.append(sorted((tmp_path / out / "generation_records.jsonl").read_text(encoding="utf-8").splitlines()))
+    assert records[0] == records[1] and len(records[0]) == 8
 
 
 def test_unknown_tokenizer_is_validation_error(workspace, tmp_path):
@@ -1437,9 +1522,8 @@ def layer_default(key):
     from kgsynth.decoder import DecodeParams
 
     owners = {"sampler": sampler.SamplerConfig, "decode": DecodeParams, "metrics": metrics.evaluate,
-              "generation.api_key_env": textgen.EndpointConfig, "generation.price_per_1k_tokens": textgen.CostLedger,
-              **dict.fromkeys(("generation.concurrency", "generation.max_attempts", "generation.backoff_base"),
-                              textgen.CompletionClient)}
+              **dict.fromkeys(("generation.api_key_env", "generation.concurrency", "generation.max_attempts",
+                               "generation.backoff_base"), textgen.CompletionClient)}
     owner = owners.get(key) or owners.get(key.partition(".")[0])
     if owner is None:
         return cli.DEFAULTS.get(key)
