@@ -45,10 +45,10 @@ def load_graph(path):
     return load(path)
 
 
-def save_graph(graph, path) -> None:
+def save_graph(graph, fh) -> None:
     from .kgstore import save_graph as save
 
-    save(graph, path)
+    save(graph, fh)
 
 
 def build_trie(catalog, tokenizer):
@@ -194,14 +194,14 @@ def make_schema(cfg: dict):
     return codec.Variant(variant)
 
 
-def make_tokenizer(cfg: dict):
+def make_tokenizer(stage: Stage):
     from .decoder import ByteTokenizer, WordPieceTokenizer
 
-    spec = setting(cfg, "tokenizer")
+    spec = setting(stage.cfg, "tokenizer")
     if spec == "byte":
         return ByteTokenizer()
     if spec.startswith("wordpiece:"):
-        vocab_path = existing(spec.split(":", 1)[1], "tokenizer")
+        vocab_path = stage.input("tokenizer", spec.split(":", 1)[1])
         pieces = [piece for _, line in read_lines(vocab_path) if (piece := line.rstrip("\r\n"))]
         try:
             return WordPieceTokenizer(pieces)
@@ -211,17 +211,18 @@ def make_tokenizer(cfg: dict):
 
 
 class Stage:
-    """One run of a subcommand, as its body sees it. ``main`` builds it,
-    calls the body, and then writes ``<command>.manifest.json`` from what
-    the body asked for:
+    """One run of a subcommand, as its body sees it, and the one opener of
+    the files it writes. ``main`` builds it, calls the body, and then writes
+    ``<command>.manifest.json`` through ``write`` from what the body asked for:
 
-    - ``input(name)``: the path of an input file, named by its flag
-      (``sets``) or by its dotted config key (``paths.graph``). It must
-      exist; the manifest hashes it under the flag name or the key's last
-      part.
-    - ``output(name)``: a file in the output directory (``--out``, else
-      ``paths.workdir``), created on the first request; the manifest lists it.
-      ``main`` removes the command's old manifest there before the body runs.
+    - ``input(name, path=None)``: the path of an input file, named by its
+      flag (``sets``) or config key (``paths.graph``), or ``path``, which
+      that key's value names. It must exist; the manifest hashes it under
+      the flag name or the key's last part.
+    - ``write(name, binary=False)``: a context manager yielding a new file
+      ``name`` in the output directory (``--out``, else ``paths.workdir``);
+      ``sink(name)``: the ``JsonlSink`` there, which a killed run resumes.
+      The manifest lists both; ``main`` first removes its old manifest.
     - ``seed``: ``--seed``, else the config's; once read, the manifest
       records it.
     - ``snapshot``: the config snapshot the body sets for the manifest.
@@ -236,19 +237,24 @@ class Stage:
         self.outputs: list[Path] = []
         self.seed_read = None
 
-    def input(self, name: str) -> Path:
-        if "." in name:
-            path = existing(setting(self.cfg, name), name)
-        else:
+    def input(self, name: str, path=None) -> Path:
+        if path is None and "." not in name:
             path = existing(getattr(self.args, name), "--" + name.replace("_", "-"))
+        else:
+            path = existing(setting(self.cfg, name) if path is None else path, name)
         self.inputs[name.rpartition(".")[2]] = path
         return path
 
-    def output(self, name: str) -> Path:
+    def _output(self, name: str) -> Path:
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        path = self.out_dir / name
-        self.outputs.append(path)
-        return path
+        self.outputs.append(self.out_dir / name)
+        return self.outputs[-1]
+
+    def write(self, name: str, binary: bool = False):
+        return open(self._output(name), "wb" if binary else "w", encoding=None if binary else "utf-8")
+
+    def sink(self, name: str) -> JsonlSink:
+        return JsonlSink(self._output(name))
 
     @property
     def seed(self) -> int:
@@ -265,7 +271,8 @@ def cmd_ingest(stage: Stage) -> int:
     graph = kgstore.filter_zero_degree(kgstore.ingest(
         stage.input("paths.edges"), stage.input("paths.entity_labels"), stage.input("paths.relation_labels")
     ))
-    save_graph(graph, stage.output("graph.json"))
+    with stage.write("graph.json", binary=True) as fh:
+        save_graph(graph, fh)
     stage.snapshot = {
         "counts": {
             "entities": len(graph.entities),
@@ -291,9 +298,9 @@ def cmd_sample(stage: Stage) -> int:
     if not len(graph.edges):
         raise InputError(f"{graph_path}: the graph has no edges to sample")
     scfg = sampler.SamplerConfig(**given(stage.cfg, "sampler"), seed=stage.seed)
-    with open(stage.output("triplet_sets.jsonl"), "w", encoding="utf-8") as fh:
+    with stage.write("triplet_sets.jsonl") as fh:
         summary = sampler.write_dataset_jsonl(graph, scfg, n, fh)
-    stage.snapshot = {"sampler": stage.cfg.get("sampler") or {}, "n": n, "summary": summary}
+    stage.snapshot = {"sampler": given(stage.cfg, "sampler"), "n": n, "summary": summary}
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 
@@ -322,19 +329,12 @@ def cmd_generate(stage: Stage) -> int:
     if preset not in textgen.PRESETS:
         raise ConfigError(f"unknown generation preset {preset!r}")
     params = textgen.PRESETS[preset]
-    template_path = setting(stage.cfg, "generation.template")
-    if template_path:
-        template = textgen.PromptTemplate.from_file(existing(template_path, "generation.template"))
-    else:
-        # packaged defaults: demonstrations for the code preset, zero-shot otherwise
-        from importlib.resources import files
-
-        name = "few_shot.yaml" if preset == "code" else "zero_shot.yaml"
-        template = textgen.PromptTemplate.from_file(files("kgsynth") / "templates" / name)
+    packaged = "few_shot.yaml" if preset == "code" else "zero_shot.yaml"  # demonstrations for the code preset
+    template_path = setting(stage.cfg, "generation.template") or Path(__file__).with_name("templates") / packaged
+    template = textgen.PromptTemplate.from_file(stage.input("generation.template", template_path))
     demos = []
     if template.num_demonstrations:
-        path = existing(setting(stage.cfg, "generation.demonstrations"), "generation.demonstrations")
-        demos = _load_demonstrations(path, template.num_demonstrations)
+        demos = _load_demonstrations(stage.input("generation.demonstrations"), template.num_demonstrations)
 
     prompts = []
     sets = {}  # id -> (triplets, partial), read whole before any request
@@ -356,20 +356,21 @@ def cmd_generate(stage: Stage) -> int:
     client = textgen.CompletionClient(
         url, setting(stage.cfg, "generation.model"), params, limiter,
         **given(stage.cfg, "generation", "api_key_env", "concurrency", "max_attempts", "backoff_base"))
-    counts, completions = client.generate(prompts, stage.output("generation_records.jsonl"))
+    with stage.sink("generation_records.jsonl") as sink:
+        counts, completions = client.generate(prompts, sink)
     # one row per set with an ok record, in the order of the sets file
-    rows = [
-        {
-            "id": set_id,
-            "text": completions[set_id].strip(),
-            "triplets": triplet_rows(triplets),
-            "provenance": "generated",
-            "flags": {"partial": partial},
-        }
-        for set_id, (triplets, partial) in sets.items()
-        if set_id in completions
-    ]
-    write_jsonl(stage.output("datapoints.jsonl"), rows)
+    with stage.write("datapoints.jsonl") as fh:
+        write_jsonl(fh, (
+            {
+                "id": set_id,
+                "text": completions[set_id].strip(),
+                "triplets": triplet_rows(triplets),
+                "provenance": "generated",
+                "flags": {"partial": partial},
+            }
+            for set_id, (triplets, partial) in sets.items()
+            if set_id in completions
+        ))
     cost = textgen.estimate_cost(client.tokens_consumed, price)
     stage.snapshot = {"generation": {k: v for k, v in gen_cfg.items() if k != "endpoint"}, "counts": counts,
                       "tokens_consumed": client.tokens_consumed, "cost": cost}
@@ -415,7 +416,7 @@ def cmd_prepare(stage: Stage) -> int:
     from . import codec
 
     datapoints_path = stage.input("datapoints")
-    tokenizer = make_tokenizer(stage.cfg)
+    tokenizer = make_tokenizer(stage)
     max_input = setting(stage.cfg, "prepare.max_input_tokens")
     max_target = setting(stage.cfg, "prepare.max_target_tokens")
     for name, value in (("max_input_tokens", max_input), ("max_target_tokens", max_target)):
@@ -424,8 +425,7 @@ def cmd_prepare(stage: Stage) -> int:
 
     drops = {"empty": 0, "input_too_long": 0, "target_too_long": 0, "unencodable": 0, "unlinearizable": 0}
     kept = 0
-    with open(stage.output("prepared_fe.jsonl"), "w", encoding="utf-8") as fe_file, \
-            open(stage.output("prepared_sc.jsonl"), "w", encoding="utf-8") as sc_file:
+    with stage.write("prepared_fe.jsonl") as fe_file, stage.write("prepared_sc.jsonl") as sc_file:
         for point_id, text, triplets, fe_target in _linearized_datapoints(datapoints_path, codec.Variant.FE, drops):
             input_ids, fe_ids = tokenizer.try_encode(text), tokenizer.try_encode(fe_target)
             if input_ids is None or fe_ids is None:
@@ -441,7 +441,8 @@ def cmd_prepare(stage: Stage) -> int:
                 fe_file.write(jsonl_line({"id": point_id, "input": text, "target": fe_target}))
                 sc_file.write(jsonl_line({"id": point_id, "input": text, "target": sc_target}))
                 kept += 1
-    stage.snapshot = {"kept": kept, "drops": drops, "max_input_tokens": max_input, "max_target_tokens": max_target}
+    stage.snapshot = {"kept": kept, "drops": drops, "max_input_tokens": max_input, "max_target_tokens": max_target,
+                      "tokenizer": setting(stage.cfg, "tokenizer")}
     print(json.dumps(stage.snapshot, sort_keys=True))
     return EXIT_OK
 
@@ -449,10 +450,11 @@ def cmd_prepare(stage: Stage) -> int:
 def cmd_encode(stage: Stage) -> int:
     datapoints_path = stage.input("datapoints")
     variant, drops = make_schema(stage.cfg), {"empty": 0, "unlinearizable": 0}
-    rows = write_jsonl(stage.output(f"encoded_{variant.value}.jsonl"), (
-        {"id": point_id, "text": text, "linearization": variant.value, "linearized": linearized}
-        for point_id, text, _, linearized in _linearized_datapoints(datapoints_path, variant, drops)
-    ))
+    with stage.write(f"encoded_{variant.value}.jsonl") as fh:
+        rows = write_jsonl(fh, (
+            {"id": point_id, "text": text, "linearization": variant.value, "linearized": linearized}
+            for point_id, text, _, linearized in _linearized_datapoints(datapoints_path, variant, drops)
+        ))
     stage.snapshot = {"schema": variant.value, "rows": rows, "unlinearizable": drops["unlinearizable"]}
     print(f"encoded {rows} datapoints ({variant.value})")
     return EXIT_OK
@@ -477,13 +479,15 @@ def cmd_decode(stage: Stage) -> int:
     graph_path = stage.input("paths.graph")
     inputs_path = stage.input("inputs")
     variant = make_schema(stage.cfg)
-    tokenizer = make_tokenizer(stage.cfg)
+    tokenizer = make_tokenizer(stage)
     params = DecodeParams(**given(stage.cfg, "decode"))
+    if (scorer_cmd := stage.args.scorer_cmd) is not None and not scorer_cmd.strip():
+        raise ConfigError(f"--scorer-cmd must not be blank, got {scorer_cmd!r}")
     decoded = 0
-    with JsonlSink(stage.output("predictions.jsonl")) as sink:
+    with stage.sink("predictions.jsonl") as sink:
         done = {row.row_id() for row in sink.rows}  # read whole before the scorer starts
         # the scorer starts up while the catalogs are read and their tries built
-        with (SubprocessScorer(stage.args.scorer_cmd, tokenizer.vocab_size) if stage.args.scorer_cmd
+        with (SubprocessScorer(scorer_cmd, tokenizer.vocab_size) if scorer_cmd
               else UniformScorer(tokenizer.vocab_size)) as scorer:
             # the output depends on the catalogs alone: only the header line is read
             entities, relations = read_graph_file(graph_path)[:2]
@@ -517,7 +521,8 @@ def cmd_decode(stage: Stage) -> int:
                     "truncated": not best.finished,
                 })
                 decoded += 1
-    stage.snapshot = {"schema": variant.value, "decode": stage.cfg.get("decode") or {}, "catalog": catalog}
+    stage.snapshot = {"schema": variant.value, "tokenizer": setting(stage.cfg, "tokenizer"),
+                      "scorer": scorer_cmd or "uniform", "decode": given(stage.cfg, "decode"), "catalog": catalog}
     print(f"decoded {decoded} inputs ({len(done)} predictions kept from an earlier run)")
     return EXIT_OK
 
@@ -558,19 +563,19 @@ def _read_train_counts(path) -> dict:
 def cmd_eval(stage: Stage) -> int:
     from . import metrics
 
-    predictions, gold = stage.input("predictions"), stage.input("gold")
-    pairs = _pairs_from_files(predictions, gold)
+    pairs = _pairs_from_files(stage.input("predictions"), stage.input("gold"))
     if not pairs:
         raise ConfigError("no evaluation pairs found")
     train_counts = _read_train_counts(stage.input("train_counts")) if stage.args.train_counts else None
     report = metrics.evaluate(pairs, **given(stage.cfg, "metrics"), seed=stage.seed, train_counts=train_counts)
-    write_json(stage.output("eval_report.json"), report)
+    with stage.write("eval_report.json") as fh:
+        write_json(fh, report)
     if report["per_bucket"]:
-        with open(stage.output("buckets.tsv"), "w", encoding="utf-8") as fh:
+        with stage.write("buckets.tsv") as fh:
             fh.write("bucket\tn_gold\tn_predicted\tf1\tlower\tupper\n")
             for row in report["per_bucket"]:
                 fh.write("{bucket}\t{n_gold}\t{n_predicted}\t{f1_point:.6f}\t{f1_lower:.6f}\t{f1_upper:.6f}\n".format(**row))
-    stage.snapshot = {"metrics": stage.cfg.get("metrics") or {}}
+    stage.snapshot = {"metrics": given(stage.cfg, "metrics")}
     micro = report["micro"]["f1"]
     print(f"micro-F1 {micro['point']:.4f} [{micro['lower']:.4f}, {micro['upper']:.4f}]")
     return EXIT_OK
@@ -580,8 +585,9 @@ def cmd_stats(stage: Stage) -> int:
     from . import metrics
 
     stats, cdf = metrics.relation_stats(raw.triplets() for _, raw in _id_rows(stage.input("dataset")))
-    write_json(stage.output("relation_stats.json"), stats)
-    with open(stage.output("relation_cdf.tsv"), "w", encoding="utf-8") as fh:
+    with stage.write("relation_stats.json") as fh:
+        write_json(fh, stats)
+    with stage.write("relation_cdf.tsv") as fh:
         fh.write("count\tfraction_relations_leq\n")
         for count, fraction in cdf:
             fh.write(f"{count}\t{fraction:.6f}\n")
@@ -648,11 +654,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         stage = Stage(args)
-        manifest = stage.out_dir / f"{args.command}.manifest.json"
-        manifest.unlink(missing_ok=True)  # a failed rerun leaves no manifest of an earlier run
+        manifest = f"{args.command}.manifest.json"
+        (stage.out_dir / manifest).unlink(missing_ok=True)  # a failed rerun leaves no manifest of an earlier run
         code = args.func(stage)
-        write_manifest(manifest, args.command, stage.snapshot,
-                       stage.inputs, stage.outputs, seed=stage.seed_read)
+        outputs = list(stage.outputs)  # the manifest lists the body's outputs, not itself
+        with stage.write(manifest) as fh:
+            write_manifest(fh, args.command, stage.snapshot, stage.inputs, outputs, seed=stage.seed_read)
         return code
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -224,14 +224,13 @@ class KnowledgeGraph:
             raise KgError(f"relation index {relation!r} out of range")
 
 
-def save_graph(graph: KnowledgeGraph, path) -> None:
-    """Write ``graph`` as the layout ``catalog.read_graph_file`` reads: the
-    header line, then the little-endian int32 ``(E, 3)`` edge array in
-    row-major order, written straight from the array. The bytes depend on
-    the graph alone, and no piece of the file is held whole."""
-    with open(path, "wb") as fh:
-        write_header(fh, graph.entities, graph.relations, len(graph.edges))
-        graph.edges.astype("<i4", copy=False).tofile(fh)
+def save_graph(graph: KnowledgeGraph, fh) -> None:
+    """Write ``graph`` to the binary file ``fh`` as ``catalog.read_graph_file``
+    reads it: the header line, then the little-endian int32 ``(E, 3)`` edge
+    array in row-major order, written straight from the array. The bytes
+    depend on the graph alone, and no piece of the file is held whole."""
+    write_header(fh, graph.entities, graph.relations, len(graph.edges))
+    graph.edges.astype("<i4", copy=False).tofile(fh)
 
 
 def load_graph(path) -> KnowledgeGraph:

@@ -39,13 +39,12 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def write_json(path, value) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(value, indent=2, sort_keys=True) + "\n")
+def write_json(fh, value) -> None:
+    fh.write(json.dumps(value, indent=2, sort_keys=True) + "\n")
 
 
-def write_manifest(path, command: str, config_snapshot: dict, inputs: dict, outputs: list, seed=None) -> None:
-    write_json(path, {
+def write_manifest(fh, command: str, config_snapshot: dict, inputs: dict, outputs: list, seed=None) -> None:
+    write_json(fh, {
         "command": command,
         "config": config_snapshot,
         "inputs": {name: {"path": str(p), "sha256": sha256_file(p)} for name, p in sorted(inputs.items())},
@@ -155,12 +154,10 @@ def jsonl_line(row: dict) -> str:
     return json.dumps(row, ensure_ascii=False, sort_keys=True, allow_nan=False) + "\n"
 
 
-def write_jsonl(path, rows: Iterable[dict]) -> int:
+def write_jsonl(fh, rows: Iterable[dict]) -> int:
     n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(jsonl_line(row))
-            n += 1
+    for n, row in enumerate(rows, 1):
+        fh.write(jsonl_line(row))
     return n
 
 

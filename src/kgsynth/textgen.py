@@ -89,13 +89,11 @@ class PromptTemplate:
 
     @classmethod
     def from_file(cls, path) -> "PromptTemplate":
-        """The template in the YAML file ``path``, a filesystem path or an
-        importlib.resources traversable. A file that is not UTF-8 or not
-        YAML, has no ``instruction``, or has a field that is not a string
+        """The template in the YAML file ``path``. A file that is not UTF-8 or
+        not YAML, has no ``instruction``, or has a field that is not a string
         (``num_demonstrations``: an int) is a TemplateError naming ``path``."""
-        source = path if hasattr(path, "read_text") else Path(path)
         try:
-            raw = yaml.safe_load(source.read_text(encoding="utf-8"))
+            raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
         except UnicodeDecodeError as exc:
             raise TemplateError(f"{path}: not UTF-8 ({exc})") from None
         except yaml.YAMLError as exc:
@@ -325,30 +323,29 @@ class CompletionClient:
     def _failed(self, set_id, prompt, error, attempts) -> GenerationRecord:
         return GenerationRecord(set_id, prompt, "failed", error=error, attempts=attempts)
 
-    def generate(self, prompts: Sequence[tuple[str, str]], out_path) -> tuple[dict, dict[str, str]]:
-        """Answer every (set_id, prompt), appending records to ``out_path`` as
-        they complete. Prompts whose id already has an ok record are skipped,
-        so resuming after a kill never re-bills completed work; a torn last
-        line the kill left is repaired or cut off first, and a bad record
-        stops the run before any request is sent. Returns the counts and an
-        ok completion per set id: the file's first for an id it already
-        held, this run's for the others."""
-        with JsonlSink(out_path) as sink:
-            completions = completed_ids(sink.rows)
-            todo = [(sid, prompt) for sid, prompt in prompts if sid not in completions]
-            counts = {"ok": 0, "failed": 0, "skipped": len(prompts) - len(todo)}
+    def generate(self, prompts: Sequence[tuple[str, str]], sink: JsonlSink) -> tuple[dict, dict[str, str]]:
+        """Answer every (set_id, prompt), appending records to the records
+        file ``sink`` as they complete. Prompts whose id already has an ok
+        record among its rows are skipped, so resuming after a kill never
+        re-bills completed work; a torn last line the kill left is repaired
+        or cut off first, and a bad record stops the run before any request
+        is sent. Returns the counts and an ok completion per set id: the
+        file's first for an id it already held, this run's for the others."""
+        completions = completed_ids(sink.rows)
+        todo = [(sid, prompt) for sid, prompt in prompts if sid not in completions]
+        counts = {"ok": 0, "failed": 0, "skipped": len(prompts) - len(todo)}
 
-            def run(item):
-                record = self.generate_one(*item)
-                sink.append(asdict(record))
-                return record
+        def run(item):
+            record = self.generate_one(*item)
+            sink.append(asdict(record))
+            return record
 
-            with ThreadPoolExecutor(max_workers=self.concurrency) as pool:
-                for record in pool.map(run, todo):
-                    counts[record.status] += 1
-                    self.tokens_consumed += record.total_tokens
-                    if record.status == "ok":
-                        completions.setdefault(record.set_id, record.completion)
+        with ThreadPoolExecutor(max_workers=self.concurrency) as pool:
+            for record in pool.map(run, todo):
+                counts[record.status] += 1
+                self.tokens_consumed += record.total_tokens
+                if record.status == "ok":
+                    completions.setdefault(record.set_id, record.completion)
         return counts, completions
 
 

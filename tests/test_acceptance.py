@@ -26,6 +26,7 @@ from kgsynth.decoder import (
     constrained_beam_search,
 )
 from kgsynth.metrics import EvalPair
+from kgsynth.pipeline import JsonlSink
 
 from conftest import make_zipf_kg
 from engine_replay import accepts
@@ -347,12 +348,14 @@ def test_criterion_09_generation_client(tmp_path):
     out = tmp_path / "records.jsonl"
 
     # first run is killed partway: only the first 350 prompts get processed
-    counts_first, _ = client.generate(prompts[:350], out)
+    with JsonlSink(out) as sink:
+        counts_first, _ = client.generate(prompts[:350], sink)
     assert counts_first["ok"] + counts_first["failed"] == 350
 
     # every prompt resolved or flagged after the resumed full run
     calls_before_resume = dict(attempts_seen)
-    counts, _ = client.generate(prompts, out)
+    with JsonlSink(out) as sink:
+        counts, _ = client.generate(prompts, sink)
     assert counts["skipped"] == counts_first["ok"]
     records = {}
     for line in out.read_text().splitlines():

@@ -1,6 +1,8 @@
 import dataclasses
+import builtins
 import hashlib
 import inspect
+import io
 import json
 import math
 import os
@@ -951,7 +953,7 @@ class ConstantPost:
 STAGE_INPUTS = {
     "ingest": ("paths.edges", {"edges", "entity_labels", "relation_labels"}, False),
     "sample": ("paths.graph", {"graph"}, True),
-    "generate": ("--sets", {"sets"}, False),
+    "generate": ("--sets", {"sets", "template"}, False),
     "prepare": ("--datapoints", {"datapoints"}, False),
     "encode": ("--datapoints", {"datapoints"}, False),
     "decode": ("--inputs", {"graph", "inputs"}, False),
@@ -1017,6 +1019,85 @@ def test_every_stage_checks_its_inputs_and_reruns_to_the_same_manifest(command, 
         assert run_cli(command, "--config", bad_config, *bad_argv) == 1
         assert f"{missing_input}: {message}: {bad}" in capsys.readouterr().err
         assert not (out / f"{command}.manifest.json").exists()  # no manifest of the earlier run is left
+
+
+def test_every_file_a_command_opens_is_its_config_an_input_an_output_or_its_manifest(workspace, tmp_path, monkeypatch):
+    """All eight commands, generate under the packaged few-shot template and
+    its demonstrations, and prepare and decode under a ``wordpiece:`` vocab:
+    each file ``open`` is handed while ``main`` runs is one its manifest
+    hashes or lists, the config, or the manifest itself."""
+    monkeypatch.setattr(requests, "post", ConstantPost())
+    out = workspace["out"]
+    demonstrations, inputs, train_counts = tmp_path / "demos.jsonl", tmp_path / "inputs.jsonl", tmp_path / "train_counts.tsv"
+    demonstrations.write_text("".join(json.dumps({**GOOD_ROW, "id": str(i)}) + "\n" for i in range(3)), encoding="utf-8")
+    inputs.write_text(json.dumps({"id": "q1", "text": "some context"}) + "\n", encoding="utf-8")
+    train_counts.write_text("linked to\t40\npart of\t1\n", encoding="utf-8")
+    config = generation_config(workspace, tmp_path, "http://127.0.0.1:9/v1/completions", preset="code",
+                               demonstrations=str(demonstrations))
+    wordpiece, _ = wordpiece_config(workspace, tmp_path, "".join(chr(c) + "\n" for c in range(32, 127)))
+    runs = [
+        (config, ["ingest"]),
+        (config, ["sample", "--n", 6]),
+        (config, ["generate", "--sets", out / "triplet_sets.jsonl"]),
+        (config, ["prepare", "--datapoints", out / "datapoints.jsonl"]),
+        (config, ["encode", "--datapoints", out / "datapoints.jsonl"]),
+        (config, ["decode", "--inputs", inputs]),
+        (config, ["eval", "--predictions", out / "predictions.jsonl", "--gold", out / "datapoints.jsonl",
+                  "--train-counts", train_counts]),
+        (config, ["stats", "--dataset", out / "datapoints.jsonl"]),
+        (wordpiece, ["prepare", "--datapoints", out / "datapoints.jsonl", "--out", tmp_path / "wordpiece"]),
+        (wordpiece, ["decode", "--inputs", inputs, "--out", tmp_path / "wordpiece"]),
+    ]
+    real_open, strays = builtins.open, {}
+    for cfg, argv in runs:
+        opened = []
+
+        def spy(file, *args, **kwargs):
+            opened.append(Path(file).resolve())
+            return real_open(file, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "open", spy)
+            patch.setattr(io, "open", spy)
+            assert run_cli(argv[0], "--config", cfg, *argv[1:]) == 0
+        manifest_path = Path(argv[argv.index("--out") + 1] if "--out" in argv else out) / f"{argv[0]}.manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        allowed = {Path(path).resolve() for path in [cfg, manifest_path, *manifest["outputs"],
+                                                     *(entry["path"] for entry in manifest["inputs"].values())]}
+        assert manifest_path.resolve() in opened  # the spy sees what main opens
+        if set(opened) - allowed:
+            strays[f"{argv[0]} under {cfg.name}"] = sorted(map(str, set(opened) - allowed))
+    assert strays == {}
+
+
+def test_manifests_record_the_tokenizer_the_scorer_and_the_keys_each_layer_gets(workspace, tmp_path):
+    raw, out = workspace["raw"], workspace["out"]
+    config = tmp_path / "config.yaml"  # each section holds a key the CLI warns it ignores
+    config.write_text(yaml.safe_dump(dict(raw, sampler=dict(raw["sampler"], walk_length=3),
+                                          metrics=dict(raw["metrics"], n_boot=5),
+                                          decode=dict(raw["decode"], top_k_returned=1))), encoding="utf-8")
+    datapoints, inputs, script = tmp_path / "dp.jsonl", tmp_path / "inputs.jsonl", tmp_path / "scorer.py"
+    write_datapoints(datapoints, [{"id": "q1", "text": "Alpha is linked to Beta.", "triplets": [("Alpha", "linked to", "Beta")]}])
+    inputs.write_text(json.dumps({"id": "q1", "text": "some context"}) + "\n", encoding="utf-8")
+    script.write_text("import json, sys\n"
+                      "for line in sys.stdin:\n"
+                      "    print(json.dumps({'logprobs': [-1.0] * 257}), flush=True)\n", encoding="utf-8")
+    scorer_cmd = f"{sys.executable} {script}"
+    for argv in (["ingest"], ["sample", "--n", 4], ["prepare", "--datapoints", datapoints],
+                 ["decode", "--inputs", inputs, "--out", tmp_path / "uniform"],
+                 ["decode", "--inputs", inputs, "--scorer-cmd", scorer_cmd],
+                 ["eval", "--predictions", out / "predictions.jsonl", "--gold", datapoints]):
+        assert run_cli(argv[0], "--config", config, *argv[1:]) == 0
+
+    def snapshot(command, directory=out):
+        return json.loads((directory / f"{command}.manifest.json").read_text(encoding="utf-8"))["config"]
+
+    assert snapshot("sample")["sampler"] == raw["sampler"]
+    assert snapshot("prepare")["tokenizer"] == "byte"
+    assert {key: snapshot("decode")[key] for key in ("tokenizer", "scorer", "decode")} == {
+        "tokenizer": "byte", "scorer": scorer_cmd, "decode": raw["decode"]}
+    assert snapshot("decode", tmp_path / "uniform")["scorer"] == "uniform"
+    assert snapshot("eval")["metrics"] == raw["metrics"]
 
 
 @pytest.mark.parametrize("bad_line", ['{"id": "b", "text": "torn', "[1, 2]"])
@@ -1232,6 +1313,27 @@ def test_decode_over_an_unreadable_graph_file_leaves_no_scorer_running(workspace
     finally:
         for scorer in made:
             scorer.close()
+
+
+@pytest.mark.parametrize("command", ["", "   "], ids=["empty", "spaces"])
+def test_blank_scorer_cmd_exits_1_naming_it(command, workspace, tmp_path, monkeypatch, capsys):
+    """Refused before the sink is read and before any scorer starts."""
+    made = []
+
+    def start(self, *args):
+        made.append(args)
+        raise AssertionError("a scorer process was started")
+
+    monkeypatch.setattr(scorers.SubprocessScorer, "__init__", start)
+    assert run_cli("ingest", "--config", workspace["config"]) == 0
+    inputs = tmp_path / "inputs.jsonl"
+    inputs.write_text(json.dumps(GOOD_ROW) + "\n", encoding="utf-8")
+    # a resume row that reading the sink refuses
+    (workspace["out"] / "predictions.jsonl").write_text(json.dumps({"id": [0], "triplets": []}) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("decode", "--config", workspace["config"], "--inputs", inputs, "--scorer-cmd", command) == 1
+    assert capsys.readouterr().err == f"error: --scorer-cmd must not be blank, got {command!r}\n"
+    assert made == [] and not (workspace["out"] / "decode.manifest.json").exists()
 
 
 BAD_UTF8_LINE = {

@@ -446,11 +446,17 @@ def test_key_bound_on_catalog_sizes():
         kgstore._check_key_bound(4_000_000, 1_000_000)
 
 
+def save(graph, path):
+    """``kgstore.save_graph`` into a new file at ``path``, as ``ingest`` writes it."""
+    with open(path, "wb") as fh:
+        kgstore.save_graph(graph, fh)
+
+
 def test_load_graph_refuses_catalogs_past_the_key_bound(tiny_graph, tmp_path, monkeypatch):
     # a graph file not written by ingest may hold any catalog sizes; scaling
     # the counts the bound sees stands in for catalogs of millions of labels
     path = tmp_path / "graph.json"
-    kgstore.save_graph(tiny_graph, path)
+    save(tiny_graph, path)
     check = kgstore._check_key_bound
     monkeypatch.setattr(kgstore, "_check_key_bound", lambda n_ent, n_rel: check(n_ent * 10**6, n_rel * 10**6))
     with pytest.raises(KgError, match=re.escape(str(path)) + ".*overflow"):
@@ -460,7 +466,7 @@ def test_load_graph_refuses_catalogs_past_the_key_bound(tiny_graph, tmp_path, mo
 def test_load_graph_key_bound_refusal_names_the_path_without_ingest_advice(tiny_graph, tmp_path, monkeypatch):
     # ingest refuses the same catalogs, so re-running it is no remedy
     path = tmp_path / "graph.json"
-    kgstore.save_graph(tiny_graph, path)
+    save(tiny_graph, path)
     check = kgstore._check_key_bound
     monkeypatch.setattr(kgstore, "_check_key_bound", lambda n_ent, n_rel: check(n_ent * 10**6, n_rel * 10**6))
     with pytest.raises(KgError) as info:
@@ -514,11 +520,11 @@ def labelled_graphs(draw):
 def test_graph_file_round_trip_is_exact_and_byte_stable(graph):
     with tempfile.TemporaryDirectory() as tmp:
         first, second, again = (Path(tmp) / name for name in ("first.json", "second.json", "again.json"))
-        kgstore.save_graph(graph, first)
-        kgstore.save_graph(graph, second)
+        save(graph, first)
+        save(graph, second)
         loaded = kgstore.load_graph(first)
         assert "_index" not in vars(loaded)  # loading leaves the incidence index unbuilt
-        kgstore.save_graph(loaded, again)
+        save(loaded, again)
         assert first.read_bytes() == second.read_bytes() == again.read_bytes() == graph_file_bytes(graph)
     assert loaded.entities == graph.entities
     assert loaded.relations == graph.relations
@@ -529,12 +535,12 @@ def test_graph_file_round_trip_is_exact_and_byte_stable(graph):
 def test_graph_file_bytes_are_pinned(zipf_kg, tmp_path):
     path = tmp_path / "graph.json"
     graph = from_triples(["Zürich", "東京", "a\"b\\c\n"], ["près de"], [(0, 0, 1), (2, 0, 2)])
-    kgstore.save_graph(graph, path)
+    save(graph, path)
     assert path.read_bytes() == (
         '{"edges": 2, "entities": {"external_ids": ["E0", "E1", "E2"], "labels": ["Zürich", "東京", "a\\"b\\\\c\\n"]}, '
         '"format": 2, "relations": {"external_ids": ["R0"], "labels": ["près de"]}}\n'
     ).encode() + bytes.fromhex("000000000000000001000000" "020000000000000002000000")
-    kgstore.save_graph(zipf_kg, path)
+    save(zipf_kg, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == "452e9354ff7abaf4c3157381b3562ed5aefec29916d8f96ee922961425ab60bf"
 
 
@@ -552,7 +558,7 @@ def traced(fn, *args):
 
 def test_save_graph_holds_less_than_the_file_it_writes(zipf_kg, tmp_path):
     path = tmp_path / "graph.json"
-    _, _, peak = traced(kgstore.save_graph, zipf_kg, path)
+    _, _, peak = traced(save, zipf_kg, path)
     # the whole JSON text with its payload dict took 4.3x the file; pieces take 0.3x
     assert peak < path.stat().st_size
 
@@ -573,7 +579,7 @@ def test_ingest_peak_is_a_small_multiple_of_the_graph_it_returns(zipf_kg, tmp_pa
 
 def test_unreadable_graph_file_is_a_kg_error_naming_it(tiny_graph, tmp_path):
     path = tmp_path / "graph.json"
-    kgstore.save_graph(tiny_graph, path)
+    save(tiny_graph, path)
     good = path.read_bytes()
     nested = {
         "entities": [list(pair) for pair in zip(tiny_graph.entities.external_ids, tiny_graph.entities.labels)],

@@ -4,7 +4,7 @@ import threading
 import pytest
 
 from kgsynth import textgen
-from kgsynth.pipeline import read_jsonl
+from kgsynth.pipeline import JsonlSink, read_jsonl
 from kgsynth.textgen import (
     CompletionClient,
     GenerationParams,
@@ -298,12 +298,18 @@ def test_usage_falls_back_to_char_estimate():
     assert record.completion_tokens == textgen.estimate_tokens("ok then")
 
 
+def generate(client, prompts, out):
+    """``client.generate`` appending to the records file ``out``, as ``kgsynth generate`` calls it."""
+    with JsonlSink(out) as sink:
+        return client.generate(prompts, sink)
+
+
 def test_generate_batch_persists_all_records(tmp_path):
     transport = lambda url, body, headers, timeout: (200, ok_payload())
     client = make_client(transport)
     out = tmp_path / "records.jsonl"
     prompts = [(f"id{i}", f"prompt {i}") for i in range(25)]
-    counts, _ = client.generate(prompts, out)
+    counts, _ = generate(client, prompts, out)
     assert counts == {"ok": 25, "failed": 0, "skipped": 0}
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert {r["set_id"] for r in records} == {f"id{i}" for i in range(25)}
@@ -314,12 +320,12 @@ def test_resume_never_rebills_completed_prompts(tmp_path):
     first_calls = []
     transport1 = lambda url, body, headers, timeout: (first_calls.append(body["prompt"]), (200, ok_payload()))[1]
     prompts = [(f"id{i}", f"prompt {i}") for i in range(30)]
-    make_client(transport1).generate(prompts[:18], out)
+    generate(make_client(transport1), prompts[:18], out)
     assert len(first_calls) == 18
 
     second_calls = []
     transport2 = lambda url, body, headers, timeout: (second_calls.append(body["prompt"]), (200, ok_payload()))[1]
-    counts, completions = make_client(transport2).generate(prompts, out)
+    counts, completions = generate(make_client(transport2), prompts, out)
     assert counts["skipped"] == 18
     assert counts["ok"] == 12
     assert sorted(second_calls) == sorted(f"prompt {i}" for i in range(18, 30))
@@ -336,13 +342,13 @@ def recording_transport(calls):
 def test_resume_repairs_a_torn_last_record(tmp_path, keep):
     out = tmp_path / "records.jsonl"
     prompts = [(f"id{i}", f"prompt {i}") for i in range(3)]
-    make_client(recording_transport([]), concurrency=1).generate(prompts[:2], out)
+    generate(make_client(recording_transport([]), concurrency=1), prompts[:2], out)
     first, second = out.read_bytes().splitlines(keepends=True)
     torn = second[: len(second) // 2] if keep == "half" else second[:-1]
     out.write_bytes(first + torn)  # a kill in the middle of the second append
 
     calls = []
-    counts, _ = make_client(recording_transport(calls)).generate(prompts, out)
+    counts, _ = generate(make_client(recording_transport(calls)), prompts, out)
     requeried = ["prompt 1", "prompt 2"] if keep == "half" else ["prompt 2"]
     assert sorted(calls) == requeried
     assert counts == {"ok": len(requeried), "failed": 0, "skipped": 3 - len(requeried)}
@@ -353,8 +359,8 @@ def test_resume_repairs_a_torn_last_record(tmp_path, keep):
 def test_failed_records_are_retried_on_resume(tmp_path):
     out = tmp_path / "records.jsonl"
     transport_fail = lambda url, body, headers, timeout: (500, {})
-    counts, _ = make_client(transport_fail).generate([("a", "p")], out)
+    counts, _ = generate(make_client(transport_fail), [("a", "p")], out)
     assert counts["failed"] == 1
     transport_ok = lambda url, body, headers, timeout: (200, ok_payload())
-    counts, _ = make_client(transport_ok).generate([("a", "p")], out)
+    counts, _ = generate(make_client(transport_ok), [("a", "p")], out)
     assert counts == {"ok": 1, "failed": 0, "skipped": 0}
