@@ -1,6 +1,6 @@
 """Pipeline command-line interface.
 
-Subcommands: ingest, sample, generate, prepare, encode, decode, eval, stats.
+Subcommands: ingest, sample, generate, prepare, decode, eval, stats.
 One structured YAML config file drives a run; flags override config values.
 Every command writes a manifest (input hashes + config snapshot) next to its
 outputs. Exit codes: 0 success, 1 validation error, 2 runtime error,
@@ -22,7 +22,7 @@ from pathlib import Path
 import yaml
 
 # Each command imports the layers it runs inside its cmd_* body, so a stage
-# process loads only those: generate, prepare, encode and decode never load numpy.
+# process loads only those: generate, prepare and decode never load numpy.
 from .pipeline import InputError, JsonlSink, ValidationError, jsonl_line, read_jsonl, read_lines, triplet_rows, write_json, write_jsonl, write_manifest
 
 log = logging.getLogger("kgsynth")
@@ -323,7 +323,6 @@ def _load_demonstrations(path, count: int) -> list:
 def cmd_generate(stage: Stage) -> int:
     from . import textgen
 
-    gen_cfg = stage.cfg.get("generation") or {}
     sets_path = stage.input("sets")
     preset = setting(stage.cfg, "generation.preset")
     if preset not in textgen.PRESETS:
@@ -372,8 +371,8 @@ def cmd_generate(stage: Stage) -> int:
             if set_id in completions
         ))
     cost = textgen.estimate_cost(client.tokens_consumed, price)
-    stage.snapshot = {"generation": {k: v for k, v in gen_cfg.items() if k != "endpoint"}, "counts": counts,
-                      "tokens_consumed": client.tokens_consumed, "cost": cost}
+    stage.snapshot = {"generation": {k: v for k, v in given(stage.cfg, "generation").items() if k != "endpoint"},
+                      "counts": counts, "tokens_consumed": client.tokens_consumed, "cost": cost}
     print(json.dumps({**counts, "cost": cost}, sort_keys=True))
     return EXIT_PARTIAL if counts["failed"] else EXIT_OK
 
@@ -391,27 +390,6 @@ def _id_rows(path):
         yield row_id, raw
 
 
-def _linearized_datapoints(path, variant, drops: dict):
-    """(id, text, triplets, linearization under ``variant``) of each datapoint
-    row of ``path``, read once. A row with an empty triplet list, or with a
-    label ``parse`` cannot read back, is left out and counted in ``drops``
-    under ``empty`` or ``unlinearizable``; a repeated id, or a field
-    ``Row`` refuses, is an InputError."""
-    from . import codec
-
-    for point_id, raw in _id_rows(path):
-        text, triplets = raw.get_as("text", str, ""), raw.triplets()
-        if not triplets:
-            drops["empty"] += 1
-            continue
-        try:
-            linearized = codec.linearize(triplets, variant, text)
-        except codec.CodecError:  # parse could not read a label back
-            drops["unlinearizable"] += 1
-            continue
-        yield point_id, text, triplets, linearized
-
-
 def cmd_prepare(stage: Stage) -> int:
     from . import codec
 
@@ -426,7 +404,16 @@ def cmd_prepare(stage: Stage) -> int:
     drops = {"empty": 0, "input_too_long": 0, "target_too_long": 0, "unencodable": 0, "unlinearizable": 0}
     kept = 0
     with stage.write("prepared_fe.jsonl") as fe_file, stage.write("prepared_sc.jsonl") as sc_file:
-        for point_id, text, triplets, fe_target in _linearized_datapoints(datapoints_path, codec.Variant.FE, drops):
+        for point_id, raw in _id_rows(datapoints_path):
+            text, triplets = raw.get_as("text", str, ""), raw.triplets()
+            if not triplets:
+                drops["empty"] += 1
+                continue
+            try:
+                fe_target = codec.linearize(triplets, codec.Variant.FE, text)
+            except codec.CodecError:  # parse could not read a label back
+                drops["unlinearizable"] += 1
+                continue
             input_ids, fe_ids = tokenizer.try_encode(text), tokenizer.try_encode(fe_target)
             if input_ids is None or fe_ids is None:
                 drops["unencodable"] += 1
@@ -444,19 +431,6 @@ def cmd_prepare(stage: Stage) -> int:
     stage.snapshot = {"kept": kept, "drops": drops, "max_input_tokens": max_input, "max_target_tokens": max_target,
                       "tokenizer": setting(stage.cfg, "tokenizer")}
     print(json.dumps(stage.snapshot, sort_keys=True))
-    return EXIT_OK
-
-
-def cmd_encode(stage: Stage) -> int:
-    datapoints_path = stage.input("datapoints")
-    variant, drops = make_schema(stage.cfg), {"empty": 0, "unlinearizable": 0}
-    with stage.write(f"encoded_{variant.value}.jsonl") as fh:
-        rows = write_jsonl(fh, (
-            {"id": point_id, "text": text, "linearization": variant.value, "linearized": linearized}
-            for point_id, text, _, linearized in _linearized_datapoints(datapoints_path, variant, drops)
-        ))
-    stage.snapshot = {"schema": variant.value, "rows": rows, "unlinearizable": drops["unlinearizable"]}
-    print(f"encoded {rows} datapoints ({variant.value})")
     return EXIT_OK
 
 
@@ -570,11 +544,10 @@ def cmd_eval(stage: Stage) -> int:
     report = metrics.evaluate(pairs, **given(stage.cfg, "metrics"), seed=stage.seed, train_counts=train_counts)
     with stage.write("eval_report.json") as fh:
         write_json(fh, report)
-    if report["per_bucket"]:
-        with stage.write("buckets.tsv") as fh:
-            fh.write("bucket\tn_gold\tn_predicted\tf1\tlower\tupper\n")
-            for row in report["per_bucket"]:
-                fh.write("{bucket}\t{n_gold}\t{n_predicted}\t{f1_point:.6f}\t{f1_lower:.6f}\t{f1_upper:.6f}\n".format(**row))
+    with stage.write("buckets.tsv") as fh:  # the header alone without train counts
+        fh.write("bucket\tn_gold\tn_predicted\tf1\tlower\tupper\n")
+        for row in report["per_bucket"]:
+            fh.write("{bucket}\t{n_gold}\t{n_predicted}\t{f1_point:.6f}\t{f1_lower:.6f}\t{f1_upper:.6f}\n".format(**row))
     stage.snapshot = {"metrics": given(stage.cfg, "metrics")}
     micro = report["micro"]["f1"]
     print(f"micro-F1 {micro['point']:.4f} [{micro['lower']:.4f}, {micro['upper']:.4f}]")
@@ -623,11 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--datapoints", required=True, help="DataPoint JSONL")
     p.set_defaults(func=cmd_prepare)
-
-    p = sub.add_parser("encode", help="linearize datapoints under the configured schema")
-    common(p)
-    p.add_argument("--datapoints", required=True, help="DataPoint JSONL")
-    p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="constrained beam search over a scorer plug-in")
     common(p)

@@ -107,7 +107,8 @@ class Row(dict):
 
     def triplets(self) -> list[tuple[str, str, str]]:
         """``row["triplets"]``: a list, maybe empty, of ``{"s", "r", "o"}``
-        objects of strings, as ``(s, r, o)`` tuples."""
+        objects of strings, as ``(s, r, o)`` tuples, each distinct triplet
+        once, in the order it first appears."""
         value = self["triplets"]
         try:
             if type(value) is not list:
@@ -122,7 +123,7 @@ class Row(dict):
             for key, label in zip("sro", triplet):
                 if type(label) is not str:
                     raise InputError(f"{self.where}: triplet key {key!r} must be a string, got {json.dumps(label)}")
-        return triplets
+        return list(dict.fromkeys(triplets))
 
 
 def _row(line: str, path, number: int) -> Row | None:

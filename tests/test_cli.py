@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import builtins
 import hashlib
@@ -172,7 +173,7 @@ def write_datapoints(path, rows):
     )
 
 
-def test_encode_and_prepare(workspace, tmp_path):
+def test_prepare_drops_long_and_empty_rows(workspace, tmp_path):
     dp = tmp_path / "datapoints.jsonl"
     write_datapoints(
         dp,
@@ -182,10 +183,6 @@ def test_encode_and_prepare(workspace, tmp_path):
             {"id": "c", "text": "ok", "triplets": []},
         ],
     )
-    assert run_cli("encode", "--config", workspace["config"], "--datapoints", dp) == 0
-    encoded = [json.loads(l) for l in (workspace["out"] / "encoded_fe.jsonl").read_text().splitlines()]
-    assert encoded[0]["linearized"].startswith("[s] Alpha [r] linked to [o] Beta [e]")
-
     assert run_cli("prepare", "--config", workspace["config"], "--datapoints", dp) == 0
     fe_rows = [json.loads(l) for l in (workspace["out"] / "prepared_fe.jsonl").read_text().splitlines()]
     sc_rows = [json.loads(l) for l in (workspace["out"] / "prepared_sc.jsonl").read_text().splitlines()]
@@ -199,7 +196,6 @@ def test_encode_and_prepare(workspace, tmp_path):
 TEXT_STAGE_OUTPUT_SHA256 = {
     "prepared_fe.jsonl": "060ac37fb6555b94756d8232b8e82b0bf8379735efbfbb2aed0cfea2581a7137",
     "prepared_sc.jsonl": "ca528cd74db29680f2fdee42485b00a25cf69ede93557f8f4c7e68e686fedb0c",
-    "encoded_fe.jsonl": "a1510d8439ecadee8cb61e983e5e8a0940420668a5dfbd3a3ee9a7c1aabb2633",
 }
 
 
@@ -214,14 +210,11 @@ def test_text_stage_outputs_are_pinned(workspace, tmp_path):
     dp.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
     out = workspace["out"]
     assert run_cli("prepare", "--config", workspace["config"], "--datapoints", dp) == 0
-    assert run_cli("encode", "--config", workspace["config"], "--datapoints", dp) == 0
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in TEXT_STAGE_OUTPUT_SHA256}
     assert digests == TEXT_STAGE_OUTPUT_SHA256
     prepared = json.loads((out / "prepare.manifest.json").read_text())["config"]
     assert (prepared["kept"], prepared["drops"]) == (345, {"empty": 1, "input_too_long": 7, "target_too_long": 48,
                                                            "unencodable": 0, "unlinearizable": 1})
-    encoded = json.loads((out / "encode.manifest.json").read_text())["config"]
-    assert (encoded["rows"], encoded["unlinearizable"]) == (400, 1)
 
 
 def test_stats_and_eval(workspace, tmp_path):
@@ -262,6 +255,22 @@ def test_stats_and_eval(workspace, tmp_path):
     run_cli("eval", "--config", workspace["config"], "--predictions", preds, "--gold", gold,
             "--train-counts", train_counts)
     assert (workspace["out"] / "eval_report.json").read_bytes() == first
+
+
+def test_eval_without_train_counts_writes_buckets_with_the_header_alone(workspace, tmp_path):
+    row = {"id": "1", "text": "", "triplets": [("Alpha", "linked to", "Beta")]}
+    preds, gold = eval_files(tmp_path, [row], [row])
+    train_counts = tmp_path / "train_counts.tsv"
+    train_counts.write_text("linked to\t40\n", encoding="utf-8")
+    out, header = workspace["out"], "bucket\tn_gold\tn_predicted\tf1\tlower\tupper\n"
+    assert run_cli("eval", "--config", workspace["config"], "--predictions", preds, "--gold", gold,
+                   "--train-counts", train_counts) == 0
+    assert (out / "buckets.tsv").read_text(encoding="utf-8") != header
+    # a rerun into the same directory leaves no bucket rows of the first run
+    assert run_cli("eval", "--config", workspace["config"], "--predictions", preds, "--gold", gold) == 0
+    assert (out / "buckets.tsv").read_text(encoding="utf-8") == header
+    outputs = json.loads((out / "eval.manifest.json").read_text(encoding="utf-8"))["outputs"]
+    assert outputs == [str(out / "buckets.tsv"), str(out / "eval_report.json")]
 
 
 def test_stats_on_a_dataset_without_triplets_exits_1(workspace, tmp_path, capsys):
@@ -955,7 +964,6 @@ STAGE_INPUTS = {
     "sample": ("paths.graph", {"graph"}, True),
     "generate": ("--sets", {"sets", "template"}, False),
     "prepare": ("--datapoints", {"datapoints"}, False),
-    "encode": ("--datapoints", {"datapoints"}, False),
     "decode": ("--inputs", {"graph", "inputs"}, False),
     "eval": ("--gold", {"predictions", "gold", "train_counts"}, True),
     "stats": ("--dataset", {"dataset"}, False),
@@ -975,7 +983,6 @@ def test_every_stage_checks_its_inputs_and_reruns_to_the_same_manifest(command, 
         "sample": ["--n", 6],
         "generate": ["--sets", out / "triplet_sets.jsonl"],
         "prepare": ["--datapoints", out / "datapoints.jsonl"],
-        "encode": ["--datapoints", out / "datapoints.jsonl"],
         "decode": ["--inputs", inputs],
         "eval": ["--predictions", out / "predictions.jsonl", "--gold", out / "datapoints.jsonl",
                  "--train-counts", train_counts],
@@ -1022,7 +1029,7 @@ def test_every_stage_checks_its_inputs_and_reruns_to_the_same_manifest(command, 
 
 
 def test_every_file_a_command_opens_is_its_config_an_input_an_output_or_its_manifest(workspace, tmp_path, monkeypatch):
-    """All eight commands, generate under the packaged few-shot template and
+    """All seven commands, generate under the packaged few-shot template and
     its demonstrations, and prepare and decode under a ``wordpiece:`` vocab:
     each file ``open`` is handed while ``main`` runs is one its manifest
     hashes or lists, the config, or the manifest itself."""
@@ -1040,7 +1047,6 @@ def test_every_file_a_command_opens_is_its_config_an_input_an_output_or_its_mani
         (config, ["sample", "--n", 6]),
         (config, ["generate", "--sets", out / "triplet_sets.jsonl"]),
         (config, ["prepare", "--datapoints", out / "datapoints.jsonl"]),
-        (config, ["encode", "--datapoints", out / "datapoints.jsonl"]),
         (config, ["decode", "--inputs", inputs]),
         (config, ["eval", "--predictions", out / "predictions.jsonl", "--gold", out / "datapoints.jsonl",
                   "--train-counts", train_counts]),
@@ -1070,10 +1076,13 @@ def test_every_file_a_command_opens_is_its_config_an_input_an_output_or_its_mani
     assert strays == {}
 
 
-def test_manifests_record_the_tokenizer_the_scorer_and_the_keys_each_layer_gets(workspace, tmp_path):
+def test_manifests_record_the_tokenizer_the_scorer_and_the_keys_each_layer_gets(workspace, tmp_path, monkeypatch):
+    monkeypatch.setattr(requests, "post", ConstantPost())
     raw, out = workspace["raw"], workspace["out"]
+    generation = {"endpoint": "http://127.0.0.1:9/v1/completions", "preset": "text", "concurrency": 2}
     config = tmp_path / "config.yaml"  # each section holds a key the CLI warns it ignores
     config.write_text(yaml.safe_dump(dict(raw, sampler=dict(raw["sampler"], walk_length=3),
+                                          generation=dict(generation, concurency=2),
                                           metrics=dict(raw["metrics"], n_boot=5),
                                           decode=dict(raw["decode"], top_k_returned=1))), encoding="utf-8")
     datapoints, inputs, script = tmp_path / "dp.jsonl", tmp_path / "inputs.jsonl", tmp_path / "scorer.py"
@@ -1083,7 +1092,8 @@ def test_manifests_record_the_tokenizer_the_scorer_and_the_keys_each_layer_gets(
                       "for line in sys.stdin:\n"
                       "    print(json.dumps({'logprobs': [-1.0] * 257}), flush=True)\n", encoding="utf-8")
     scorer_cmd = f"{sys.executable} {script}"
-    for argv in (["ingest"], ["sample", "--n", 4], ["prepare", "--datapoints", datapoints],
+    for argv in (["ingest"], ["sample", "--n", 4], ["generate", "--sets", out / "triplet_sets.jsonl"],
+                 ["prepare", "--datapoints", datapoints],
                  ["decode", "--inputs", inputs, "--out", tmp_path / "uniform"],
                  ["decode", "--inputs", inputs, "--scorer-cmd", scorer_cmd],
                  ["eval", "--predictions", out / "predictions.jsonl", "--gold", datapoints]):
@@ -1093,6 +1103,7 @@ def test_manifests_record_the_tokenizer_the_scorer_and_the_keys_each_layer_gets(
         return json.loads((directory / f"{command}.manifest.json").read_text(encoding="utf-8"))["config"]
 
     assert snapshot("sample")["sampler"] == raw["sampler"]
+    assert snapshot("generate")["generation"] == {"preset": "text", "concurrency": 2}
     assert snapshot("prepare")["tokenizer"] == "byte"
     assert {key: snapshot("decode")[key] for key in ("tokenizer", "scorer", "decode")} == {
         "tokenizer": "byte", "scorer": scorer_cmd, "decode": raw["decode"]}
@@ -1157,8 +1168,7 @@ ROW_FILES = {
                                      {"text": "text?", "triplets": "triplets!"}),
     ("generate", "records"): ("generation_records.jsonl", {"set_id": "9", "status": "ok", "completion": "A sentence."},
                               {"set_id": "id", "status": "status", "completion": "text"}),
-    **{(command, "datapoints"): ("--datapoints", GOOD_ROW, {"id": "id", "text": "text?", "triplets": "triplets"})
-       for command in ("encode", "prepare")},
+    ("prepare", "datapoints"): ("--datapoints", GOOD_ROW, {"id": "id", "text": "text?", "triplets": "triplets"}),
     ("stats", "dataset"): ("--dataset", GOOD_ROW, {"id": "id", "triplets": "triplets"}),
     # "context" is read when "text" is absent
     ("decode", "inputs"): ("--inputs", {"id": "0", "text": GOOD_ROW["text"]}, {"id": "id", "text": "text", "context": "text?"}),
@@ -1527,9 +1537,17 @@ def test_row_with_an_unlinearizable_label_is_dropped(workspace, tmp_path):
     drops = json.loads((out / "prepare.manifest.json").read_text())["config"]["drops"]
     assert drops == {"empty": 0, "input_too_long": 0, "target_too_long": 0, "unencodable": 0, "unlinearizable": 2}
 
-    assert run_cli("encode", "--config", workspace["config"], "--datapoints", dp) == 0
-    assert [json.loads(line)["id"] for line in (out / "encoded_fe.jsonl").read_text().splitlines()] == ["a", "d"]
-    assert json.loads((out / "encode.manifest.json").read_text())["config"]["unlinearizable"] == 2
+
+def test_a_triplet_a_row_repeats_is_read_once(workspace, tmp_path):
+    dp = tmp_path / "datapoints.jsonl"
+    write_datapoints(dp, [{"id": "a", "text": "Alpha is linked to Beta.",
+                           "triplets": [("Alpha", "linked to", "Beta"), ("Alpha", "linked to", "Beta")]}])
+    out = workspace["out"]
+    assert run_cli("prepare", "--config", workspace["config"], "--datapoints", dp) == 0
+    assert json.loads((out / "prepared_fe.jsonl").read_text(encoding="utf-8"))["target"] == (
+        "[s] Alpha [r] linked to [o] Beta [e]")
+    assert run_cli("stats", "--config", workspace["config"], "--dataset", dp) == 0
+    assert json.loads((out / "relation_stats.json").read_text(encoding="utf-8"))["counts"] == {"linked to": 1}
 
 
 def run_fresh_python(code: str) -> str:
@@ -1545,7 +1563,7 @@ def test_importing_the_cli_loads_no_layer():
     assert not {"numpy", "requests", "kgsynth.kgstore", "kgsynth.decoder.scorers"} & set(loaded)
 
 
-@pytest.mark.parametrize("command", ["generate", "prepare", "encode"])
+@pytest.mark.parametrize("command", ["generate", "prepare"])
 def test_text_stages_never_load_numpy(command, workspace, tmp_path):
     rows = tmp_path / "rows.jsonl"
     rows.write_text(json.dumps(GOOD_ROW) + "\n", encoding="utf-8")
@@ -1649,3 +1667,19 @@ def test_readme_config_example_lists_every_key_the_cli_reads(tmp_path, caplog):
     assert given == {"paths.edges", "paths.entity_labels", "paths.relation_labels", "paths.graph",
                      "generation.endpoint", "generation.demonstrations"}
     assert all(defaults[key] is None for key in given)
+
+
+def test_the_parser_the_readme_and_the_cli_docstring_list_the_same_commands(capsys):
+    parser = cli.build_parser()
+    (subparsers,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    quickstart = readme.split("## CLI quickstart", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    documented = [line.split()[1] for line in quickstart.splitlines() if line.startswith("kgsynth ")]
+    (listed,) = [line for line in cli.__doc__.splitlines() if line.startswith("Subcommands: ")]
+    commands = ["ingest", "sample", "generate", "prepare", "decode", "eval", "stats"]
+    assert list(subparsers.choices) == documented == listed.removeprefix("Subcommands: ").rstrip(".").split(", ") == commands
+    # a removed command is refused by argparse itself
+    with pytest.raises(SystemExit) as exited:
+        main(["encode", "--config", "pipeline.yaml", "--datapoints", "datapoints.jsonl"])
+    assert exited.value.code == 2
+    assert "invalid choice: 'encode'" in capsys.readouterr().err
